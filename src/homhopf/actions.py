@@ -6,9 +6,9 @@ over basis pairs and any failure carries an exact witness.
 """
 
 from .fields import ExactError, ShapeError
-from .matrices import Matrix, TwistCache, kron, leg_perm
+from .matrices import Matrix, TwistCache, kron, permute_row_legs
 from .report import CheckResult, Report, StructureError, eq_check
-from .structures import default_basis
+from .structures import default_basis, twist_invertible_check
 
 __all__ = [
     "ActionMap",
@@ -178,8 +178,9 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
         rhs = (
             ma
             * kron(p, p)
-            * leg_perm(field, (n, n, m, m), (0, 2, 1, 3))
-            * kron(hom.comult, Matrix.identity(field, m * m))
+            * permute_row_legs(
+                kron(hom.comult, Matrix.identity(field, m * m)), (n, n, m, m), (0, 2, 1, 3)
+            )
         )
         checks.append(
             eq_check("HMA1", p * kron(hom.twist_power(2), ma), rhs, (hb, cb, cb), (cb,))
@@ -198,11 +199,7 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
             raise ExactError("module-coalgebra check needs the carrier Hom-coalgebra")
         _carrier_consistent(act, carrier)
         dc = carrier.comult
-        rhs = (
-            kron(p, p)
-            * leg_perm(field, (n, n, m, m), (0, 2, 1, 3))
-            * kron(hom.comult, dc)
-        )
+        rhs = kron(p, p) * permute_row_legs(kron(hom.comult, dc), (n, n, m, m), (0, 2, 1, 3))
         checks.append(eq_check("HMC1", dc * p, rhs, (hb, cb), (cb, cb)))
         checks.append(
             eq_check(
@@ -244,11 +241,7 @@ def check_coaction_axioms(coact, kind="comodule", carrier=None, title=None):
             raise ExactError("comodule-algebra check needs the carrier Hom-algebra")
         _carrier_consistent(coact, carrier)
         ma = carrier.mult
-        rhs = (
-            kron(hom.mult, ma)
-            * leg_perm(field, (n, m, n, m), (0, 2, 1, 3))
-            * kron(q, q)
-        )
+        rhs = kron(hom.mult, ma) * permute_row_legs(kron(q, q), (n, m, n, m), (0, 2, 1, 3))
         checks.append(eq_check("HCMA1", q * ma, rhs, (cb, cb), (hb, cb)))
         checks.append(
             eq_check(
@@ -266,8 +259,7 @@ def check_coaction_axioms(coact, kind="comodule", carrier=None, title=None):
         dc = carrier.comult
         rhs = (
             kron(hom.mult, Matrix.identity(field, m * m))
-            * leg_perm(field, (n, m, n, m), (0, 2, 1, 3))
-            * kron(q, q)
+            * permute_row_legs(kron(q, q), (n, m, n, m), (0, 2, 1, 3))
             * dc
         )
         checks.append(
@@ -291,10 +283,10 @@ def hyd_lhs_matrix(action, coaction):
     field, n, m = hom.field, hom.dim, action.carrier_dim
     i_m = Matrix.identity(field, m)
     step = kron(hom.comult, coaction.matrix)  # legs (h1, h2, m-1, m0)
-    perm = leg_perm(field, (n, n, n, m), (0, 2, 1, 3))  # -> (h1, m-1, h2, m0)
+    step = permute_row_legs(step, (n, n, n, m), (0, 2, 1, 3))  # -> (h1, m-1, h2, m0)
     left = hom.mult * kron(Matrix.identity(field, n), hom.twist)
     right = action.matrix * kron(hom.twist_power(3), i_m)
-    return kron(left, right) * perm * step
+    return kron(left, right) * step
 
 
 def hyd_rhs_matrix(action, coaction):
@@ -303,13 +295,11 @@ def hyd_rhs_matrix(action, coaction):
     field, n, m = hom.field, hom.dim, action.carrier_dim
     i_n = Matrix.identity(field, n)
     i_m = Matrix.identity(field, m)
-    step1 = kron(hom.comult, i_m)  # (h1, h2, m)
-    perm1 = leg_perm(field, (n, n, m), (0, 2, 1))  # (h1, m, h2)
-    acted = kron(action.matrix * kron(hom.twist_power(2), i_m), i_n)  # (w, h2)
-    coacted = kron(coaction.matrix, i_n)  # (w-1, w0, h2)
-    perm2 = leg_perm(field, (n, m, n), (0, 2, 1))  # (w-1, h2, w0)
-    final = kron(hom.mult, i_m)
-    return final * perm2 * coacted * acted * perm1 * step1
+    step = permute_row_legs(kron(hom.comult, i_m), (n, n, m), (0, 2, 1))  # (h1, m, h2)
+    step = kron(action.matrix * kron(hom.twist_power(2), i_m), i_n) * step  # (w, h2)
+    step = kron(coaction.matrix, i_n) * step  # (w-1, w0, h2)
+    step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (w-1, h2, w0)
+    return kron(hom.mult, i_m) * step
 
 
 class YDModule:
@@ -383,11 +373,12 @@ def _hyd_prime_rhs(action, coaction, antipode):
     i_m = Matrix.identity(field, m)
     step1 = kron(hom.comult, coaction.matrix)  # (h1, h2, m-1, m0)
     step2 = kron(hom.comult, Matrix.identity(field, n * n * m))  # (h11, h12, h2, m-1, m0)
-    perm = leg_perm(field, (n, n, n, n, m), (0, 3, 2, 1, 4))  # (h11, m-1, h2, h12, m0)
+    # -> (h11, m-1, h2, h12, m0)
+    step = permute_row_legs(step2 * step1, (n, n, n, n, m), (0, 3, 2, 1, 4))
     inner = hom.twist_power(-2) * hom.mult * kron(i_n, hom.twist)  # beta^-2(h11 beta(m-1))
     left = hom.mult * kron(inner, antipode)
     right = action.matrix * kron(hom.twist_power(3), i_m)
-    return kron(left, right) * perm * step2 * step1
+    return kron(left, right) * step
 
 
 def check_hyd_prime(module, title=None):
@@ -397,6 +388,10 @@ def check_hyd_prime(module, title=None):
     antipode = getattr(hom, "antipode", None)
     if antipode is None:
         raise ExactError("no antipode available on the acting structure")
+    title = title or f"antipode-form compatibility [{module.name or 'module'}]"
+    invertible = twist_invertible_check(hom)
+    if not invertible.passed:  # the antipode form twists by beta^-2
+        return Report(title, (invertible,))
     legs = (hom.basis, action.carrier_basis)
     prime = eq_check(
         "HYD-prime",
@@ -409,7 +404,7 @@ def check_hyd_prime(module, title=None):
     agree = plain.passed == prime.passed
     witness = None if agree else f"HYD={plain.verdict} but HYD-prime={prime.verdict}"
     checks = (prime, CheckResult("equivalence-with-HYD", agree, witness))
-    return Report(title or f"antipode-form compatibility [{module.name or 'module'}]", checks)
+    return Report(title, checks)
 
 
 def trivial_yd_module(hom, label="1"):

@@ -6,7 +6,7 @@ checks, and the biproduct/category equivalence.
 from dataclasses import dataclass
 
 from .fields import ExactError
-from .matrices import Matrix, kron, kron_list, leg_perm
+from .matrices import Matrix, kron, kron_list, permute_row_legs
 from .report import CheckResult, Report, eq_check
 from .structures import tensor_basis
 from .actions import (
@@ -87,16 +87,13 @@ def yd_tensor(m1, m2, check=True, name=None):
     hom = m1.hom
     field, n = hom.field, hom.dim
     d1, d2 = m1.dim, m2.dim
-    act = (
-        kron(m1.action.matrix, m2.action.matrix)
-        * leg_perm(field, (n, n, d1, d2), (0, 2, 1, 3))
-        * kron(hom.comult, Matrix.identity(field, d1 * d2))
-    )
-    coact = (
-        kron(hom.twist_power(-2) * hom.mult, Matrix.identity(field, d1 * d2))
-        * leg_perm(field, (n, d1, n, d2), (0, 2, 1, 3))
-        * kron(m1.coaction.matrix, m2.coaction.matrix)
-    )
+    i_d = Matrix.identity(field, d1 * d2)
+    split = kron(hom.comult, i_d)  # (h1, h2, m, n)
+    split = permute_row_legs(split, (n, n, d1, d2), (0, 2, 1, 3))  # (h1, m, h2, n)
+    act = kron(m1.action.matrix, m2.action.matrix) * split
+    coacted = kron(m1.coaction.matrix, m2.coaction.matrix)  # (m-1, m0, n-1, n0)
+    coacted = permute_row_legs(coacted, (n, d1, n, d2), (0, 2, 1, 3))  # (m-1, n-1, m0, n0)
+    coact = kron(hom.twist_power(-2) * hom.mult, i_d) * coacted
     twist = kron(m1.twist, m2.twist)
     basis = tensor_basis(m1.basis, m2.basis)
     return YDModule(
@@ -130,9 +127,9 @@ def braiding_matrix(m1, m2):
     field, n = hom.field, hom.dim
     d1, d2 = m1.dim, m2.dim
     step = kron(m1.coaction.matrix, Matrix.identity(field, d2))  # (m-1, m0, n)
-    perm = leg_perm(field, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
+    step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
     left = m2.action.matrix * kron(hom.twist_power(2), m2.twist_inv)
-    return kron(left, m1.twist_inv) * perm * step
+    return kron(left, m1.twist_inv) * step
 
 
 def braiding(m1, m2, check=True):
@@ -158,9 +155,9 @@ def braiding_inverse_matrix(m1, m2):
     field, n = hom.field, hom.dim
     d1, d2 = m1.dim, m2.dim
     step = kron(Matrix.identity(field, d2), m1.coaction.matrix)  # (n, m-1, m0)
-    perm = leg_perm(field, (d2, n, d1), (2, 1, 0))  # (m0, m-1, n)
+    step = permute_row_legs(step, (d2, n, d1), (2, 1, 0))  # (m0, m-1, n)
     right = m2.action.matrix * kron(s_inv * hom.twist_power(2), m2.twist_inv)
-    return kron(m1.twist_inv, right) * perm * step
+    return kron(m1.twist_inv, right) * step
 
 
 def braiding_inverse(m1, m2, check=True):
@@ -182,9 +179,9 @@ def yang_baxter_operator(m1, m2):
     field, n = hom.field, hom.dim
     d1, d2 = m1.dim, m2.dim
     step = kron(m1.coaction.matrix, Matrix.identity(field, d2))  # (m-1, m0, n)
-    perm = leg_perm(field, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
+    step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
     left = m2.action.matrix * kron(hom.twist_power(3), Matrix.identity(field, d2))
-    return kron(left, Matrix.identity(field, d1)) * perm * step
+    return kron(left, Matrix.identity(field, d1)) * step
 
 
 def _tau_twist_check(name, m1, m2):

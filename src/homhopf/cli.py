@@ -66,8 +66,11 @@ def _load(path):
 
 
 def _emit(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_reports(reports, witnesses):
@@ -318,6 +321,18 @@ def _cmd_catalog(args):
     return code
 
 
+def _glue_signed_params(argv):
+    """argparse takes a value starting with '-' for an option, so glue a
+    signed scalar onto --param: `--param -1/2` reads as `--param=-1/2`."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--param" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--param={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser():
     parser = _Parser(prog="homhopf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -385,7 +400,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_signed_params(sys.argv[1:] if argv is None else argv))
         if args.command == "catalog" and args.action != "list" and args.id is None:
             raise UsageError("catalog show/check needs an entry id")
         return args.func(args)

@@ -8,7 +8,7 @@ admitted it, so callers can print why a construction went through.
 from dataclasses import dataclass
 
 from .fields import ExactError, ShapeError
-from .matrices import Matrix, kron, kron_list, leg_perm
+from .matrices import Matrix, kron, kron_list, permute_row_legs
 from .report import CheckResult, Report, StructureError, eq_check
 from .structures import (
     HomAlgebra,
@@ -17,6 +17,7 @@ from .structures import (
     check_antipode,
     convolution,
     tensor_basis,
+    twist_invertible_check,
 )
 from .actions import (
     check_action_axioms,
@@ -86,15 +87,15 @@ def coaction_twist_map(coalgebra, hom, coaction, check=True):
     field, n, m = hom.field, hom.dim, coalgebra.dim
     i_n = Matrix.identity(field, n)
     step = kron(coaction.matrix, i_n)  # (c-1, c0, h)
-    perm = leg_perm(field, (n, m, n), (0, 2, 1))  # (c-1, h, c0)
-    matrix = kron(hom.mult, Matrix.identity(field, m)) * perm * step
+    step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (c-1, h, c0)
+    matrix = kron(hom.mult, Matrix.identity(field, m)) * step
     return TwistMapT(coalgebra, hom, matrix, name="coaction-twist", check=check)
 
 
 def flip_twist_map(coalgebra, hom):
     """T = the plain flip c (x) h |-> h (x) c."""
-    field = hom.field
-    matrix = leg_perm(field, (coalgebra.dim, hom.dim), (1, 0))
+    m, n = coalgebra.dim, hom.dim
+    matrix = permute_row_legs(Matrix.identity(hom.field, m * n), (m, n), (1, 0))
     return TwistMapT(coalgebra, hom, matrix, name="flip")
 
 
@@ -134,11 +135,11 @@ def smash_mult_matrix(carrier, hom, action):
     i_m = Matrix.identity(field, m)
     i_n = Matrix.identity(field, n)
     step = kron_list(i_m, hom.comult, i_m, i_n)  # (a, h1, h2, a', h')
-    perm = leg_perm(field, (m, n, n, m, n), (0, 1, 3, 2, 4))  # (a, h1, a', h2, h')
+    step = permute_row_legs(step, (m, n, n, m, n), (0, 1, 3, 2, 4))  # (a, h1, a', h2, h')
     inner = action.matrix * kron(i_n, carrier.twist_inv)
     left = carrier.mult * kron(i_m, inner)
     right = hom.mult * kron(hom.twist_inv, i_n)
-    return kron(left, right) * perm * step
+    return kron(left, right) * step
 
 
 def smash_comult_matrix(carrier, hom, coaction):
@@ -148,9 +149,10 @@ def smash_comult_matrix(carrier, hom, coaction):
     i_n = Matrix.identity(field, n)
     step1 = kron(carrier.comult, hom.comult)  # (c1, c2, h1, h2)
     step2 = kron_list(i_m, coaction.matrix, i_n, i_n)  # (c1, c2-1, c2-0, h1, h2)
-    perm = leg_perm(field, (m, n, m, n, n), (0, 1, 3, 2, 4))  # (c1, c2-1, h1, c2-0, h2)
+    # -> (c1, c2-1, h1, c2-0, h2)
+    step = permute_row_legs(step2 * step1, (m, n, m, n, n), (0, 1, 3, 2, 4))
     mid = hom.mult * kron(i_n, hom.twist_inv)
-    return kron_list(i_m, mid, carrier.twist_inv, i_n) * perm * step2 * step1
+    return kron_list(i_m, mid, carrier.twist_inv, i_n) * step
 
 
 def smash_product(carrier, hom, action, name=None, check=True):
@@ -302,11 +304,12 @@ def radford_r4_rhs(bundle):
     i_m = Matrix.identity(field, m)
     step1 = kron(bundle.coalgebra.comult, bundle.coalgebra.comult)  # (a1, a2, b1, b2)
     step2 = kron_list(i_m, bundle.coaction.matrix, i_m, i_m)  # (a1, a2-1, a2-0, b1, b2)
-    perm = leg_perm(field, (m, n, m, m, m), (0, 1, 3, 2, 4))  # (a1, a2-1, b1, a2-0, b2)
+    # -> (a1, a2-1, b1, a2-0, b2)
+    step = permute_row_legs(step2 * step1, (m, n, m, m, m), (0, 1, 3, 2, 4))
     inner = bundle.action.matrix * kron(hom.twist_power(2), a.twist_inv)
     left = a.mult * kron(i_m, inner)
     right = a.mult * kron(a.twist_inv, i_m)
-    return kron(left, right) * perm * step2 * step1
+    return kron(left, right) * step
 
 
 def check_radford_conditions(bundle, title=None):
@@ -331,9 +334,11 @@ def check_radford_conditions(bundle, title=None):
     checks.append(
         CheckResult("R3", fail is None, None if fail is None else f"{fail.name}: {fail.witness}")
     )
-    checks.append(
-        eq_check("R4", c.comult * a.mult, radford_r4_rhs(bundle), (ab, ab), (ab, ab))
-    )
+    if twist_invertible_check(a).passed:
+        r4 = eq_check("R4", c.comult * a.mult, radford_r4_rhs(bundle), (ab, ab), (ab, ab))
+    else:  # R4 untwists by alpha^-1
+        r4 = CheckResult("R4", False, "carrier twist is singular")
+    checks.append(r4)
     legs = (hom.basis, ab)
     checks.append(
         eq_check(
@@ -404,12 +409,12 @@ def biproduct_antipode(bundle, s_carrier=None, check=True):
     a = bundle.algebra
     field, m, n = hom.field, a.dim, hom.dim
     i_n = Matrix.identity(field, n)
-    step1 = kron(bundle.coaction.matrix, i_n)  # (a-1, a0, h)
-    perm1 = leg_perm(field, (n, m, n), (0, 2, 1))  # (a-1, h, a0)
+    step = kron(bundle.coaction.matrix, i_n)  # (a-1, a0, h)
+    step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (a-1, h, a0)
     folded = hom.comult * s_h * hom.mult * kron(i_n, hom.twist_inv)  # (w1, w2)
-    step2 = kron(folded, s_carrier * a.twist_power(-2))  # (w1, w2, sa)
-    perm2 = leg_perm(field, (n, n, m), (0, 2, 1))  # (w1, sa, w2)
-    matrix = kron(bundle.action.matrix, hom.twist_inv) * perm2 * step2 * perm1 * step1
+    step = kron(folded, s_carrier * a.twist_power(-2)) * step  # (w1, w2, sa)
+    step = permute_row_legs(step, (n, n, m), (0, 2, 1))  # (w1, sa, w2)
+    matrix = kron(bundle.action.matrix, hom.twist_inv) * step
     if check:
         biproduct = radford_biproduct(bundle, check=False)
         rep = check_antipode(biproduct.bialgebra, matrix)
@@ -427,9 +432,9 @@ def smash_product_antipode(carrier, hom, action, s_carrier, s_hom=None):
     s_h = s_hom if s_hom is not None else hom.antipode
     i_m = Matrix.identity(field, m)
     step = kron(i_m, hom.comult * s_h)  # (a, s1, s2)
-    perm = leg_perm(field, (m, n, n), (1, 0, 2))  # (s1, a, s2)
+    step = permute_row_legs(step, (m, n, n), (1, 0, 2))  # (s1, a, s2)
     left = action.matrix * kron(Matrix.identity(field, n), carrier.twist_inv * s_carrier)
-    return kron(left, hom.twist_inv) * perm * step
+    return kron(left, hom.twist_inv) * step
 
 
 def smash_coproduct_antipode(carrier, hom, coaction, s_carrier, s_hom=None):
@@ -439,9 +444,9 @@ def smash_coproduct_antipode(carrier, hom, coaction, s_carrier, s_hom=None):
     s_h = s_hom if s_hom is not None else hom.antipode
     i_n = Matrix.identity(field, n)
     step = kron(coaction.matrix, i_n)  # (c-1, c0, h)
-    perm = leg_perm(field, (n, m, n), (1, 0, 2))  # (c0, c-1, h)
+    step = permute_row_legs(step, (n, m, n), (1, 0, 2))  # (c0, c-1, h)
     right = s_h * hom.mult * kron(i_n, hom.twist_inv)
-    return kron(s_carrier * carrier.twist_inv, right) * perm * step
+    return kron(s_carrier * carrier.twist_inv, right) * step
 
 
 def check_smash_tensor_gate(hom, action, title=None):
@@ -451,7 +456,7 @@ def check_smash_tensor_gate(hom, action, title=None):
     i_m = Matrix.identity(field, m)
     i_n = Matrix.identity(field, n)
     base = kron(hom.comult, i_m)
-    swapped = kron(leg_perm(field, (n, n), (1, 0)), i_m) * base
+    swapped = permute_row_legs(base, (n, n, m), (1, 0, 2))
     lhs = kron(i_n, action.matrix) * base
     rhs = kron(i_n, action.matrix) * swapped
     legs_in = (hom.basis, action.carrier_basis)
@@ -467,7 +472,7 @@ def check_cosmash_tensor_gate(hom, coaction, title=None):
     i_m = Matrix.identity(field, m)
     step = kron(Matrix.identity(field, n), coaction.matrix)  # (h, c-1, c0)
     lhs = kron(hom.mult, i_m) * step
-    rhs = kron(hom.mult, i_m) * kron(leg_perm(field, (n, n), (1, 0)), i_m) * step
+    rhs = kron(hom.mult, i_m) * permute_row_legs(step, (n, n, m), (1, 0, 2))
     legs = (hom.basis, coaction.carrier_basis)
     check = eq_check("central-coaction-leg", lhs, rhs, legs, legs)
     return Report(title or "tensor-algebra cosmash gate", (check,))

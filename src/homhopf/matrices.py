@@ -18,6 +18,7 @@ __all__ = [
     "kron",
     "kron_list",
     "kron_apply",
+    "kron_apply_right",
     "compose",
     "maps_equal",
     "first_mismatch",
@@ -25,6 +26,8 @@ __all__ = [
     "unflatten_index",
     "leg_perm",
     "swap_matrix",
+    "permute_row_legs",
+    "permute_col_legs",
     "solve",
     "TwistCache",
 ]
@@ -333,6 +336,36 @@ def kron_apply(a, b, y):
     return Matrix._make(field, a.rows * b.rows, y.cols, cleaned)
 
 
+def kron_apply_right(y, a, b):
+    """Compute y * (a (x) b) without materializing the Kronecker product.
+
+    The mirror of kron_apply: cost is proportional to the matching nonzeros,
+    which matters when a (x) b would be tall but y has few rows.
+    """
+    if a.field != b.field or a.field != y.field:
+        raise FieldMismatchError("kron_apply_right operands over different fields")
+    if y.cols != a.rows * b.rows:
+        raise ShapeError(f"kron_apply_right: {a.rows * b.rows} columns expected, got {y.cols}")
+    field = a.field
+    add, mul, zero = field.add, field.mul, field.zero
+    arows, brows = a._rowdicts, b._rowdicts
+    out = []
+    for yrow in y._rowdicts:
+        acc = {}
+        for c, vy in yrow.items():
+            p, q = divmod(c, b.rows)
+            brow = brows[q]
+            for ja, va in arows[p].items():
+                w = mul(vy, va)
+                base = ja * b.cols
+                for jb, vb in brow.items():
+                    v = mul(w, vb)
+                    cur = acc.get(base + jb)
+                    acc[base + jb] = v if cur is None else add(cur, v)
+        out.append({c: v for c, v in acc.items() if v != zero})
+    return Matrix._make(field, y.rows, a.cols * b.cols, out)
+
+
 def compose(*mats):
     """compose(g, f) applies f first: the product g*f."""
     return reduce(lambda x, y: x * y, mats)
@@ -353,32 +386,84 @@ def unflatten_index(dims, flat):
     return tuple(reversed(idx))
 
 
+def _leg_strides(dims, perm):
+    """For each input leg, its stride in the flat index of the rearranged
+    product (output leg j carries input leg perm[j])."""
+    k = len(dims)
+    if sorted(perm) != list(range(k)):
+        raise ExactError(f"{perm} is not a permutation of the legs")
+    strides = [0] * k
+    step = 1
+    for j in range(k - 1, -1, -1):
+        strides[perm[j]] = step
+        step *= dims[perm[j]]
+    return strides
+
+
+def _relabel(flat, legs):
+    """Re-add the digits of a flat index, read against (dim, stride) pairs
+    listed least significant leg first, each times its new stride."""
+    out = 0
+    for d, stride in legs:
+        flat, digit = divmod(flat, d)
+        out += digit * stride
+    return out
+
+
+def _leg_count(dims, size, what):
+    total = 1
+    for d in dims:
+        total *= d
+    if total != size:
+        raise ShapeError(f"legs {tuple(dims)} span {total} {what}, matrix has {size}")
+
+
+def permute_row_legs(m, dims, perm):
+    """leg_perm(m.field, dims, perm) * m, moving only the nonzero rows.
+
+    Output leg j carries input leg perm[j]; dims are the row legs of m.
+    """
+    strides = _leg_strides(dims, perm)
+    _leg_count(dims, m.rows, "rows")
+    legs = tuple(zip(reversed(dims), reversed(strides)))
+    out = [{}] * m.rows  # rows are never mutated, so empty ones can share
+    for r, row in enumerate(m._rowdicts):
+        if row:
+            out[_relabel(r, legs)] = row
+    return Matrix._make(m.field, m.rows, m.cols, out)
+
+
+def permute_col_legs(m, dims, perm):
+    """m * leg_perm(m.field, dims, perm), relabelling the keys of each row.
+
+    dims are the input legs of the permutation, so the result's columns
+    follow dims and the columns of m follow the rearranged legs.
+    """
+    _leg_strides(dims, perm)  # rejects a non-permutation
+    _leg_count(dims, m.cols, "columns")
+    col_strides = _leg_strides(dims, range(len(dims)))  # row-major strides of dims
+    legs = tuple((dims[p], col_strides[p]) for p in reversed(perm))
+    out = [{_relabel(c, legs): v for c, v in row.items()} for row in m._rowdicts]
+    return Matrix._make(m.field, m.rows, m.cols, out)
+
+
 def leg_perm(field, dims, perm):
     """Permutation matrix rearranging tensor legs.
 
     Output leg j carries input leg perm[j]; dims are the input leg dims.
+    Library code moves legs with permute_row_legs / permute_col_legs; this
+    explicit matrix is for callers and tests.
     """
     return _leg_perm_cached(field, tuple(dims), tuple(perm))
 
 
 @lru_cache(maxsize=None)
 def _leg_perm_cached(field, dims, perm):
+    stride_of_input = _leg_strides(dims, perm)
     k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise ExactError(f"{perm} is not a permutation of the legs")
-    out_dims = [dims[p] for p in perm]
     total = 1
     for d in dims:
         total *= d
-    # stride each input leg contributes to the output flat index
-    out_strides = [0] * k
-    step = 1
-    for j in range(k - 1, -1, -1):
-        out_strides[j] = step
-        step *= out_dims[j]
-    stride_of_input = [0] * k
-    for j, p in enumerate(perm):
-        stride_of_input[p] = out_strides[j]
     one = field.one
     out = [dict() for _ in range(total)]
     idx = [0] * k

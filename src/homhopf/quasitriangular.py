@@ -6,7 +6,7 @@ bilinear form, and the equivalences tying both to Yetter-Drinfeld data.
 from dataclasses import dataclass
 
 from .fields import ExactError, ShapeError
-from .matrices import Matrix, first_mismatch, kron, kron_list, leg_perm, maps_equal
+from .matrices import Matrix, first_mismatch, kron, kron_list, maps_equal, permute_row_legs
 from .report import CheckResult, Report, StructureError, eq_check
 from .actions import (
     ActionMap,
@@ -99,6 +99,8 @@ def check_quasitriangular(hom, rmatrix, title=None):
     d, m = hom.comult, hom.mult
     i_n = Matrix.identity(field, n)
     rr = kron(r, r)  # legs (R1, R2, r1, r2)
+    dr = kron(d, r)  # legs (h1, h2, R1, R2)
+    legs = (n, n, n, n)
     one = (b,)
     two = (b, b)
     three = (b, b, b)
@@ -113,21 +115,21 @@ def check_quasitriangular(hom, rmatrix, title=None):
         eq_check(
             "QHA2",
             kron(d, beta) * r,
-            kron_list(beta, beta, m) * leg_perm(field, (n, n, n, n), (0, 2, 1, 3)) * rr,
+            kron_list(beta, beta, m) * permute_row_legs(rr, legs, (0, 2, 1, 3)),
             None,
             three,
         ),
         eq_check(
             "QHA3",
             kron(beta, d) * r,
-            kron_list(m, beta, beta) * leg_perm(field, (n, n, n, n), (0, 2, 3, 1)) * rr,
+            kron_list(m, beta, beta) * permute_row_legs(rr, legs, (0, 2, 3, 1)),
             None,
             three,
         ),
         eq_check(
             "QHA4",
-            kron(m, m) * leg_perm(field, (n, n, n, n), (1, 2, 0, 3)) * kron(d, r),
-            kron(m, m) * leg_perm(field, (n, n, n, n), (2, 0, 3, 1)) * kron(d, r),
+            kron(m, m) * permute_row_legs(dr, legs, (1, 2, 0, 3)),
+            kron(m, m) * permute_row_legs(dr, legs, (2, 0, 3, 1)),
             one,
             two,
         ),
@@ -147,8 +149,8 @@ def induced_coaction(hom, rmatrix, check_gate=True):
     field, n = hom.field, hom.dim
     i_n = Matrix.identity(field, n)
     step = kron(rmatrix.coeffs, i_n)  # (R1, R2, h)
-    perm = leg_perm(field, (n, n, n), (1, 0, 2))  # (R2, R1, h)
-    matrix = kron(hom.twist_power(-3), hom.mult) * perm * step
+    step = permute_row_legs(step, (n, n, n), (1, 0, 2))  # (R2, R1, h)
+    matrix = kron(hom.twist_power(-3), hom.mult) * step
     return CoactionMap(hom, matrix, hom.twist, hom.basis, name="induced-coaction")
 
 
@@ -161,8 +163,8 @@ def rmatrix_from_coaction(hom, coaction):
         raise ShapeError("the induced shape lives on the structure itself")
     field, n = hom.field, hom.dim
     at_unit = coaction.matrix * hom.unit  # beta^-3(R2) (x) beta(R1)
-    swap = leg_perm(field, (n, n), (1, 0))
-    coeffs = kron(hom.twist_power(-1), hom.twist_power(3)) * swap * at_unit
+    swapped = permute_row_legs(at_unit, (n, n), (1, 0))  # beta(R1) (x) beta^-3(R2)
+    coeffs = kron(hom.twist_power(-1), hom.twist_power(3)) * swapped
     candidate = RMatrix(hom, coeffs)
     reinduced = induced_coaction(hom, candidate, check_gate=False)
     ok = maps_equal(reinduced.matrix, coaction.matrix)
@@ -228,9 +230,9 @@ def induced_action_from_form(hom, form):
     field, n = hom.field, hom.dim
     i_n = Matrix.identity(field, n)
     step = kron(i_n, hom.comult)  # (h, g1, g2)
-    perm = leg_perm(field, (n, n, n), (1, 0, 2))  # (g1, h, g2)
+    step = permute_row_legs(step, (n, n, n), (1, 0, 2))  # (g1, h, g2)
     pairing = form.pairing_row() * kron(i_n, hom.twist_power(-3))
-    matrix = kron(pairing, i_n) * perm * step
+    matrix = kron(pairing, i_n) * step
     return ActionMap(hom, matrix, hom.twist, hom.basis, name="induced-action")
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from homhopf.cli import main
 from homhopf.textfmt import catalog_document, parse_document, realize
 from homhopf import QQ
@@ -154,3 +156,63 @@ def test_catalog_rmatrix_refused_over_gf2(capsys):
     code, _, err = run(capsys, "catalog", "check", "kz2-rmatrix", "--field", "GF2")
     assert code == 2
     assert "refused" in err
+
+
+def _singular_twist_bundle(tmp_path, old):
+    """The dual-number bundle with every `old` twist row zeroed."""
+    text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
+    assert old in text
+    path = tmp_path / "singular.hh"
+    path.write_text(text.replace(old, "  TWIST 1 : 0 0\n"), encoding="utf-8")
+    return path
+
+
+def test_singular_acting_twist_is_reported(tmp_path, capsys):
+    path = _singular_twist_bundle(tmp_path, "  TWIST 1 : 0 1\n")  # the HOPF block's
+    code, out, err = run(capsys, "check", str(path), "--witness")
+    assert code == 2
+    assert err == ""
+    verdicts = [line.split()[:2] for line in out.splitlines()]
+    assert ["algebra.twist.invertible", "FAIL"] in verdicts
+    assert ["twist.invertible", "FAIL"] in verdicts  # the antipode form cannot twist back
+    assert out.splitlines()[-1] == "OVERALL FAIL"
+    for command in (["construct", "biproduct"], ["antipode"]):
+        code, _, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert err.startswith("refused:")
+
+
+def test_singular_carrier_twist_refuses_the_biproduct(tmp_path, capsys):
+    path = _singular_twist_bundle(tmp_path, "  TWIST 1 : 0 2\n")  # ALGEBRA and COALGEBRA A
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 2
+    for command in (["construct", "biproduct"], ["antipode"]):
+        code, _, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert err.startswith("refused: biproduct gate fails:")
+        assert "R4  FAIL  [carrier twist is singular]" in err
+
+
+def test_emit_to_unwritable_path_is_an_error(tmp_path, capsys):
+    src = tmp_path / "bundle.hh"
+    src.write_text(catalog_document("dual-number-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    target = tmp_path / "missing" / "x.hh"
+    code, out, err = run(capsys, "construct", "biproduct", str(src), "--emit", str(target))
+    assert code == 1
+    assert "OVERALL PASS" in out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    code, _, err = run(capsys, "braiding-test", str(src), "--modules", "yd", "yd",
+                       "--emit-matrix", str(target))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("action", ["show", "check"])
+def test_signed_param_as_separate_token(capsys, action):
+    glued = run(capsys, "catalog", action, "dual-number", "--param=-1/2")
+    spaced = run(capsys, "catalog", action, "dual-number", "--param", "-1/2")
+    assert glued[0] == 0
+    assert spaced == glued
+    if action == "show":
+        assert "TWIST 1 : 0 -1/2" in spaced[1]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homhopf import (
+    ExactError,
     FieldMismatchError,
     GF,
     Matrix,
@@ -20,7 +21,13 @@ from homhopf import (
     swap_matrix,
     unflatten_index,
 )
-from homhopf.matrices import TwistCache, kron_apply
+from homhopf.matrices import (
+    TwistCache,
+    kron_apply,
+    kron_apply_right,
+    permute_col_legs,
+    permute_row_legs,
+)
 
 F7 = GF(7)
 
@@ -164,6 +171,65 @@ def test_solve_against_product():
 @given(gf_matrix(4, 3), gf_matrix(2, 2), gf_matrix(6, 5))
 def test_kron_apply_matches_materialized(a, b, y):
     assert kron_apply(a, b, y) == kron(a, b) * y
+
+
+@settings(max_examples=40)
+@given(gf_matrix(5, 6), gf_matrix(3, 4), gf_matrix(2, 2))
+def test_kron_apply_right_matches_materialized(y, a, b):
+    assert kron_apply_right(y, a, b) == y * kron(a, b)
+
+
+def _scalars(field):
+    if field == QQ:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(min_value=0, max_value=6)
+
+
+@st.composite
+def leg_case(draw, side):
+    """A field, leg dims (1-dim legs included), a permutation of the legs
+    (the identity included) and a sparse matrix whose rows or columns span
+    the legs."""
+    field = draw(st.sampled_from((F7, QQ)))
+    dims = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)))
+    legs = list(range(len(dims)))
+    perm = tuple(draw(st.one_of(st.just(legs), st.permutations(legs))))
+    total = 1
+    for d in dims:
+        total *= d
+    other = draw(st.integers(min_value=1, max_value=3))
+    rows, cols = (total, other) if side == "rows" else (other, total)
+    cells = st.tuples(
+        st.integers(min_value=0, max_value=rows - 1), st.integers(min_value=0, max_value=cols - 1)
+    )
+    entries = draw(st.dictionaries(cells, _scalars(field), max_size=2 * total))
+    return field, dims, perm, Matrix(field, rows, cols, entries)
+
+
+@settings(max_examples=100)
+@given(leg_case("rows"))
+def test_permute_row_legs_matches_permutation_matrix(case):
+    field, dims, perm, x = case
+    assert permute_row_legs(x, dims, perm) == leg_perm(field, dims, perm) * x
+
+
+@settings(max_examples=100)
+@given(leg_case("cols"))
+def test_permute_col_legs_matches_permutation_matrix(case):
+    field, dims, perm, y = case
+    assert permute_col_legs(y, dims, perm) == y * leg_perm(field, dims, perm)
+
+
+def test_permute_legs_reject_bad_arguments():
+    x = Matrix.identity(QQ, 6)
+    with pytest.raises(ExactError):
+        permute_row_legs(x, (2, 3), (0, 0))
+    with pytest.raises(ExactError):
+        permute_col_legs(x, (2, 3), (1,))
+    with pytest.raises(ShapeError):
+        permute_row_legs(x, (2, 2), (1, 0))
+    with pytest.raises(ShapeError):
+        permute_col_legs(x, (3, 3), (1, 0))
 
 
 def test_twist_cache_powers():

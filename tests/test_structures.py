@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,12 +25,17 @@ from homhopf import (
     tensor_hom_coalgebra,
     yau_twist,
 )
-from homhopf.structures import ComultMap, MultCube
+from homhopf.matrices import kron_apply, leg_perm
+from homhopf.report import eq_check
+from homhopf.structures import ComultMap, MultCube, _compat_rhs
 from homhopf.catalog import (
+    cyclic_group_hopf,
     dual_number_algebra,
     dual_number_antipode,
+    dual_number_biproduct,
     dual_number_coalgebra,
     group_algebra_z2,
+    taft_biproduct,
     taft_hopf,
     taft_twisted,
 )
@@ -247,3 +253,52 @@ def test_bialgebra_requires_shared_twist():
     c = dual_number_coalgebra(QQ, 3)
     with pytest.raises(ExactError):
         HomBialgebra(a, c, check=False)
+
+
+def _explicit_compat_rhs(h):
+    """(m (x) m) o P o (d (x) d) with the permutation matrix P written out."""
+    n = h.dim
+    perm = leg_perm(h.field, (n, n, n, n), (0, 2, 1, 3))
+    return kron_apply(h.mult, h.mult, perm * kron(h.comult, h.comult))
+
+
+CATALOG_BIALGEBRAS = {
+    "kz2": group_algebra_z2,
+    "kz5": lambda f: cyclic_group_hopf(f, 5),
+    "taft-twisted": lambda f: taft_twisted(f, 2),
+    "dual-number-biproduct": lambda f: dual_number_biproduct(f, 3),
+    "taft-biproduct": lambda f: taft_biproduct(f, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_BIALGEBRAS))
+def test_compat_composite_matches_permutation_matrix_form(field, name):
+    h = CATALOG_BIALGEBRAS[name](field).bialgebra
+    assert _compat_rhs(h.mult, h.comult) == _explicit_compat_rhs(h)
+
+
+def test_compat_witness_unchanged_on_perturbed_multiplication(field):
+    h = taft_twisted(field, 2).bialgebra
+    n, b = h.dim, h.basis
+    bump = Matrix(field, n, n * n, {(2, 1 * n + 2): 1})  # g * x gains an extra x
+    alg = HomAlgebra(field, h.mult + bump, h.unit, h.twist, basis=b, check=False)
+    broken = HomBialgebra(alg, h.coalgebra, check=False)
+    got = check_hom_bialgebra(broken).check("compat.comult-mult")
+    explicit = _explicit_compat_rhs(broken)
+    want = eq_check("compat.comult-mult", broken.comult * broken.mult, explicit, (b, b), (b, b))
+    assert not got.passed
+    assert got == want
+    assert _compat_rhs(broken.mult, broken.comult) == explicit
+
+
+def test_bialgebra_check_memory_stays_small():
+    # the permutation-matrix form of compat.comult-mult held n^4-row operands,
+    # about 51 MB at n = 24
+    h = cyclic_group_hopf(GF(7), 24).bialgebra
+    tracemalloc.start()
+    try:
+        assert check_hom_bialgebra(h).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
