@@ -30,6 +30,7 @@ from .constructions import (
     t_smash_coproduct,
 )
 from .quasitriangular import check_cobraiding_equivalence, check_rmatrix_equivalence
+from .structures import twist_invertible_check
 from . import catalog as cat
 from . import textfmt
 
@@ -240,9 +241,16 @@ def _cmd_braiding_test(args):
     m2 = _yd_module(real, args.modules[1])
     if getattr(m1.hom, "antipode", None) is None:
         raise UsageError("braiding-test needs a HOPF acting block (antipode required)")
+    title = f"braiding c({args.modules[0]},{args.modules[1]})"
+    twists = [twist_invertible_check(m1.hom)]  # the tensor coactions twist back by beta^-2
+    for name, module in dict(zip(args.modules, (m1, m2))).items():  # the braiding by alpha^-1
+        check = twist_invertible_check(module)
+        twists.append(CheckResult(f"{name}.{check.name}", check.passed, check.witness))
+    if not all(check.passed for check in twists):
+        return _print_reports([Report(title, tuple(twists))], args.witness)
     c = braiding(m1, m2, check=False)
     ci = braiding_inverse(m1, m2, check=False)
-    reports = [check_yd_morphism(c, title=f"braiding c({args.modules[0]},{args.modules[1]})")]
+    reports = [check_yd_morphism(c, title=title)]
     ident_src = Matrix.identity(real.field, c.source.dim)
     ident_tgt = Matrix.identity(real.field, c.target.dim)
     inverse_checks = (

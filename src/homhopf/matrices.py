@@ -186,36 +186,36 @@ class Matrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
+        p = self.field.characteristic
         orows = other._rowdicts
         out = []
         for arow in self._rowdicts:
             acc = {}
             for k, a in arow.items():
                 for j, b in orows[k].items():
-                    v = mul(a, b)
+                    v = a * b
                     w = acc.get(j)
-                    acc[j] = v if w is None else add(w, v)
-            out.append({j: v for j, v in acc.items() if v != zero})
+                    acc[j] = v if w is None else w + v
+            out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
         return Matrix._make(self.field, self.rows, other.cols, out)
 
     def kron(self, other):
         """Kronecker product; entry ((i,i'),(j,j')) = A[i,j]*B[i',j']."""
         self._check_field(other)
-        mul = self.field.mul
+        p = self.field.characteristic
         br, bc = other.rows, other.cols
-        out = [dict() for _ in range(self.rows * br)]
+        out = [_EMPTY_ROW] * (self.rows * br)
         for i, arow in enumerate(self._rowdicts):
             if not arow:
                 continue
             for i2, brow in enumerate(other._rowdicts):
                 if not brow:
                     continue
-                target = out[i * br + i2]
+                target = out[i * br + i2] = {}
                 for j, a in arow.items():
                     jb = j * bc
                     for j2, b in brow.items():
-                        target[jb + j2] = mul(a, b)
+                        target[jb + j2] = a * b % p if p else a * b
         return Matrix._make(self.field, self.rows * br, self.cols * bc, out)
 
     def transpose(self):
@@ -284,6 +284,17 @@ def maps_equal(f, g):
     return first_mismatch(f, g) is None
 
 
+_EMPTY_ROW = {}  # rows are never mutated once a matrix is made, so empty ones can share
+
+
+def _reduced(acc, p):
+    """A row of unreduced sums of products as stored: each entry reduced mod
+    p once (over Q, p = 0, the Fractions are already exact), zeros dropped."""
+    if p:
+        return {j: r for j, v in acc.items() if (r := v % p)}
+    return {j: v for j, v in acc.items() if v}
+
+
 @lru_cache(maxsize=None)
 def _identity_cached(field, n):
     one = field.one
@@ -346,8 +357,6 @@ def kron_apply_right(y, a, b):
         raise FieldMismatchError("kron_apply_right operands over different fields")
     if y.cols != a.rows * b.rows:
         raise ShapeError(f"kron_apply_right: {a.rows * b.rows} columns expected, got {y.cols}")
-    field = a.field
-    add, mul, zero = field.add, field.mul, field.zero
     arows, brows = a._rowdicts, b._rowdicts
     out = []
     for yrow in y._rowdicts:
@@ -356,14 +365,14 @@ def kron_apply_right(y, a, b):
             p, q = divmod(c, b.rows)
             brow = brows[q]
             for ja, va in arows[p].items():
-                w = mul(vy, va)
+                w = vy * va
                 base = ja * b.cols
                 for jb, vb in brow.items():
-                    v = mul(w, vb)
+                    v = w * vb
                     cur = acc.get(base + jb)
-                    acc[base + jb] = v if cur is None else add(cur, v)
-        out.append({c: v for c, v in acc.items() if v != zero})
-    return Matrix._make(field, y.rows, a.cols * b.cols, out)
+                    acc[base + jb] = v if cur is None else cur + v
+        out.append(_reduced(acc, a.field.characteristic) if acc else _EMPTY_ROW)
+    return Matrix._make(a.field, y.rows, a.cols * b.cols, out)
 
 
 def compose(*mats):
@@ -426,7 +435,7 @@ def permute_row_legs(m, dims, perm):
     strides = _leg_strides(dims, perm)
     _leg_count(dims, m.rows, "rows")
     legs = tuple(zip(reversed(dims), reversed(strides)))
-    out = [{}] * m.rows  # rows are never mutated, so empty ones can share
+    out = [_EMPTY_ROW] * m.rows
     for r, row in enumerate(m._rowdicts):
         if row:
             out[_relabel(r, legs)] = row

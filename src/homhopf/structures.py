@@ -526,8 +526,9 @@ def yau_twist(h, gamma, name=None, check=True):
         fail = rep.first_failure()
         raise StructureError(f"twisting map is not a Hopf automorphism: {fail.name}", rep)
     twisted_name = name if name is not None else (f"{h.name}_twisted" if h.name else None)
-    alg = HomAlgebra(field, gamma * m, u, gamma, basis=b, check=check)
-    coalg = HomCoalgebra(field, d * gamma, e, gamma, basis=b, check=check)
+    # the bialgebra check below covers the algebra and coalgebra axioms
+    alg = HomAlgebra(field, gamma * m, u, gamma, basis=b, check=False)
+    coalg = HomCoalgebra(field, d * gamma, e, gamma, basis=b, check=False)
     bial = HomBialgebra(alg, coalg, name=twisted_name, check=check)
     if antipode is None:
         return bial

@@ -193,6 +193,22 @@ def test_singular_carrier_twist_refuses_the_biproduct(tmp_path, capsys):
         assert "R4  FAIL  [carrier twist is singular]" in err
 
 
+@pytest.mark.parametrize(
+    "old, verdict",
+    [("  TWIST 1 : 0 1\n", "twist.invertible"), ("  TWIST 1 : 0 2\n", "yd.twist.invertible")],
+    ids=["acting", "carrier"],
+)
+def test_braiding_test_reports_a_singular_twist(tmp_path, capsys, old, verdict):
+    # the tensor coactions twist back by beta^-2 and the braiding by alpha^-1
+    path = _singular_twist_bundle(tmp_path, old)
+    code, out, err = run(capsys, "braiding-test", str(path), "--modules", "yd", "yd", "--witness")
+    assert code == 2
+    assert err == ""
+    verdicts = [line.split(maxsplit=2) for line in out.splitlines()]
+    assert [verdict, "FAIL", "[twist matrix is singular]"] in verdicts
+    assert out.splitlines()[-1] == "OVERALL FAIL"
+
+
 def test_emit_to_unwritable_path_is_an_error(tmp_path, capsys):
     src = tmp_path / "bundle.hh"
     src.write_text(catalog_document("dual-number-bundle", QQ, QQ.coerce(2)), encoding="utf-8")

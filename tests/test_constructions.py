@@ -1,3 +1,7 @@
+import contextlib
+import dataclasses
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,10 +41,13 @@ from homhopf import (
     trivial_coaction,
     biproduct_antipode,
 )
+from homhopf import actions, braided, constructions, structures
+from homhopf.braided import check_bialgebra_in_hyd, check_bosonization_equivalence
 from homhopf.constructions import TwistMapT, smash_comult_matrix, smash_mult_matrix
-from homhopf.structures import tensor_comult_matrix, tensor_mult_matrix
+from homhopf.structures import tensor_comult_matrix, tensor_mult_matrix, yau_twist
 from homhopf.catalog import (
     CoactionMap,
+    cyclic_group_hopf,
     dual_number_bundle,
     group_algebra_z2,
     taft_bundle,
@@ -380,3 +387,75 @@ def test_biproduct_gate_biconditional_sampled(seed):
     instances = grid()
     tag, bundle = instances[seed % len(instances)]
     assert check_radford_conditions(bundle).passed == _assembled_verdict(bundle), tag
+
+
+# A gate is evaluated once per call chain: the composites it compares are
+# built once, and constructors do not re-run the axioms of their parts.
+_LIBRARY = (actions, braided, constructions, structures)
+
+
+@contextlib.contextmanager
+def _call_counts(*names):
+    """Wrap each named library function in every library module that binds
+    it; yields a function giving the calls made so far to one of them."""
+    with contextlib.ExitStack() as stack:
+        spies = {}
+        for name in names:
+            original = next(
+                getattr(m, name) for m in _LIBRARY
+                if getattr(getattr(m, name, None), "__module__", None) == m.__name__
+            )
+            spies[name] = [
+                stack.enter_context(mock.patch.object(module, name, wraps=original))
+                for module in _LIBRARY
+                if getattr(module, name, None) is original
+            ]
+        yield lambda name: sum(spy.call_count for spy in spies[name])
+
+
+def _relabelled_bundle(field):
+    """The dual-number bundle whose action also sends a |> 1 to 1 + z, so the
+    Yetter-Drinfeld condition fails, with the action and coaction naming the
+    carrier basis (p, q) where the carrier algebra names it (1, z)."""
+    b = dual_number_bundle(field, 2)
+    l = field.coerce(2)
+    entries = {(0, 0): field.one, (1, 1): l, (0, 2): field.one, (1, 2): field.one, (1, 3): -l}
+    twist = b.algebra.twist
+    action = ActionMap(b.hom, Matrix(field, 2, 4, entries), twist, ("p", "q"))
+    coaction = CoactionMap(b.hom, b.coaction.matrix, twist, ("p", "q"))
+    return dataclasses.replace(b, action=action, coaction=coaction)
+
+
+@pytest.mark.parametrize("build", [taft_bundle, dual_number_bundle, _relabelled_bundle])
+def test_equivalence_builds_each_composite_once(field, build):
+    bundle = build(field) if build is _relabelled_bundle else build(field, 2)
+    names = ("radford_r4_rhs", "hyd_lhs_matrix", "hyd_rhs_matrix")
+    with _call_counts(*names) as calls:
+        check_bosonization_equivalence(bundle)
+    assert {name: calls(name) for name in names} == dict.fromkeys(names, 1)
+
+
+def test_relabelled_action_witnesses(field):
+    # the gate's R5 names the carrier algebra's basis, HYD the action's own
+    bundle = _relabelled_bundle(field)
+    r5 = check_radford_conditions(bundle).check("R5")
+    hyd = check_bialgebra_in_hyd(bundle).check("HYD")
+    assert r5.witness == "at a⊗1 -> 1⊗z: 0 != 2"
+    assert hyd.witness == "at a⊗p -> 1⊗q: 0 != 2"
+    verdicts = check_bosonization_equivalence(bundle)
+    assert verdicts.check("bialgebra-in-category").witness == "HYD"
+    assert verdicts.check("agreement").passed
+
+
+def test_constructors_check_the_axioms_once(field):
+    names = ("check_hom_algebra", "check_hom_coalgebra")
+    bundle = taft_bundle(field, 2)
+    with _call_counts(*names) as calls:
+        radford_biproduct(bundle)
+    assert [calls(name) for name in names] == [1, 1]
+    n = 4
+    base = cyclic_group_hopf(field, n)
+    sigma = Matrix(field, n, n, {((3 * i) % n, i): field.one for i in range(n)})
+    with _call_counts(*names) as calls:
+        yau_twist(base, sigma)
+    assert [calls(name) for name in names] == [1, 1]

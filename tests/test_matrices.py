@@ -245,3 +245,102 @@ def test_matrix_pow_negative():
     t = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert t.pow(-3) == t
     assert t.pow(2) == Matrix.identity(QQ, 2)
+
+
+# Dense element-wise references for the sparse kernels, over small and large
+# characteristic and over Q.  Entries are drawn from values that cancel
+# (x and -x, 2 and -2 = p - 2, ...), so sums of products often vanish.
+KERNEL_FIELDS = (GF(2), F7, GF(65537), QQ)
+
+
+def _cancelling_matrix(field, rows, cols):
+    values = [0, 0, 1, -1, 2, -2]
+    if field == QQ:
+        values += [Fraction(1, 2), Fraction(-1, 2)]
+    return st.lists(
+        st.lists(st.sampled_from(values).map(field.coerce), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda r: Matrix.from_rows(field, r))
+
+
+def _dense_product(field, a, b):
+    """a * b on lists of rows, one scalar operation at a time."""
+    out = []
+    for arow in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = field.zero
+            for k, x in enumerate(arow):
+                acc = field.add(acc, field.mul(x, b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _dense_kron(field, a, b):
+    return [
+        [field.mul(x, y) for x in arow for y in brow]
+        for arow in a
+        for brow in b
+    ]
+
+
+def _assert_kernel_result(m, dense):
+    """Entry-for-entry equal to the reference, stored without zeros, and
+    over GF(p) every stored value an integer in range(p)."""
+    assert m.dense() == dense
+    field = m.field
+    for i in range(m.rows):
+        for _, v in m.row_items(i):
+            assert v != field.zero
+            if field.characteristic:
+                assert type(v) is int and v in range(field.characteristic)
+            else:
+                assert type(v) is Fraction
+
+
+@st.composite
+def kernel_operands(draw, shapes):
+    """A field and one matrix per (rows, cols) pair; a shape entry names a
+    dimension letter, so operands that must compose share it."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    size = {}
+    for name in "".join(shapes):
+        size.setdefault(name, draw(st.integers(min_value=1, max_value=4)))
+    mats = [draw(_cancelling_matrix(field, size[r], size[c])) for r, c in shapes]
+    return field, mats
+
+
+@settings(max_examples=120)
+@given(kernel_operands(("ik", "kj")))
+def test_product_matches_dense_reference(case):
+    field, (a, b) = case
+    _assert_kernel_result(a * b, _dense_product(field, a.dense(), b.dense()))
+
+
+@settings(max_examples=120)
+@given(kernel_operands(("ij", "kl")))
+def test_kron_matches_dense_reference(case):
+    field, (a, b) = case
+    _assert_kernel_result(a.kron(b), _dense_kron(field, a.dense(), b.dense()))
+
+
+@settings(max_examples=120)
+@given(kernel_operands(("ab", "cd")), st.integers(min_value=1, max_value=4), st.data())
+def test_kron_apply_right_matches_dense_reference(case, rows, data):
+    field, (a, b) = case
+    y = data.draw(_cancelling_matrix(field, rows, a.rows * b.rows))
+    dense = _dense_product(field, y.dense(), _dense_kron(field, a.dense(), b.dense()))
+    _assert_kernel_result(kron_apply_right(y, a, b), dense)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_products_that_cancel_store_no_zeros(field):
+    row = Matrix.from_rows(field, [[1, 1]])
+    col = Matrix.from_rows(field, [[1], [-1]])
+    assert (row * col).row_items(0) == []
+    assert kron_apply_right(row, col, Matrix.identity(field, 1)).row_items(0) == []
+    top = field.characteristic - 1 if field.characteristic else Fraction(-1, 3)
+    square = Matrix.from_rows(field, [[top]]) * Matrix.from_rows(field, [[top]])
+    _assert_kernel_result(square, [[field.mul(top, top)]])
