@@ -6,7 +6,15 @@ over basis pairs and any failure carries an exact witness.
 """
 
 from .fields import ExactError, ShapeError
-from .matrices import Matrix, TwistCache, kron, permute_row_legs
+from .matrices import (
+    Matrix,
+    TwistCache,
+    kron,
+    kron_apply,
+    kron_apply_right,
+    permute_col_legs,
+    permute_row_legs,
+)
 from .report import CheckResult, Report, StructureError, eq_check
 from .structures import default_basis, twist_invertible_check
 
@@ -160,35 +168,34 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
     i_m = Matrix.identity(field, m)
     hb, cb = hom.basis, act.carrier_basis
     checks = [
-        eq_check("HM1", t * p, p * kron(beta, t), (hb, cb), (cb,)),
+        eq_check("HM1", t * p, kron_apply_right(p, beta, t), (hb, cb), (cb,)),
         eq_check(
             "HM2.assoc",
-            p * kron(beta, p),
-            p * kron(hom.mult, t),
+            kron_apply_right(p, beta, p),
+            kron_apply_right(p, hom.mult, t),
             (hb, hb, cb),
             (cb,),
         ),
-        eq_check("HM2.unit", p * kron(hom.unit, i_m), t, (cb,), (cb,)),
+        eq_check("HM2.unit", kron_apply_right(p, hom.unit, i_m), t, (cb,), (cb,)),
     ]
     if kind == "module-algebra":
         if carrier is None:
             raise ExactError("module-algebra check needs the carrier Hom-algebra")
         _carrier_consistent(act, carrier)
         ma = carrier.mult
-        rhs = (
-            ma
-            * kron(p, p)
-            * permute_row_legs(
-                kron(hom.comult, Matrix.identity(field, m * m)), (n, n, m, m), (0, 2, 1, 3)
-            )
+        # ma (p (x) p) P (Delta (x) id) with P the middle-leg flip, as
+        # ((ma (p (x) p)) P) (Delta (x) id)
+        rhs = kron_apply_right(
+            permute_col_legs(kron_apply_right(ma, p, p), (n, n, m, m), (0, 2, 1, 3)),
+            hom.comult,
+            Matrix.identity(field, m * m),
         )
-        checks.append(
-            eq_check("HMA1", p * kron(hom.twist_power(2), ma), rhs, (hb, cb, cb), (cb,))
-        )
+        lhs = kron_apply_right(p, hom.twist_power(2), ma)
+        checks.append(eq_check("HMA1", lhs, rhs, (hb, cb, cb), (cb,)))
         checks.append(
             eq_check(
                 "HMA2",
-                p * kron(i_n, carrier.unit),
+                kron_apply_right(p, i_n, carrier.unit),
                 carrier.unit * hom.counit,
                 (hb,),
                 (cb,),
@@ -199,7 +206,8 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
             raise ExactError("module-coalgebra check needs the carrier Hom-coalgebra")
         _carrier_consistent(act, carrier)
         dc = carrier.comult
-        rhs = kron(p, p) * permute_row_legs(kron(hom.comult, dc), (n, n, m, m), (0, 2, 1, 3))
+        flipped = permute_row_legs(kron(hom.comult, dc), (n, n, m, m), (0, 2, 1, 3))
+        rhs = kron_apply(p, p, flipped)
         checks.append(eq_check("HMC1", dc * p, rhs, (hb, cb), (cb, cb)))
         checks.append(
             eq_check(
@@ -226,22 +234,23 @@ def check_coaction_axioms(coact, kind="comodule", carrier=None, title=None):
     i_m = Matrix.identity(field, m)
     hb, cb = hom.basis, coact.carrier_basis
     checks = [
-        eq_check("HCM1", q * t, kron(beta, t) * q, (cb,), (hb, cb)),
+        eq_check("HCM1", q * t, kron_apply(beta, t, q), (cb,), (hb, cb)),
         eq_check(
             "HCM2.coassoc",
-            kron(beta, q) * q,
-            kron(hom.comult, t) * q,
+            kron_apply(beta, q, q),
+            kron_apply(hom.comult, t, q),
             (cb,),
             (hb, hb, cb),
         ),
-        eq_check("HCM2.counit", kron(hom.counit, i_m) * q, t, (cb,), (cb,)),
+        eq_check("HCM2.counit", kron_apply(hom.counit, i_m, q), t, (cb,), (cb,)),
     ]
     if kind == "comodule-algebra":
         if carrier is None:
             raise ExactError("comodule-algebra check needs the carrier Hom-algebra")
         _carrier_consistent(coact, carrier)
         ma = carrier.mult
-        rhs = kron(hom.mult, ma) * permute_row_legs(kron(q, q), (n, m, n, m), (0, 2, 1, 3))
+        flipped = permute_row_legs(kron(q, q), (n, m, n, m), (0, 2, 1, 3))
+        rhs = kron_apply(hom.mult, ma, flipped)
         checks.append(eq_check("HCMA1", q * ma, rhs, (cb, cb), (hb, cb)))
         checks.append(
             eq_check(
@@ -257,18 +266,15 @@ def check_coaction_axioms(coact, kind="comodule", carrier=None, title=None):
             raise ExactError("comodule-coalgebra check needs the carrier Hom-coalgebra")
         _carrier_consistent(coact, carrier)
         dc = carrier.comult
-        rhs = (
-            kron(hom.mult, Matrix.identity(field, m * m))
-            * permute_row_legs(kron(q, q), (n, m, n, m), (0, 2, 1, 3))
-            * dc
-        )
-        checks.append(
-            eq_check("HCMC1", kron(hom.twist_power(2), dc) * q, rhs, (cb,), (hb, cb, cb))
-        )
+        # (mu (x) id) P (q (x) q) dc, with P (q (x) q) dc = P ((q (x) q) dc)
+        flipped = permute_row_legs(kron_apply(q, q, dc), (n, m, n, m), (0, 2, 1, 3))
+        rhs = kron_apply(hom.mult, Matrix.identity(field, m * m), flipped)
+        lhs = kron_apply(hom.twist_power(2), dc, q)
+        checks.append(eq_check("HCMC1", lhs, rhs, (cb,), (hb, cb, cb)))
         checks.append(
             eq_check(
                 "HCMC2",
-                kron(i_n, carrier.counit) * q,
+                kron_apply(i_n, carrier.counit, q),
                 hom.unit * carrier.counit,
                 (cb,),
                 (hb,),
@@ -284,9 +290,9 @@ def hyd_lhs_matrix(action, coaction):
     i_m = Matrix.identity(field, m)
     step = kron(hom.comult, coaction.matrix)  # legs (h1, h2, m-1, m0)
     step = permute_row_legs(step, (n, n, n, m), (0, 2, 1, 3))  # -> (h1, m-1, h2, m0)
-    left = hom.mult * kron(Matrix.identity(field, n), hom.twist)
-    right = action.matrix * kron(hom.twist_power(3), i_m)
-    return kron(left, right) * step
+    left = kron_apply_right(hom.mult, Matrix.identity(field, n), hom.twist)
+    right = kron_apply_right(action.matrix, hom.twist_power(3), i_m)
+    return kron_apply(left, right, step)
 
 
 def hyd_rhs_matrix(action, coaction):
@@ -296,10 +302,11 @@ def hyd_rhs_matrix(action, coaction):
     i_n = Matrix.identity(field, n)
     i_m = Matrix.identity(field, m)
     step = permute_row_legs(kron(hom.comult, i_m), (n, n, m), (0, 2, 1))  # (h1, m, h2)
-    step = kron(action.matrix * kron(hom.twist_power(2), i_m), i_n) * step  # (w, h2)
-    step = kron(coaction.matrix, i_n) * step  # (w-1, w0, h2)
+    acted = kron_apply_right(action.matrix, hom.twist_power(2), i_m)
+    step = kron_apply(acted, i_n, step)  # (w, h2)
+    step = kron_apply(coaction.matrix, i_n, step)  # (w-1, w0, h2)
     step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (w-1, h2, w0)
-    return kron(hom.mult, i_m) * step
+    return kron_apply(hom.mult, i_m, step)
 
 
 class YDModule:
@@ -363,7 +370,8 @@ def check_hyd(module, title=None):
 def _hyd_prime_lhs(action, coaction):
     hom = action.hom
     field, m = hom.field, action.carrier_dim
-    return coaction.matrix * action.matrix * kron(hom.twist_power(4), Matrix.identity(field, m))
+    coacted = coaction.matrix * action.matrix
+    return kron_apply_right(coacted, hom.twist_power(4), Matrix.identity(field, m))
 
 
 def _hyd_prime_rhs(action, coaction, antipode):
@@ -372,13 +380,14 @@ def _hyd_prime_rhs(action, coaction, antipode):
     i_n = Matrix.identity(field, n)
     i_m = Matrix.identity(field, m)
     step1 = kron(hom.comult, coaction.matrix)  # (h1, h2, m-1, m0)
-    step2 = kron(hom.comult, Matrix.identity(field, n * n * m))  # (h11, h12, h2, m-1, m0)
-    # -> (h11, m-1, h2, h12, m0)
-    step = permute_row_legs(step2 * step1, (n, n, n, n, m), (0, 3, 2, 1, 4))
-    inner = hom.twist_power(-2) * hom.mult * kron(i_n, hom.twist)  # beta^-2(h11 beta(m-1))
-    left = hom.mult * kron(inner, antipode)
-    right = action.matrix * kron(hom.twist_power(3), i_m)
-    return kron(left, right) * step
+    step2 = kron_apply(hom.comult, Matrix.identity(field, n * n * m), step1)
+    # (h11, h12, h2, m-1, m0) -> (h11, m-1, h2, h12, m0)
+    step = permute_row_legs(step2, (n, n, n, n, m), (0, 3, 2, 1, 4))
+    # beta^-2(h11 beta(m-1))
+    inner = kron_apply_right(hom.twist_power(-2) * hom.mult, i_n, hom.twist)
+    left = kron_apply_right(hom.mult, inner, antipode)
+    right = kron_apply_right(action.matrix, hom.twist_power(3), i_m)
+    return kron_apply(left, right, step)
 
 
 def check_hyd_prime(module, title=None):

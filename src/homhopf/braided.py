@@ -6,7 +6,7 @@ checks, and the biproduct/category equivalence.
 from dataclasses import dataclass
 
 from .fields import ExactError
-from .matrices import Matrix, kron, kron_list, permute_row_legs
+from .matrices import Matrix, kron, kron_apply, kron_apply_right, kron_list, permute_row_legs
 from .report import CheckResult, Report, eq_check
 from .structures import tensor_basis
 from .actions import (
@@ -63,14 +63,14 @@ def check_yd_morphism(f, title=None):
         eq_check(
             "morphism.action",
             m * src.action.matrix,
-            tgt.action.matrix * kron(i_n, m),
+            kron_apply_right(tgt.action.matrix, i_n, m),
             (hom.basis, src.basis),
             out_legs,
         ),
         eq_check(
             "morphism.coaction",
             tgt.coaction.matrix * m,
-            kron(i_n, m) * src.coaction.matrix,
+            kron_apply(i_n, m, src.coaction.matrix),
             in_legs,
             (hom.basis, tgt.basis),
         ),
@@ -89,10 +89,10 @@ def yd_tensor(m1, m2, check=True, name=None):
     i_d = Matrix.identity(field, d1 * d2)
     split = kron(hom.comult, i_d)  # (h1, h2, m, n)
     split = permute_row_legs(split, (n, n, d1, d2), (0, 2, 1, 3))  # (h1, m, h2, n)
-    act = kron(m1.action.matrix, m2.action.matrix) * split
+    act = kron_apply(m1.action.matrix, m2.action.matrix, split)
     coacted = kron(m1.coaction.matrix, m2.coaction.matrix)  # (m-1, m0, n-1, n0)
     coacted = permute_row_legs(coacted, (n, d1, n, d2), (0, 2, 1, 3))  # (m-1, n-1, m0, n0)
-    coact = kron(hom.twist_power(-2) * hom.mult, i_d) * coacted
+    coact = kron_apply(hom.twist_power(-2) * hom.mult, i_d, coacted)
     twist = kron(m1.twist, m2.twist)
     basis = tensor_basis(m1.basis, m2.basis)
     return YDModule(
@@ -127,8 +127,8 @@ def braiding_matrix(m1, m2):
     d1, d2 = m1.dim, m2.dim
     step = kron(m1.coaction.matrix, Matrix.identity(field, d2))  # (m-1, m0, n)
     step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
-    left = m2.action.matrix * kron(hom.twist_power(2), m2.twist_inv)
-    return kron(left, m1.twist_inv) * step
+    left = kron_apply_right(m2.action.matrix, hom.twist_power(2), m2.twist_inv)
+    return kron_apply(left, m1.twist_inv, step)
 
 
 def braiding(m1, m2, check=True):
@@ -155,8 +155,8 @@ def braiding_inverse_matrix(m1, m2):
     d1, d2 = m1.dim, m2.dim
     step = kron(Matrix.identity(field, d2), m1.coaction.matrix)  # (n, m-1, m0)
     step = permute_row_legs(step, (d2, n, d1), (2, 1, 0))  # (m0, m-1, n)
-    right = m2.action.matrix * kron(s_inv * hom.twist_power(2), m2.twist_inv)
-    return kron(m1.twist_inv, right) * step
+    right = kron_apply_right(m2.action.matrix, s_inv * hom.twist_power(2), m2.twist_inv)
+    return kron_apply(m1.twist_inv, right, step)
 
 
 def braiding_inverse(m1, m2, check=True):
@@ -179,16 +179,16 @@ def yang_baxter_operator(m1, m2):
     d1, d2 = m1.dim, m2.dim
     step = kron(m1.coaction.matrix, Matrix.identity(field, d2))  # (m-1, m0, n)
     step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
-    left = m2.action.matrix * kron(hom.twist_power(3), Matrix.identity(field, d2))
-    return kron(left, Matrix.identity(field, d1)) * step
+    left = kron_apply_right(m2.action.matrix, hom.twist_power(3), Matrix.identity(field, d2))
+    return kron_apply(left, Matrix.identity(field, d1), step)
 
 
 def _tau_twist_check(name, m1, m2):
     tau = yang_baxter_operator(m1, m2)
     return eq_check(
         name,
-        tau * kron(m1.twist, m2.twist),
-        kron(m2.twist, m1.twist) * tau,
+        kron_apply_right(tau, m1.twist, m2.twist),
+        kron_apply(m2.twist, m1.twist, tau),
         (m1.basis, m2.basis),
         (m2.basis, m1.basis),
     )
@@ -204,8 +204,8 @@ def check_yang_baxter(m1, m2, m3, title=None):
     t12 = yang_baxter_operator(m1, m2)
     t13 = yang_baxter_operator(m1, m3)
     t23 = yang_baxter_operator(m2, m3)
-    lhs = kron(m3.twist, t12) * kron(t13, m2.twist) * kron(m1.twist, t23)
-    rhs = kron(t23, m1.twist) * kron(m2.twist, t13) * kron(t12, m3.twist)
+    lhs = kron_apply(m3.twist, t12, kron_apply(t13, m2.twist, kron(m1.twist, t23)))
+    rhs = kron_apply(t23, m1.twist, kron_apply(m2.twist, t13, kron(t12, m3.twist)))
     in_legs = (m1.basis, m2.basis, m3.basis)
     out_legs = (m3.basis, m2.basis, m1.basis)
     checks.append(eq_check("HYBE", lhs, rhs, in_legs, out_legs))
@@ -218,10 +218,14 @@ def check_pentagon(m1, m2, m3, m4, title=None):
     t23 = yd_tensor(m2, m3, check=False)
     t34 = yd_tensor(m3, m4, check=False)
     lhs = associator_matrix(m1, m2, t34) * associator_matrix(t12, m3, m4)
-    rhs = (
-        kron(Matrix.identity(m1.field, m1.dim), associator_matrix(m2, m3, m4))
-        * associator_matrix(m1, t23, m4)
-        * kron(associator_matrix(m1, m2, m3), Matrix.identity(m1.field, m4.dim))
+    rhs = kron_apply_right(
+        kron_apply(
+            Matrix.identity(m1.field, m1.dim),
+            associator_matrix(m2, m3, m4),
+            associator_matrix(m1, t23, m4),
+        ),
+        associator_matrix(m1, m2, m3),
+        Matrix.identity(m1.field, m4.dim),
     )
     legs = (m1.basis, m2.basis, m3.basis, m4.basis)
     check = eq_check("pentagon", lhs, rhs, legs, legs)
@@ -240,16 +244,14 @@ def check_hexagons(m1, m2, m3, title=None):
     c23 = braiding_matrix(m2, m3)
     t12 = yd_tensor(m1, m2, check=False)
     t23 = yd_tensor(m2, m3, check=False)
-    hex1_lhs = kron(i2, c13) * associator_matrix(m2, m1, m3) * kron(c12, i3)
+    hex1_lhs = kron_apply_right(kron_apply(i2, c13, associator_matrix(m2, m1, m3)), c12, i3)
     hex1_rhs = (
         associator_matrix(m2, m3, m1)
         * braiding_matrix(m1, t23)
         * associator_matrix(m1, m2, m3)
     )
-    hex2_lhs = (
-        kron(c13, i2)
-        * associator_matrix(m1, m3, m2).inverse()
-        * kron(i1, c23)
+    hex2_lhs = kron_apply_right(
+        kron_apply(c13, i2, associator_matrix(m1, m3, m2).inverse()), i1, c23
     )
     hex2_rhs = (
         associator_matrix(m3, m1, m2).inverse()
@@ -262,8 +264,8 @@ def check_hexagons(m1, m2, m3, title=None):
         eq_check("hexagon2", hex2_lhs, hex2_rhs, in_legs, (m3.basis, m1.basis, m2.basis)),
         eq_check(
             "naturality.twist",
-            c12 * kron(m1.twist, m2.twist),
-            kron(m2.twist, m1.twist) * c12,
+            kron_apply_right(c12, m1.twist, m2.twist),
+            kron_apply(m2.twist, m1.twist, c12),
             (m1.basis, m2.basis),
             (m2.basis, m1.basis),
         ),
@@ -291,10 +293,8 @@ def _in_category_report(bundle, gate, title=None):
     checks = [eq_check("HYD", hyd_lhs, hyd_rhs, legs, legs)]
     checks += [radford.check(name) for name in ("R1", "R2", "R3")]
     c_aa = braiding_matrix(module, module)
-    braided_rhs = (
-        kron(a.mult, a.mult)
-        * kron_list(i_m, c_aa, i_m)
-        * kron(c.comult, c.comult)
+    braided_rhs = kron_apply(
+        a.mult, a.mult, kron_apply(kron(i_m, c_aa), i_m, kron(c.comult, c.comult))
     )
     ab = (a.basis, a.basis)
     checks.append(eq_check("braided-comult-mult", c.comult * a.mult, braided_rhs, ab, ab))

@@ -238,16 +238,18 @@ def taft_biproduct(field, k, variant="printed"):
     """The eight-dimensional biproduct Hom-Hopf algebra of the Taft bundle."""
     bundle = taft_bundle(field, k, variant)
     assembled = radford_biproduct(bundle, name="taft-biproduct")
-    antipode = biproduct_antipode(bundle)
-    return HomHopf(assembled.bialgebra, antipode.matrix, name="taft-biproduct")
+    antipode = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
+    # the antipode was just checked against this bialgebra
+    return HomHopf(assembled.bialgebra, antipode.matrix, name="taft-biproduct", check=False)
 
 
 def dual_number_biproduct(field, l):
     """The four-dimensional biproduct Hom-Hopf algebra of the dual-number bundle."""
     bundle = dual_number_bundle(field, l)
     assembled = radford_biproduct(bundle, name="dual-biproduct")
-    antipode = biproduct_antipode(bundle)
-    return HomHopf(assembled.bialgebra, antipode.matrix, name="dual-biproduct")
+    antipode = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
+    # the antipode was just checked against this bialgebra
+    return HomHopf(assembled.bialgebra, antipode.matrix, name="dual-biproduct", check=False)
 
 
 def z2_r_matrix(field):

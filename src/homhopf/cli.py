@@ -6,6 +6,7 @@ check failed or a construction gate refused.
 """
 
 import argparse
+import functools
 import sys
 
 from .fields import ExactError, GF, QQ
@@ -218,7 +219,7 @@ def _cmd_antipode(args):
     if bundle.carrier_antipode is None:
         raise UsageError("the carrier blocks carry no ANTIPODE stanza")
     made = radford_biproduct(bundle, name=args.name)
-    anti = biproduct_antipode(bundle)
+    anti = biproduct_antipode(bundle, biproduct=made.bialgebra)
     reports = list(made.gates) + [anti.gate]
     code = _print_reports(reports, args.witness)
     basis = made.bialgebra.basis
@@ -405,10 +406,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the life of the process;
+    parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_signed_params(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_glue_signed_params(sys.argv[1:] if argv is None else argv))
         if args.command == "catalog" and args.action != "list" and args.id is None:
             raise UsageError("catalog show/check needs an entry id")
         return args.func(args)

@@ -8,7 +8,7 @@ admitted it, so callers can print why a construction went through.
 from dataclasses import dataclass
 
 from .fields import ExactError, ShapeError
-from .matrices import Matrix, kron, kron_list, permute_row_legs
+from .matrices import Matrix, kron, kron_apply, kron_apply_right, kron_list, permute_row_legs
 from .report import CheckResult, Report, StructureError, eq_check
 from .structures import (
     HomAlgebra,
@@ -74,8 +74,8 @@ class TwistMapT:
         legs_out = (h.basis, c.basis)
         check = eq_check(
             "T.twist-compat",
-            self.matrix * kron(c.twist, h.twist),
-            kron(h.twist, c.twist) * self.matrix,
+            kron_apply_right(self.matrix, c.twist, h.twist),
+            kron_apply(h.twist, c.twist, self.matrix),
             legs_in,
             legs_out,
         )
@@ -88,7 +88,7 @@ def coaction_twist_map(coalgebra, hom, coaction, check=True):
     i_n = Matrix.identity(field, n)
     step = kron(coaction.matrix, i_n)  # (c-1, c0, h)
     step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (c-1, h, c0)
-    matrix = kron(hom.mult, Matrix.identity(field, m)) * step
+    matrix = kron_apply(hom.mult, Matrix.identity(field, m), step)
     return TwistMapT(coalgebra, hom, matrix, name="coaction-twist", check=check)
 
 
@@ -136,10 +136,10 @@ def smash_mult_matrix(carrier, hom, action):
     i_n = Matrix.identity(field, n)
     step = kron_list(i_m, hom.comult, i_m, i_n)  # (a, h1, h2, a', h')
     step = permute_row_legs(step, (m, n, n, m, n), (0, 1, 3, 2, 4))  # (a, h1, a', h2, h')
-    inner = action.matrix * kron(i_n, carrier.twist_inv)
-    left = carrier.mult * kron(i_m, inner)
-    right = hom.mult * kron(hom.twist_inv, i_n)
-    return kron(left, right) * step
+    inner = kron_apply_right(action.matrix, i_n, carrier.twist_inv)
+    left = kron_apply_right(carrier.mult, i_m, inner)
+    right = kron_apply_right(hom.mult, hom.twist_inv, i_n)
+    return kron_apply(left, right, step)
 
 
 def smash_comult_matrix(carrier, hom, coaction):
@@ -148,11 +148,12 @@ def smash_comult_matrix(carrier, hom, coaction):
     i_m = Matrix.identity(field, m)
     i_n = Matrix.identity(field, n)
     step1 = kron(carrier.comult, hom.comult)  # (c1, c2, h1, h2)
-    step2 = kron_list(i_m, coaction.matrix, i_n, i_n)  # (c1, c2-1, c2-0, h1, h2)
+    coacted = kron(coaction.matrix, Matrix.identity(field, n * n))
+    step2 = kron_apply(i_m, coacted, step1)  # (c1, c2-1, c2-0, h1, h2)
     # -> (c1, c2-1, h1, c2-0, h2)
-    step = permute_row_legs(step2 * step1, (m, n, m, n, n), (0, 1, 3, 2, 4))
-    mid = hom.mult * kron(i_n, hom.twist_inv)
-    return kron_list(i_m, mid, carrier.twist_inv, i_n) * step
+    step = permute_row_legs(step2, (m, n, m, n, n), (0, 1, 3, 2, 4))
+    mid = kron_apply_right(hom.mult, i_n, hom.twist_inv)
+    return kron_apply(i_m, kron_list(mid, carrier.twist_inv, i_n), step)
 
 
 def smash_product(carrier, hom, action, name=None, check=True):
@@ -205,8 +206,8 @@ def check_t_smash_conditions(t_map, title=None):
     checks.append(
         eq_check(
             "C1.counit-H",
-            kron(h.counit, i_m) * t,
-            c.twist * kron(i_m, h.counit),
+            kron_apply(h.counit, i_m, t),
+            kron_apply_right(c.twist, i_m, h.counit),
             legs_in,
             (c.basis,),
         )
@@ -214,28 +215,22 @@ def check_t_smash_conditions(t_map, title=None):
     checks.append(
         eq_check(
             "C1.counit-C",
-            kron(i_n, c.counit) * t,
-            h.twist * kron(c.counit, i_n),
+            kron_apply(i_n, c.counit, t),
+            kron_apply_right(h.twist, c.counit, i_n),
             legs_in,
             (h.basis,),
         )
     )
     # C2: (Delta_H (x) alpha) T = (beta (x) id)(id (x) T)(T(id (x) beta^-1) (x) id)(id (x) Delta_H)
-    lhs2 = kron(h.comult, c.twist) * t
-    rhs2 = (
-        kron(h.twist, Matrix.identity(field, n * m))
-        * kron(i_n, t)
-        * kron(t * kron(i_m, h.twist_inv), i_n)
-        * kron(i_m, h.comult)
-    )
+    lhs2 = kron_apply(h.comult, c.twist, t)
+    rhs2 = kron_apply(kron_apply_right(t, i_m, h.twist_inv), i_n, kron(i_m, h.comult))
+    rhs2 = kron_apply(i_n, t, rhs2)
+    rhs2 = kron_apply(h.twist, Matrix.identity(field, n * m), rhs2)
     checks.append(eq_check("C2", lhs2, rhs2, legs_in, (h.basis, h.basis, c.basis)))
     # C3: (beta (x) Delta_C) T (alpha (x) id) = (T(alpha (x) id) (x) alpha)(id (x) T)(Delta_C (x) id)
-    lhs3 = kron(h.twist, c.comult) * t * kron(c.twist, i_n)
-    rhs3 = (
-        kron(t * kron(c.twist, i_n), c.twist)
-        * kron(i_m, t)
-        * kron(c.comult, i_n)
-    )
+    lhs3 = kron_apply_right(kron_apply(h.twist, c.comult, t), c.twist, i_n)
+    rhs3 = kron_apply(i_m, t, kron(c.comult, i_n))
+    rhs3 = kron_apply(kron_apply_right(t, c.twist, i_n), c.twist, rhs3)
     checks.append(eq_check("C3", lhs3, rhs3, legs_in, (h.basis, c.basis, c.basis)))
     return Report(title or f"twist-map coproduct gate [{t_map.name or 'T'}]", tuple(checks))
 
@@ -252,9 +247,10 @@ def t_smash_coproduct(carrier, hom, t_map, name=None, check=True):
     i_m = Matrix.identity(field, m)
     i_n = Matrix.identity(field, n)
     step1 = kron(carrier.comult, hom.comult)  # (c1, c2, h1, h2)
-    tpart = t_map.matrix * kron(i_m, hom.twist_inv)  # (c2, h1) -> (h_T, c_T)
-    step2 = kron_list(i_m, tpart, i_n)  # (c1, h_T, c_T, h2)
-    comult = kron_list(i_m, i_n, carrier.twist_inv, i_n) * step2 * step1
+    tpart = kron_apply_right(t_map.matrix, i_m, hom.twist_inv)  # (c2, h1) -> (h_T, c_T)
+    step2 = kron_apply(i_m, kron(tpart, i_n), step1)  # (c1, h_T, c_T, h2)
+    untwist = kron(carrier.twist_inv, i_n)
+    comult = kron_apply(Matrix.identity(field, m * n), untwist, step2)
     coalgebra = HomCoalgebra(
         field,
         comult,
@@ -303,13 +299,14 @@ def radford_r4_rhs(bundle):
     field, m, n = hom.field, a.dim, hom.dim
     i_m = Matrix.identity(field, m)
     step1 = kron(bundle.coalgebra.comult, bundle.coalgebra.comult)  # (a1, a2, b1, b2)
-    step2 = kron_list(i_m, bundle.coaction.matrix, i_m, i_m)  # (a1, a2-1, a2-0, b1, b2)
+    coacted = kron(bundle.coaction.matrix, Matrix.identity(field, m * m))
+    step2 = kron_apply(i_m, coacted, step1)  # (a1, a2-1, a2-0, b1, b2)
     # -> (a1, a2-1, b1, a2-0, b2)
-    step = permute_row_legs(step2 * step1, (m, n, m, m, m), (0, 1, 3, 2, 4))
-    inner = bundle.action.matrix * kron(hom.twist_power(2), a.twist_inv)
-    left = a.mult * kron(i_m, inner)
-    right = a.mult * kron(a.twist_inv, i_m)
-    return kron(left, right) * step
+    step = permute_row_legs(step2, (m, n, m, m, m), (0, 1, 3, 2, 4))
+    inner = kron_apply_right(bundle.action.matrix, hom.twist_power(2), a.twist_inv)
+    left = kron_apply_right(a.mult, i_m, inner)
+    right = kron_apply_right(a.mult, a.twist_inv, i_m)
+    return kron_apply(left, right, step)
 
 
 def check_radford_conditions(bundle, title=None):
@@ -395,9 +392,13 @@ class _PairView:
         self.comult = coalgebra.comult
 
 
-def biproduct_antipode(bundle, s_carrier=None, check=True):
+def biproduct_antipode(bundle, s_carrier=None, check=True, biproduct=None):
     """S(a (x) h) = (S_H(a_{-1} beta^-1(h))_1 |> S_A(alpha^-2(a_0)))
-    (x) beta^-1(S_H(a_{-1} beta^-1(h))_2)."""
+    (x) beta^-1(S_H(a_{-1} beta^-1(h))_2).
+
+    With check, the matrix is checked against `biproduct`, the bundle's
+    biproduct bialgebra when the caller has already built it, else one
+    assembled here through the R1-R5 gate."""
     hom = bundle.hom
     s_h = getattr(hom, "antipode", None)
     if s_h is None:
@@ -416,13 +417,15 @@ def biproduct_antipode(bundle, s_carrier=None, check=True):
     i_n = Matrix.identity(field, n)
     step = kron(bundle.coaction.matrix, i_n)  # (a-1, a0, h)
     step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (a-1, h, a0)
-    folded = hom.comult * s_h * hom.mult * kron(i_n, hom.twist_inv)  # (w1, w2)
-    step = kron(folded, s_carrier * a.twist_power(-2)) * step  # (w1, w2, sa)
+    folded = kron_apply_right(hom.comult * s_h * hom.mult, i_n, hom.twist_inv)  # (w1, w2)
+    step = kron_apply(folded, s_carrier * a.twist_power(-2), step)  # (w1, w2, sa)
     step = permute_row_legs(step, (n, n, m), (0, 2, 1))  # (w1, sa, w2)
-    matrix = kron(bundle.action.matrix, hom.twist_inv) * step
+    matrix = kron_apply(bundle.action.matrix, hom.twist_inv, step)
     if check:
-        biproduct = radford_biproduct(bundle, check=False)
-        rep = check_antipode(biproduct.bialgebra, matrix)
+        if biproduct is None:
+            biproduct = radford_biproduct(bundle, check=False).bialgebra
+        # one title, whatever name the caller gave its bialgebra
+        rep = check_antipode(biproduct, matrix, title="antipode axioms [biproduct]")
         if not rep.passed:
             raise StructureError(
                 f"biproduct antipode fails its axioms: {rep.first_failure().name}", rep
@@ -438,8 +441,10 @@ def smash_product_antipode(carrier, hom, action, s_carrier, s_hom=None):
     i_m = Matrix.identity(field, m)
     step = kron(i_m, hom.comult * s_h)  # (a, s1, s2)
     step = permute_row_legs(step, (m, n, n), (1, 0, 2))  # (s1, a, s2)
-    left = action.matrix * kron(Matrix.identity(field, n), carrier.twist_inv * s_carrier)
-    return kron(left, hom.twist_inv) * step
+    left = kron_apply_right(
+        action.matrix, Matrix.identity(field, n), carrier.twist_inv * s_carrier
+    )
+    return kron_apply(left, hom.twist_inv, step)
 
 
 def smash_coproduct_antipode(carrier, hom, coaction, s_carrier, s_hom=None):
@@ -450,8 +455,8 @@ def smash_coproduct_antipode(carrier, hom, coaction, s_carrier, s_hom=None):
     i_n = Matrix.identity(field, n)
     step = kron(coaction.matrix, i_n)  # (c-1, c0, h)
     step = permute_row_legs(step, (n, m, n), (1, 0, 2))  # (c0, c-1, h)
-    right = s_h * hom.mult * kron(i_n, hom.twist_inv)
-    return kron(s_carrier * carrier.twist_inv, right) * step
+    right = kron_apply_right(s_h * hom.mult, i_n, hom.twist_inv)
+    return kron_apply(s_carrier * carrier.twist_inv, right, step)
 
 
 def check_smash_tensor_gate(hom, action, title=None):
@@ -462,8 +467,8 @@ def check_smash_tensor_gate(hom, action, title=None):
     i_n = Matrix.identity(field, n)
     base = kron(hom.comult, i_m)
     swapped = permute_row_legs(base, (n, n, m), (1, 0, 2))
-    lhs = kron(i_n, action.matrix) * base
-    rhs = kron(i_n, action.matrix) * swapped
+    lhs = kron_apply(i_n, action.matrix, base)
+    rhs = kron_apply(i_n, action.matrix, swapped)
     legs_in = (hom.basis, action.carrier_basis)
     legs_out = (hom.basis, action.carrier_basis)
     check = eq_check("symmetric-coproduct-action", lhs, rhs, legs_in, legs_out)
@@ -476,8 +481,8 @@ def check_cosmash_tensor_gate(hom, coaction, title=None):
     field, n, m = hom.field, hom.dim, coaction.carrier_dim
     i_m = Matrix.identity(field, m)
     step = kron(Matrix.identity(field, n), coaction.matrix)  # (h, c-1, c0)
-    lhs = kron(hom.mult, i_m) * step
-    rhs = kron(hom.mult, i_m) * permute_row_legs(step, (n, n, m), (1, 0, 2))
+    lhs = kron_apply(hom.mult, i_m, step)
+    rhs = kron_apply(hom.mult, i_m, permute_row_legs(step, (n, n, m), (1, 0, 2)))
     legs = (hom.basis, coaction.carrier_basis)
     check = eq_check("central-coaction-leg", lhs, rhs, legs, legs)
     return Report(title or "tensor-algebra cosmash gate", (check,))

@@ -37,18 +37,35 @@ class SingularMatrixError(ExactError):
     """A map that must be invertible is singular."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Exact primality test for n < PRIME_BOUND; larger n raise ExactError."""
+    if n >= PRIME_BOUND:
+        raise ExactError(f"primality is decided only below {PRIME_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -312,39 +312,39 @@ def kron_list(*mats):
 def kron_apply(a, b, y):
     """Compute (a (x) b) * y without materializing the Kronecker product.
 
-    Cost is proportional to the matching nonzeros, which matters when a (x) b
-    would be large but y is thin.
+    Output row (i, i2) sums a[i, ja] * b[i2, jb] * y[(ja, jb)], one row at a
+    time; cost is proportional to the matching nonzeros, which matters when
+    a (x) b would be large but y is thin.
     """
     if a.field != b.field or a.field != y.field:
         raise FieldMismatchError("kron_apply operands over different fields")
     if y.rows != a.cols * b.cols:
         raise ShapeError(f"kron_apply: {a.cols * b.cols} rows expected, got {y.rows}")
-    field = a.field
-    add, mul, zero = field.add, field.mul, field.zero
-    a_cols = [[] for _ in range(a.cols)]
-    for i, row in enumerate(a._rowdicts):
-        for j, v in row.items():
-            a_cols[j].append((i, v))
-    b_cols = [[] for _ in range(b.cols)]
-    for i, row in enumerate(b._rowdicts):
-        for j, v in row.items():
-            b_cols[j].append((i, v))
-    out = [dict() for _ in range(a.rows * b.rows)]
-    for r, yrow in enumerate(y._rowdicts):
-        if not yrow:
+    p = a.field.characteristic
+    br, bc = b.rows, b.cols
+    brows, yrows = b._rowdicts, y._rowdicts
+    out = [_EMPTY_ROW] * (a.rows * br)
+    for i, arow in enumerate(a._rowdicts):
+        if not arow:
             continue
-        p, q = divmod(r, b.cols)
-        for ia, va in a_cols[p]:
-            base = ia * b.rows
-            for ib, vb in b_cols[q]:
-                w = mul(va, vb)
-                target = out[base + ib]
-                for c, vy in yrow.items():
-                    v = mul(w, vy)
-                    cur = target.get(c)
-                    target[c] = v if cur is None else add(cur, v)
-    cleaned = [{c: v for c, v in row.items() if v != zero} for row in out]
-    return Matrix._make(field, a.rows * b.rows, y.cols, cleaned)
+        for i2, brow in enumerate(brows):
+            if not brow:
+                continue
+            acc = {}
+            for ja, va in arow.items():
+                base = ja * bc
+                for jb, vb in brow.items():
+                    yrow = yrows[base + jb]
+                    if not yrow:
+                        continue
+                    w = va * vb
+                    for c, vy in yrow.items():
+                        v = w * vy
+                        cur = acc.get(c)
+                        acc[c] = v if cur is None else cur + v
+            if acc:
+                out[i * br + i2] = _reduced(acc, p)
+    return Matrix._make(a.field, a.rows * br, y.cols, out)
 
 
 def kron_apply_right(y, a, b):
@@ -357,22 +357,26 @@ def kron_apply_right(y, a, b):
         raise FieldMismatchError("kron_apply_right operands over different fields")
     if y.cols != a.rows * b.rows:
         raise ShapeError(f"kron_apply_right: {a.rows * b.rows} columns expected, got {y.cols}")
+    p = a.field.characteristic
     arows, brows = a._rowdicts, b._rowdicts
+    bc = b.cols
     out = []
     for yrow in y._rowdicts:
         acc = {}
         for c, vy in yrow.items():
-            p, q = divmod(c, b.rows)
-            brow = brows[q]
-            for ja, va in arows[p].items():
+            ia, ib = divmod(c, b.rows)
+            arow, brow = arows[ia], brows[ib]
+            if not arow or not brow:
+                continue
+            for ja, va in arow.items():
                 w = vy * va
-                base = ja * b.cols
+                base = ja * bc
                 for jb, vb in brow.items():
                     v = w * vb
                     cur = acc.get(base + jb)
                     acc[base + jb] = v if cur is None else cur + v
-        out.append(_reduced(acc, a.field.characteristic) if acc else _EMPTY_ROW)
-    return Matrix._make(a.field, y.rows, a.cols * b.cols, out)
+        out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
+    return Matrix._make(a.field, y.rows, a.cols * bc, out)
 
 
 def compose(*mats):

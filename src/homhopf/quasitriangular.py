@@ -6,7 +6,15 @@ bilinear form, and the equivalences tying both to Yetter-Drinfeld data.
 from dataclasses import dataclass
 
 from .fields import ExactError, ShapeError
-from .matrices import Matrix, first_mismatch, kron, kron_list, maps_equal, permute_row_legs
+from .matrices import (
+    Matrix,
+    first_mismatch,
+    kron,
+    kron_apply,
+    kron_apply_right,
+    maps_equal,
+    permute_row_legs,
+)
 from .report import CheckResult, Report, StructureError, eq_check
 from .actions import (
     ActionMap,
@@ -108,32 +116,32 @@ def check_quasitriangular(hom, rmatrix, title=None):
         _merge_eq(
             "QHA1",
             [
-                ("counit-left", kron(hom.counit, i_n) * r, hom.unit, None, one),
-                ("counit-right", kron(i_n, hom.counit) * r, hom.unit, None, one),
+                ("counit-left", kron_apply(hom.counit, i_n, r), hom.unit, None, one),
+                ("counit-right", kron_apply(i_n, hom.counit, r), hom.unit, None, one),
             ],
         ),
         eq_check(
             "QHA2",
-            kron(d, beta) * r,
-            kron_list(beta, beta, m) * permute_row_legs(rr, legs, (0, 2, 1, 3)),
+            kron_apply(d, beta, r),
+            kron_apply(kron(beta, beta), m, permute_row_legs(rr, legs, (0, 2, 1, 3))),
             None,
             three,
         ),
         eq_check(
             "QHA3",
-            kron(beta, d) * r,
-            kron_list(m, beta, beta) * permute_row_legs(rr, legs, (0, 2, 3, 1)),
+            kron_apply(beta, d, r),
+            kron_apply(m, kron(beta, beta), permute_row_legs(rr, legs, (0, 2, 3, 1))),
             None,
             three,
         ),
         eq_check(
             "QHA4",
-            kron(m, m) * permute_row_legs(dr, legs, (1, 2, 0, 3)),
-            kron(m, m) * permute_row_legs(dr, legs, (2, 0, 3, 1)),
+            kron_apply(m, m, permute_row_legs(dr, legs, (1, 2, 0, 3))),
+            kron_apply(m, m, permute_row_legs(dr, legs, (2, 0, 3, 1))),
             one,
             two,
         ),
-        eq_check("QHA5", kron(beta, beta) * r, r, None, two),
+        eq_check("QHA5", kron_apply(beta, beta, r), r, None, two),
     ]
     return Report(title or "quasitriangular axioms QHA1-QHA5", tuple(checks))
 
@@ -150,7 +158,7 @@ def induced_coaction(hom, rmatrix, check_gate=True):
     i_n = Matrix.identity(field, n)
     step = kron(rmatrix.coeffs, i_n)  # (R1, R2, h)
     step = permute_row_legs(step, (n, n, n), (1, 0, 2))  # (R2, R1, h)
-    matrix = kron(hom.twist_power(-3), hom.mult) * step
+    matrix = kron_apply(hom.twist_power(-3), hom.mult, step)
     return CoactionMap(hom, matrix, hom.twist, hom.basis, name="induced-coaction")
 
 
@@ -164,7 +172,7 @@ def rmatrix_from_coaction(hom, coaction):
     field, n = hom.field, hom.dim
     at_unit = coaction.matrix * hom.unit  # beta^-3(R2) (x) beta(R1)
     swapped = permute_row_legs(at_unit, (n, n), (1, 0))  # beta(R1) (x) beta^-3(R2)
-    coeffs = kron(hom.twist_power(-1), hom.twist_power(3)) * swapped
+    coeffs = kron_apply(hom.twist_power(-1), hom.twist_power(3), swapped)
     candidate = RMatrix(hom, coeffs)
     reinduced = induced_coaction(hom, candidate, check_gate=False)
     ok = maps_equal(reinduced.matrix, coaction.matrix)
@@ -231,8 +239,8 @@ def induced_action_from_form(hom, form):
     i_n = Matrix.identity(field, n)
     step = kron(i_n, hom.comult)  # (h, g1, g2)
     step = permute_row_legs(step, (n, n, n), (1, 0, 2))  # (g1, h, g2)
-    pairing = form.pairing_row() * kron(i_n, hom.twist_power(-3))
-    matrix = kron(pairing, i_n) * step
+    pairing = kron_apply_right(form.pairing_row(), i_n, hom.twist_power(-3))
+    matrix = kron_apply(pairing, i_n, step)
     return ActionMap(hom, matrix, hom.twist, hom.basis, name="induced-action")
 
 

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import pytest
 
+from homhopf import cli
 from homhopf.cli import main
+from homhopf.fields import PRIME_BOUND
 from homhopf.textfmt import catalog_document, parse_document, realize
 from homhopf import QQ
 
@@ -232,3 +236,41 @@ def test_signed_param_as_separate_token(capsys, action):
     assert spaced == glued
     if action == "show":
         assert "TWIST 1 : 0 -1/2" in spaced[1]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as spy:
+        assert run(capsys, "catalog", "list")[0] == 0
+        assert run(capsys, "catalog", "check", "kz2")[0] == 0
+        assert run(capsys, "catalog", "bogus")[0] == 1
+    assert spy.call_count == 1
+
+
+def test_usage_error_leaves_the_parser_as_it_was(capsys):
+    cli._parser.cache_clear()
+    alone = run(capsys, "catalog", "check", "dual-number", "--witness")
+    cli._parser.cache_clear()
+    error = run(capsys, "catalog", "check", "dual-number", "--param")
+    assert error[0] == 1 and error[2].startswith("error: ")
+    after = run(capsys, "catalog", "check", "dual-number", "--witness")
+    assert after == alone
+
+
+def test_large_prime_modulus_is_accepted(capsys):
+    code, out, err = run(capsys, "catalog", "check", "kz2", "--field", "GF2305843009213693951")
+    assert code == 0
+    assert out.splitlines()[-1] == "OVERALL PASS"
+    assert err == ""
+
+
+def test_modulus_beyond_the_primality_bound_is_refused(tmp_path, capsys):
+    code, out, err = run(capsys, "catalog", "check", "kz2", "--field", f"GF{PRIME_BOUND}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(PRIME_BOUND) in err
+    doc = catalog_document("kz2", QQ).replace("FIELD Q", f"FIELD GF {10**30 + 57}")
+    path = tmp_path / "big.hh"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: ") and str(PRIME_BOUND) in err

@@ -50,10 +50,14 @@ from homhopf.catalog import (
     cyclic_group_hopf,
     dual_number_bundle,
     group_algebra_z2,
+    taft_biproduct,
     taft_bundle,
     taft_hopf,
     taft_twisted,
 )
+from homhopf.cli import main
+from homhopf.structures import tensor_hom_algebra, tensor_hom_coalgebra
+from homhopf.textfmt import catalog_document
 
 F7 = GF(7)
 
@@ -459,3 +463,44 @@ def test_constructors_check_the_axioms_once(field):
     with _call_counts(*names) as calls:
         yau_twist(base, sigma)
     assert [calls(name) for name in names] == [1, 1]
+
+
+def test_antipode_command_runs_the_gate_once(tmp_path, capsys):
+    path = tmp_path / "bundle.hh"
+    path.write_text(catalog_document("taft-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    with _call_counts("check_radford_conditions") as calls:
+        assert main(["antipode", str(path)]) == 0
+    assert calls("check_radford_conditions") == 1
+    capsys.readouterr()
+
+
+def test_catalog_biproduct_checks_gate_and_antipode_once(field):
+    # past the checks of building its bundle, which checks the parts
+    names = ("check_radford_conditions", "check_antipode")
+    with _call_counts(*names) as calls:
+        taft_bundle(field, 2)
+    bundle_calls = [calls(name) for name in names]
+    with _call_counts(*names) as calls:
+        hopf = taft_biproduct(field, 2)
+    assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 1]
+    assert check_antipode(hopf).passed
+
+
+def test_biproduct_antipode_checks_against_the_given_bialgebra():
+    bundle = dual_number_bundle(QQ, 2)
+    assembled = radford_biproduct(bundle, name="named")
+    given_one = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
+    assert given_one == biproduct_antipode(bundle)
+    tensor = HomBialgebra(
+        tensor_hom_algebra(bundle.algebra, bundle.hom.algebra, check=False),
+        tensor_hom_coalgebra(bundle.coalgebra, bundle.hom.coalgebra, check=False),
+        name="tensor",
+        check=False,
+    )
+    with pytest.raises(StructureError) as info:
+        biproduct_antipode(bundle, biproduct=tensor)
+    assert str(info.value) == "biproduct antipode fails its axioms: antipode.left"
+    assert info.value.report.lines(True)[:2] == [
+        "== antipode axioms [biproduct]",
+        "  antipode.left   FAIL  [at z⊗1 -> z⊗1: 4 != 0]",
+    ]

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from homhopf import ExactError, GF, QQ, is_prime
-from homhopf.fields import PrimeField
+from homhopf.fields import PRIME_BOUND, PrimeField
 
 
 def test_rational_basics():
@@ -42,6 +42,40 @@ def test_gf_requires_prime():
 def test_is_prime_small():
     primes = [p for p in range(50) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2-7, 2-31 and 2-37 respectively; the
+    # last is 399165290221 * 798330580441, and only the base 41 exposes it
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    assert GF(2**61 - 1).mul(2**60, 2) == 1
+
+
+def test_moduli_beyond_the_bound_are_refused():
+    with pytest.raises(ExactError, match=str(PRIME_BOUND)):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(ExactError, match=str(PRIME_BOUND)):
+        PrimeField(10**40 + 7)
 
 
 def test_parse_format_examples():

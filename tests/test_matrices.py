@@ -335,12 +335,34 @@ def test_kron_apply_right_matches_dense_reference(case, rows, data):
     _assert_kernel_result(kron_apply_right(y, a, b), dense)
 
 
+@settings(max_examples=120)
+@given(kernel_operands(("ab", "cd")), st.integers(min_value=1, max_value=4), st.data())
+def test_kron_apply_matches_dense_reference(case, cols, data):
+    field, (a, b) = case
+    y = data.draw(_cancelling_matrix(field, a.cols * b.cols, cols))
+    dense = _dense_product(field, _dense_kron(field, a.dense(), b.dense()), y.dense())
+    _assert_kernel_result(kron_apply(a, b, y), dense)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kron_kernels_skip_empty_rows(field):
+    # row 1 of a, row 0 of b and row 2 of y are empty
+    a = Matrix.from_rows(field, [[1, -1], [0, 0], [2, 1]])
+    b = Matrix.from_rows(field, [[0, 0, 0], [1, 2, -1]])
+    y = Matrix.from_rows(field, [[1, 1]] * 2 + [[0, 0]] + [[-1, 2]] * 3)
+    dense_ab = _dense_kron(field, a.dense(), b.dense())
+    _assert_kernel_result(kron_apply(a, b, y), _dense_product(field, dense_ab, y.dense()))
+    z = Matrix.from_rows(field, [[0] * 6, [1, 0, 2, 0, 0, -1]])
+    _assert_kernel_result(kron_apply_right(z, a, b), _dense_product(field, z.dense(), dense_ab))
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_products_that_cancel_store_no_zeros(field):
     row = Matrix.from_rows(field, [[1, 1]])
     col = Matrix.from_rows(field, [[1], [-1]])
     assert (row * col).row_items(0) == []
     assert kron_apply_right(row, col, Matrix.identity(field, 1)).row_items(0) == []
+    assert kron_apply(row, Matrix.identity(field, 1), col).row_items(0) == []
     top = field.characteristic - 1 if field.characteristic else Fraction(-1, 3)
     square = Matrix.from_rows(field, [[top]]) * Matrix.from_rows(field, [[top]])
     _assert_kernel_result(square, [[field.mul(top, top)]])

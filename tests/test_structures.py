@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -302,3 +303,22 @@ def test_bialgebra_check_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 1024 * 1024
+
+
+def test_checks_materialize_no_wide_kronecker_product():
+    # HA2 and HC2 built kron(t, m) and kron(t, d), n^3 = 13,824 entries at
+    # n = 24, only to multiply by them once
+    n = 24
+    h = cyclic_group_hopf(GF(7), n)
+    sizes = []
+    original = Matrix.kron
+
+    def recording(self, other):
+        out = original(self, other)
+        sizes.append(out.nnz())
+        return out
+
+    with mock.patch.object(Matrix, "kron", recording):
+        assert check_hom_bialgebra(h.bialgebra).passed
+        assert check_antipode(h).passed
+    assert sizes and max(sizes) <= n * n
