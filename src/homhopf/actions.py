@@ -390,8 +390,9 @@ def _hyd_prime_rhs(action, coaction, antipode):
     return kron_apply(left, right, step)
 
 
-def check_hyd_prime(module, title=None):
-    """The antipode form of the compatibility, plus agreement with the plain form."""
+def check_hyd_prime(module, title=None, hyd=None):
+    """The antipode form of the compatibility, plus agreement with the plain
+    form; `hyd` is the module's `check_hyd` report when the caller has it."""
     action, coaction = _as_pair(module)
     hom = action.hom
     antipode = getattr(hom, "antipode", None)
@@ -409,7 +410,7 @@ def check_hyd_prime(module, title=None):
         legs,
         legs,
     )
-    plain = check_hyd(module).checks[0]
+    plain = (check_hyd(module) if hyd is None else hyd).checks[0]
     agree = plain.passed == prime.passed
     witness = None if agree else f"HYD={plain.verdict} but HYD-prime={prime.verdict}"
     checks = (prime, CheckResult("equivalence-with-HYD", agree, witness))

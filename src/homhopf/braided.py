@@ -312,18 +312,14 @@ def check_bosonization_equivalence(bundle, title=None):
     radford = gate[0]
     category = _in_category_report(bundle, gate)
 
-    def summary(name, rep):
-        fail = rep.first_failure()
-        return CheckResult(name, rep.passed, None if fail is None else fail.name)
-
     agree = radford.passed == category.passed
     witness = None if agree else (
         f"gate={'PASS' if radford.passed else 'FAIL'} "
         f"category={'PASS' if category.passed else 'FAIL'}"
     )
     checks = (
-        summary("radford-conditions", radford),
-        summary("bialgebra-in-category", category),
+        radford.summarize("radford-conditions"),
+        category.summarize("bialgebra-in-category"),
         CheckResult("agreement", agree, witness),
     )
     return Report(title or "biproduct/category equivalence", checks)

@@ -359,21 +359,53 @@ def comult_table_of(coalgebra_like):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog example.  `builder(field)`, or `builder(field, param)` when
+    the entry takes a parameter, builds it; `blocks` lays out its document,
+    one (kind, block name, attributes, references) per block: the block
+    prints the listed attributes of the built object (the object itself
+    when none are listed), and names the blocks in `references` by its
+    ACTING/CARRIER or ON stanzas."""
+
     identifier: str
     summary: str
     param: str | None
     default_param: int
+    builder: object
+    blocks: tuple
 
+
+def _hopf_document(name):
+    return (("HOPF", name, (), ()),)
+
+
+_CARRIER_DOCUMENT = (
+    ("ALGEBRA", "A", ("algebra", "carrier_antipode"), ()),
+    ("COALGEBRA", "A", ("coalgebra",), ()),
+)
+_BUNDLE_DOCUMENT = (
+    ("HOPF", "H", ("hom",), ()),
+    *_CARRIER_DOCUMENT,
+    ("ACTION", "yd", ("action",), ("H", "A")),
+    ("COACTION", "yd", ("coaction",), ("H", "A")),
+)
 
 CATALOG = (
-    CatalogEntry("kz2", "two-element group algebra, identity twist", None, 0),
-    CatalogEntry("taft-twisted", "four-dimensional Taft algebra twisted by k", "k", 2),
-    CatalogEntry("taft-bundle", "twisted Taft carrier with its Z2 (co)action", "k", 2),
-    CatalogEntry("dual-number", "two-dimensional nilpotent carrier twisted by l", "l", 2),
-    CatalogEntry("dual-number-bundle", "dual-number carrier with its Z2 (co)action", "l", 2),
-    CatalogEntry("taft-biproduct", "eight-dimensional biproduct of the Taft bundle", "k", 2),
-    CatalogEntry("dual-number-biproduct", "four-dimensional biproduct of the dual-number bundle", "l", 2),
-    CatalogEntry("kz2-rmatrix", "triangular element on the Z2 group algebra", None, 0),
+    CatalogEntry("kz2", "two-element group algebra, identity twist", None, 0,
+                 group_algebra_z2, _hopf_document("kz2")),
+    CatalogEntry("taft-twisted", "four-dimensional Taft algebra twisted by k", "k", 2,
+                 taft_twisted, _hopf_document("taft")),
+    CatalogEntry("taft-bundle", "twisted Taft carrier with its Z2 (co)action", "k", 2,
+                 taft_bundle, _BUNDLE_DOCUMENT),
+    CatalogEntry("dual-number", "two-dimensional nilpotent carrier twisted by l", "l", 2,
+                 dual_number_bundle, _CARRIER_DOCUMENT),
+    CatalogEntry("dual-number-bundle", "dual-number carrier with its Z2 (co)action", "l", 2,
+                 dual_number_bundle, _BUNDLE_DOCUMENT),
+    CatalogEntry("taft-biproduct", "eight-dimensional biproduct of the Taft bundle", "k", 2,
+                 taft_biproduct, _hopf_document("biproduct")),
+    CatalogEntry("dual-number-biproduct", "four-dimensional biproduct of the dual-number bundle",
+                 "l", 2, dual_number_biproduct, _hopf_document("biproduct")),
+    CatalogEntry("kz2-rmatrix", "triangular element on the Z2 group algebra", None, 0,
+                 z2_r_matrix, (("HOPF", "H", ("hom",), ()), ("RMATRIX", "R", (), ("H",)))),
 )
 
 

@@ -321,23 +321,17 @@ def _radford_gate(bundle, title=None):
     a, c, hom = bundle.algebra, bundle.coalgebra, bundle.hom
     field = hom.field
     ab = a.basis
-    checks = []
-    r1 = check_coaction_axioms(bundle.coaction, "comodule-algebra", carrier=a)
-    fail = r1.first_failure()
-    checks.append(CheckResult("R1", r1.passed, None if r1.passed else f"{fail.name}: {fail.witness}"))
-    r2 = check_action_axioms(bundle.action, "module-coalgebra", carrier=c)
-    fail = r2.first_failure()
-    checks.append(CheckResult("R2", r2.passed, None if r2.passed else f"{fail.name}: {fail.witness}"))
+    checks = [
+        check_coaction_axioms(bundle.coaction, "comodule-algebra", carrier=a).summarize("R1"),
+        check_action_axioms(bundle.action, "module-coalgebra", carrier=c).summarize("R2"),
+    ]
     one_by_one = Matrix(field, 1, 1, {(0, 0): field.one})
-    r3_parts = [
+    r3_parts = (
         eq_check("counit-mult", c.counit * a.mult, kron(c.counit, c.counit), (ab, ab), None),
         eq_check("counit-unit", c.counit * a.unit, one_by_one, None, None),
         eq_check("comult-unit", c.comult * a.unit, kron(a.unit, a.unit), None, (ab, ab)),
-    ]
-    fail = next((p for p in r3_parts if not p.passed), None)
-    checks.append(
-        CheckResult("R3", fail is None, None if fail is None else f"{fail.name}: {fail.witness}")
     )
+    checks.append(Report("R3", r3_parts).summarize("R3"))
     r4_rhs = None
     if twist_invertible_check(a).passed:
         r4_rhs = radford_r4_rhs(bundle)

@@ -193,12 +193,7 @@ def _yd_side_checks(hom, coaction):
     comodule = check_coaction_axioms(coaction, "comodule-coalgebra", carrier=hom.coalgebra)
     module = YDModule(regular_action(hom), coaction, check=False)
     hyd = check_hyd(module)
-
-    def fold(name, rep):
-        fail = rep.first_failure()
-        return CheckResult(name, rep.passed, None if fail is None else f"{fail.name}: {fail.witness}")
-
-    return fold("comodule-Hom-coalgebra", comodule), fold("HYD", hyd)
+    return comodule.summarize("comodule-Hom-coalgebra"), hyd.summarize("HYD")
 
 
 def check_rmatrix_equivalence(hom, rmatrix=None, coaction=None, title=None):
@@ -218,10 +213,7 @@ def check_rmatrix_equivalence(hom, rmatrix=None, coaction=None, title=None):
     else:
         coaction = induced_coaction(hom, rmatrix, check_gate=False)
     qha = check_quasitriangular(hom, rmatrix)
-    fail = qha.first_failure()
-    checks.append(
-        CheckResult("QHA1-5", qha.passed, None if fail is None else f"{fail.name}: {fail.witness}")
-    )
+    checks.append(qha.summarize("QHA1-5"))
     comodule, hyd = _yd_side_checks(hom, coaction)
     checks += [comodule, hyd]
     agree = qha.passed == (comodule.passed and hyd.passed)
@@ -252,13 +244,8 @@ def check_cobraiding_equivalence(hom, form, title=None):
     module_report = check_action_axioms(action, "module-algebra", carrier=hom.algebra)
     yd = YDModule(action, regular_coaction(hom), check=False)
     hyd_report = check_hyd(yd)
-
-    def fold(name, rep):
-        fail = rep.first_failure()
-        return CheckResult(name, rep.passed, None if fail is None else f"{fail.name}: {fail.witness}")
-
-    module_check = fold("module-Hom-algebra", module_report)
-    hyd_check = fold("HYD", hyd_report)
+    module_check = module_report.summarize("module-Hom-algebra")
+    hyd_check = hyd_report.summarize("HYD")
     conj = module_check.passed and hyd_check.passed
     checks = (
         module_check,

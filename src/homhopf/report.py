@@ -50,6 +50,12 @@ class Report:
                 return c
         return None
 
+    def summarize(self, name):
+        """One verdict named `name` for the whole report, witnessed by its
+        first failing check."""
+        fail = self.first_failure()
+        return CheckResult(name, fail is None, None if fail is None else f"{fail.name}: {fail.witness}")
+
     def prefixed(self, prefix):
         return Report(
             self.title,

@@ -9,13 +9,17 @@ Grammar (FORMAT 1):
     kind      = ALGEBRA | COALGEBRA | BIALGEBRA | HOPF
               | ACTION | COACTION | RMATRIX | FORM
 
-Stanza lines give one image row each, scalars in the shared textual form
-(`-3/2`, reduced integers over GF(p)).  Structure-constant rows that are
-omitted are zero; duplicate rows are a parse error.  See the README for the
-full stanza list.
+Every stanza is declared once, in STANZAS: the block kinds that read it, its
+indices, the length of its scalar rows and the matrix entry each scalar
+lands in.  Parsing, validation, realization and printing all read that
+table; a stanza in a block kind that does not read it is refused.  Library
+objects print by becoming a `Block`, through the same printer as parsed
+documents.  See the README for the full stanza list.
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
+from math import prod
 
 from .fields import ExactError, GF, QQ
 from .matrices import Matrix
@@ -38,6 +42,7 @@ from .actions import (
     check_hyd,
     check_hyd_prime,
 )
+from .catalog import catalog_entry
 from .constructions import carrier_antipode_report
 from .quasitriangular import (
     CobraidingForm,
@@ -61,13 +66,97 @@ __all__ = [
 ]
 
 STRUCTURAL_KINDS = ("ALGEBRA", "COALGEBRA", "BIALGEBRA", "HOPF")
-BLOCK_KINDS = STRUCTURAL_KINDS + ("ACTION", "COACTION", "RMATRIX", "FORM")
+MAP_KINDS = ("ACTION", "COACTION")
+ELEMENT_KINDS = ("RMATRIX", "FORM")
+BLOCK_KINDS = STRUCTURAL_KINDS + MAP_KINDS + ELEMENT_KINDS
+MULTIPLYING = ("ALGEBRA", "BIALGEBRA", "HOPF")
+COMULTIPLYING = ("COALGEBRA", "BIALGEBRA", "HOPF")
+CARRYING = STRUCTURAL_KINDS + MAP_KINDS
+# what an ACTION/COACTION states about its carrier when no CARRIER names it
+CARRIER_STANZAS = ("DIM", "BASIS", "TWIST")
 
 
 class ParseError(Exception):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def _read_dim(tokens, lineno):
+    try:
+        dim = int(tokens[1])
+    except (IndexError, ValueError) as exc:
+        raise ParseError(lineno, "malformed DIM") from exc
+    if dim <= 0:
+        raise ParseError(lineno, "DIM must be positive")
+    return dim
+
+
+def _read_labels(tokens, lineno):
+    return tuple(tokens[1:])
+
+
+def _read_name(tokens, lineno):
+    if len(tokens) != 2:
+        raise ParseError(lineno, f"{tokens[0]} needs exactly one name")
+    return tokens[1]
+
+
+@dataclass(frozen=True)
+class Stanza:
+    """One stanza keyword as the block kinds in `kinds` read it.
+
+    A header stanza has a `read` function and sets the `Block` attribute
+    named after its keyword.  A row stanza keeps its rows of scalars in
+    `Block.rows[keyword]`, keyed by their indices.  Sizes are named by
+    letters: n is the block's own dimension (its carrier's, for an ACTION
+    or COACTION) and h the dimension of the structure it names by ACTING
+    or ON.  The indices range over `index`, a row holds `length` scalars
+    (a product of sizes), and `entry` gives the legs flattened, row-major,
+    into the row and the column of the realized matrix: i and j are the
+    indices and p the position in the row.
+    """
+
+    keyword: str
+    kinds: tuple
+    read: object = None
+    index: tuple = ()
+    length: str = ""
+    entry: tuple = ("", "")
+    sparse: bool = False  # omitted rows are zero, and zero rows are not printed
+    required: tuple = ()  # the kinds that must give it
+    noun: str = "entry"  # a repeated row is a "duplicate KEYWORD noun i"
+
+    @property
+    def deferred(self):
+        """Sized by the referenced structure, so checked when realized."""
+        return "h" in "".join(self.index) + self.length
+
+
+STANZAS = (
+    Stanza("DIM", CARRYING, _read_dim),
+    Stanza("BASIS", CARRYING, _read_labels),
+    Stanza("ACTING", MAP_KINDS, _read_name),
+    Stanza("CARRIER", MAP_KINDS, _read_name),
+    Stanza("ON", ELEMENT_KINDS, _read_name),
+    Stanza("UNIT", MULTIPLYING, length="n", entry=("p", ""), required=MULTIPLYING),
+    Stanza("COUNIT", COMULTIPLYING, length="n", entry=("", "p"), required=COMULTIPLYING),
+    Stanza("TWIST", CARRYING, index=("n",), length="n", entry=("p", "i"), noun="row"),
+    Stanza("MULT", MULTIPLYING, index=("n", "n"), length="n", entry=("p", "ij"), sparse=True),
+    Stanza("COMULT", COMULTIPLYING, index=("n",), length="nn", entry=("p", "i"), sparse=True),
+    Stanza(
+        "ANTIPODE", STRUCTURAL_KINDS, index=("n",), length="n", entry=("p", "i"),
+        required=("HOPF",), noun="row",
+    ),
+    Stanza("MAP", ("ACTION",), index=("h", "n"), length="n", entry=("p", "ij"), sparse=True),
+    Stanza("MAP", ("COACTION",), index=("n",), length="hn", entry=("p", "i"), sparse=True),
+    Stanza("COEFF", ("RMATRIX",), index=("h",), length="h", entry=("ip", ""), sparse=True, noun="row"),
+    Stanza("COEFF", ("FORM",), index=("h",), length="h", entry=("i", "p"), sparse=True, noun="row"),
+)
+
+_KIND_STANZAS = {kind: tuple(s for s in STANZAS if kind in s.kinds) for kind in BLOCK_KINDS}
+_STANZA = {(kind, s.keyword): s for kind, stanzas in _KIND_STANZAS.items() for s in stanzas}
+_KEYWORDS = {s.keyword for s in STANZAS}
 
 
 @dataclass
@@ -80,21 +169,48 @@ class Block:
     acting: str | None = None
     carrier: str | None = None
     on: str | None = None
-    unit: list | None = None
-    counit: list | None = None
-    twist: dict = dc_field(default_factory=dict)
-    mult: dict = dc_field(default_factory=dict)
-    comult: dict = dc_field(default_factory=dict)
-    antipode: dict = dc_field(default_factory=dict)
-    action_rows: dict = dc_field(default_factory=dict)
-    coaction_rows: dict = dc_field(default_factory=dict)
-    coeff: dict = dc_field(default_factory=dict)
+    rows: dict = dc_field(default_factory=dict)  # keyword -> {indices: scalars}
 
 
 @dataclass
 class StructureDocument:
     field: object
     blocks: tuple
+
+
+def _size(word, sizes):
+    """The product of the sizes a word of size letters names."""
+    return prod(sizes[s] for s in word)
+
+
+def _layout(stanza, sizes):
+    """The extents of the legs i, j and p, the realized matrix's shape, and
+    each leg's (row, column) stride in it."""
+    extent = dict(zip("ij", (sizes[s] for s in stanza.index)), p=_size(stanza.length, sizes))
+    shape, strides = [], []
+    for legs in stanza.entry:
+        stride, step = {}, 1
+        for leg in reversed(legs):
+            stride[leg] = step
+            step *= extent[leg]
+        shape.append(step)
+        strides.append(stride)
+    steps = {leg: (strides[0].get(leg, 0), strides[1].get(leg, 0)) for leg in extent}
+    return extent, shape, steps
+
+
+def _origin(steps, idx):
+    """The matrix cell of the first scalar of the row at `idx`; the scalar
+    at position p lies p times the stride of leg p further on."""
+    r = c = 0
+    for leg, i in zip("ij", idx):
+        dr, dc = steps[leg]
+        r, c = r + dr * i, c + dc * i
+    return r, c
+
+
+# ---------------------------------------------------------------------------
+# parsing
 
 
 def _parse_scalars(field, tokens, lineno):
@@ -127,7 +243,7 @@ def parse_document(text):
     seen = set()
     current = None
     saw_format = False
-    pending = []  # (lineno, stanza validation closures run at block END)
+    pending = []  # (lineno, stanza, indices) of the open block, validated at END
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -173,7 +289,7 @@ def parse_document(text):
             current = None
             pending = []
             continue
-        _parse_stanza(field, current, head, tokens, lineno, pending)
+        pending.append(_parse_stanza(field, current, tokens, lineno))
     if not saw_format:
         raise ParseError(1, "document must start with 'FORMAT 1'")
     if field is None:
@@ -183,129 +299,60 @@ def parse_document(text):
     return StructureDocument(field, tuple(blocks))
 
 
-def _parse_stanza(field, block, head, tokens, lineno, pending):
-    kind = block.kind
-    if head == "DIM":
-        if block.dim is not None:
-            raise ParseError(lineno, "duplicate DIM")
-        try:
-            block.dim = int(tokens[1])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(lineno, "malformed DIM") from exc
-        if block.dim <= 0:
-            raise ParseError(lineno, "DIM must be positive")
-        return
-    if head == "BASIS":
-        if block.basis is not None:
-            raise ParseError(lineno, "duplicate BASIS")
-        block.basis = tuple(tokens[1:])
-        return
-    if head in ("ACTING", "CARRIER", "ON"):
+def _parse_stanza(field, block, tokens, lineno):
+    head = tokens[0]
+    stanza = _STANZA.get((block.kind, head))
+    if stanza is None:
+        if head in _KEYWORDS:
+            raise ParseError(lineno, f"{head} not allowed in {block.kind}")
+        raise ParseError(lineno, f"unknown stanza keyword {head!r}")
+    if stanza.read is not None:
         attr = head.lower()
         if getattr(block, attr) is not None:
             raise ParseError(lineno, f"duplicate {head}")
-        if len(tokens) != 2:
-            raise ParseError(lineno, f"{head} needs exactly one name")
-        setattr(block, attr, tokens[1])
-        return
-    if head in ("UNIT", "COUNIT"):
-        attr = head.lower()
-        if getattr(block, attr) is not None:
-            raise ParseError(lineno, f"duplicate {head}")
-        vals = _parse_scalars(field, tokens[1:], lineno)
-        setattr(block, attr, vals)
-        pending.append((lineno, attr, None, vals))
-        return
-    if head in ("TWIST", "ANTIPODE"):
-        target = block.twist if head == "TWIST" else block.antipode
-        idx, rest = _split_stanza(tokens[1:], lineno, 1)
-        if idx[0] in target:
-            raise ParseError(lineno, f"duplicate {head} row {idx[0]}")
-        vals = _parse_scalars(field, rest, lineno)
-        target[idx[0]] = vals
-        pending.append((lineno, head.lower(), idx, vals))
-        return
-    if head == "MULT":
-        if kind not in ("ALGEBRA", "BIALGEBRA", "HOPF"):
-            raise ParseError(lineno, f"MULT not allowed in {kind}")
-        idx, rest = _split_stanza(tokens[1:], lineno, 2)
-        if idx in block.mult:
-            raise ParseError(lineno, f"duplicate MULT entry {idx}")
-        block.mult[idx] = _parse_scalars(field, rest, lineno)
-        pending.append((lineno, "mult", idx, block.mult[idx]))
-        return
-    if head == "COMULT":
-        if kind not in ("COALGEBRA", "BIALGEBRA", "HOPF"):
-            raise ParseError(lineno, f"COMULT not allowed in {kind}")
-        idx, rest = _split_stanza(tokens[1:], lineno, 1)
-        if idx[0] in block.comult:
-            raise ParseError(lineno, f"duplicate COMULT entry {idx[0]}")
-        block.comult[idx[0]] = _parse_scalars(field, rest, lineno)
-        pending.append((lineno, "comult", idx, block.comult[idx[0]]))
-        return
-    if head == "MAP":
-        if kind == "ACTION":
-            idx, rest = _split_stanza(tokens[1:], lineno, 2)
-            if idx in block.action_rows:
-                raise ParseError(lineno, f"duplicate MAP entry {idx}")
-            block.action_rows[idx] = _parse_scalars(field, rest, lineno)
-            pending.append((lineno, "action_rows", idx, block.action_rows[idx]))
-        elif kind == "COACTION":
-            idx, rest = _split_stanza(tokens[1:], lineno, 1)
-            if idx[0] in block.coaction_rows:
-                raise ParseError(lineno, f"duplicate MAP entry {idx[0]}")
-            block.coaction_rows[idx[0]] = _parse_scalars(field, rest, lineno)
-            pending.append((lineno, "coaction_rows", idx, block.coaction_rows[idx[0]]))
-        else:
-            raise ParseError(lineno, f"MAP not allowed in {kind}")
-        return
-    if head == "COEFF":
-        if kind not in ("RMATRIX", "FORM"):
-            raise ParseError(lineno, f"COEFF not allowed in {kind}")
-        idx, rest = _split_stanza(tokens[1:], lineno, 1)
-        if idx[0] in block.coeff:
-            raise ParseError(lineno, f"duplicate COEFF row {idx[0]}")
-        block.coeff[idx[0]] = _parse_scalars(field, rest, lineno)
-        pending.append((lineno, "coeff", idx, block.coeff[idx[0]]))
-        return
-    raise ParseError(lineno, f"unknown stanza keyword {head!r}")
+        setattr(block, attr, stanza.read(tokens, lineno))
+        return lineno, stanza, None
+    idx, rest = (
+        _split_stanza(tokens[1:], lineno, len(stanza.index)) if stanza.index else ((), tokens[1:])
+    )
+    rows = block.rows.setdefault(head, {})
+    if idx in rows:
+        shown = f" {stanza.noun} {idx[0] if len(idx) == 1 else idx}" if idx else ""
+        raise ParseError(lineno, f"duplicate {head}{shown}")
+    rows[idx] = _parse_scalars(field, rest, lineno)
+    return lineno, stanza, idx
 
 
 def _validate_block(block, pending):
     kind = block.kind
-    needs_dim = kind in STRUCTURAL_KINDS or (
-        kind in ("ACTION", "COACTION") and block.carrier is None
-    )
     if kind in STRUCTURAL_KINDS and block.dim is None:
         raise ParseError(block.lineno, f"{kind} {block.name} is missing DIM")
-    if needs_dim and block.dim is None and kind in ("ACTION", "COACTION"):
+    if block.carrier is not None:
+        for lineno, stanza, _ in pending:
+            if stanza.keyword in CARRIER_STANZAS:
+                raise ParseError(lineno, f"{stanza.keyword} not allowed in {kind} with a CARRIER")
+    elif kind in MAP_KINDS and block.dim is None:
         raise ParseError(
             block.lineno, f"{kind} {block.name} needs DIM (or a CARRIER reference)"
         )
     n = block.dim
-    if block.basis is not None and n is not None and len(block.basis) != n:
-        raise ParseError(block.lineno, f"BASIS lists {len(block.basis)} labels for DIM {n}")
     if n is None:
-        return  # row lengths validated at realization once the carrier is known
-    for lineno, attr, idx, vals in pending:
-        if attr in ("unit", "counit", "twist", "antipode", "mult", "coeff"):
-            if idx is not None and any(i >= n for i in idx):
-                raise ParseError(lineno, f"index {idx} exceeds DIM {n}")
-            if len(vals) != n:
-                raise ParseError(lineno, f"expected {n} coefficients, got {len(vals)}")
-        elif attr == "comult":
-            if idx is not None and any(i >= n for i in idx):
-                raise ParseError(lineno, f"index {idx} exceeds DIM {n}")
-            if len(vals) != n * n:
-                raise ParseError(lineno, f"expected {n * n} coefficients, got {len(vals)}")
-        elif attr in ("action_rows", "coaction_rows"):
-            continue  # depends on the acting structure; validated at realization
-    if kind in ("ALGEBRA", "BIALGEBRA", "HOPF") and block.unit is None:
-        raise ParseError(block.lineno, f"{kind} {block.name} is missing UNIT")
-    if kind in ("COALGEBRA", "BIALGEBRA", "HOPF") and block.counit is None:
-        raise ParseError(block.lineno, f"{kind} {block.name} is missing COUNIT")
-    if kind == "HOPF" and not block.antipode:
-        raise ParseError(block.lineno, f"HOPF {block.name} is missing ANTIPODE rows")
+        return  # the remaining rows are sized by the referenced structure
+    if block.basis is not None and len(block.basis) != n:
+        raise ParseError(block.lineno, f"BASIS lists {len(block.basis)} labels for DIM {n}")
+    for lineno, stanza, idx in pending:
+        if stanza.read is not None or stanza.deferred:
+            continue
+        if any(i >= n for i in idx):
+            raise ParseError(lineno, f"index {idx} exceeds DIM {n}")
+        vals = block.rows[stanza.keyword][idx]
+        length = _size(stanza.length, {"n": n})
+        if len(vals) != length:
+            raise ParseError(lineno, f"expected {length} coefficients, got {len(vals)}")
+    for stanza in _KIND_STANZAS[kind]:
+        if kind in stanza.required and stanza.keyword not in block.rows:
+            rows = " rows" if stanza.index else ""
+            raise ParseError(block.lineno, f"{kind} {block.name} is missing {stanza.keyword}{rows}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,99 +367,94 @@ class Realization:
     antipodes: dict
 
 
-def _columns_matrix(field, rows_dict, n_rows, n_cols):
-    """Stanza rows give images of basis vectors, i.e. matrix columns."""
-    entries = {}
-    for col, vals in rows_dict.items():
-        for row, v in enumerate(vals):
-            entries[(row, col)] = v
-    return Matrix(field, n_rows, n_cols, entries)
-
-
-def _twist_matrix(field, block, n):
-    if not block.twist:
-        return Matrix.identity(field, n)
-    for i, vals in block.twist.items():
-        if i >= n or len(vals) != n:
-            raise ExactError(f"TWIST row {i} inconsistent with DIM {n}")
-    return _columns_matrix(field, block.twist, n, n)
-
-
-def _antipode_matrix(field, block, n):
-    if not block.antipode:
-        return None
-    for i, vals in block.antipode.items():
-        if i >= n or len(vals) != n:
-            raise ExactError(f"ANTIPODE row {i} inconsistent with DIM {n}")
-    return _columns_matrix(field, block.antipode, n, n)
-
-
-def _mult_matrix(field, block, n):
-    entries = {}
-    for (i, j), vals in block.mult.items():
-        if i >= n or j >= n or len(vals) != n:
-            raise ExactError(f"MULT row ({i},{j}) inconsistent with DIM {n}")
-        for k, v in enumerate(vals):
-            entries[(k, i * n + j)] = v
-    return Matrix(field, n, n * n, entries)
-
-
-def _comult_matrix(field, block, n):
-    entries = {}
-    for i, vals in block.comult.items():
-        if i >= n or len(vals) != n * n:
-            raise ExactError(f"COMULT row {i} inconsistent with DIM {n}")
-        for r, v in enumerate(vals):
-            entries[(r, i)] = v
-    return Matrix(field, n * n, n, entries)
+def _matrices(field, block, sizes):
+    """The realized matrix of every row stanza the block gives, and the zero
+    map for each sparse stanza it omits.  Rows sized by the referenced
+    structure are checked here; the parser checked the others."""
+    out = {}
+    for stanza in _KIND_STANZAS[block.kind]:
+        if stanza.read is not None or not (stanza.sparse or stanza.keyword in block.rows):
+            continue
+        extent, shape, steps = _layout(stanza, sizes)
+        deferred, zero = stanza.deferred, field.zero
+        dr, dc = steps["p"]
+        entries = {}
+        for idx, vals in block.rows.get(stanza.keyword, {}).items():
+            if deferred and (
+                any(i >= extent[leg] for leg, i in zip("ij", idx)) or len(vals) != extent["p"]
+            ):
+                shown = f"({','.join(map(str, idx))})" if len(idx) > 1 else idx[0]
+                dims = f"dims {sizes['h']}, {sizes['n']}" if "n" in sizes else f"DIM {sizes['h']}"
+                raise ExactError(f"{stanza.keyword} row {shown} inconsistent with {dims}")
+            r, c = _origin(steps, idx)
+            for p, v in enumerate(vals):
+                if v != zero:
+                    entries[(r + p * dr, c + p * dc)] = v
+        out[stanza.keyword] = Matrix(field, *shape, entries)
+    return out
 
 
 def realize(doc):
     """Build unchecked library objects from a parsed document."""
-    field = doc.field
-    structures = {}
-    antipodes = {}
-    for block in doc.blocks:
-        key = (block.kind, block.name)
-        if block.kind not in STRUCTURAL_KINDS:
-            continue
-        n = block.dim
-        basis = block.basis or None
-        twist = _twist_matrix(field, block, n)
-        s = _antipode_matrix(field, block, n)
-        if s is not None:
-            antipodes[key] = s
-        if block.kind == "ALGEBRA":
-            structures[key] = HomAlgebra(
-                field, _mult_matrix(field, block, n), block.unit, twist,
-                basis=basis, name=block.name, check=False,
-            )
-        elif block.kind == "COALGEBRA":
-            structures[key] = HomCoalgebra(
-                field, _comult_matrix(field, block, n), block.counit, twist,
-                basis=basis, name=block.name, check=False,
-            )
-        else:
-            alg = HomAlgebra(
-                field, _mult_matrix(field, block, n), block.unit, twist,
-                basis=basis, name=block.name, check=False,
-            )
-            coalg = HomCoalgebra(
-                field, _comult_matrix(field, block, n), block.counit, twist,
-                basis=basis, name=block.name, check=False,
-            )
-            bial = HomBialgebra(alg, coalg, name=block.name, check=False)
-            if block.kind == "HOPF":
-                structures[key] = HomHopf(bial, s, name=block.name, check=False)
-            else:
-                structures[key] = bial
-    real = Realization(field, doc, structures, antipodes)
-    for block in doc.blocks:
-        if block.kind in ("ACTION", "COACTION"):
-            _realize_map_block(real, block)
-        elif block.kind in ("RMATRIX", "FORM"):
-            _realize_element_block(real, block)
+    real = Realization(doc.field, doc, {}, {})
+    # structural blocks first: the others refer to them by name
+    for block in sorted(doc.blocks, key=lambda b: b.kind not in STRUCTURAL_KINDS):
+        _REALIZERS[block.kind](real, block)
     return real
+
+
+def _realize_structure(real, block):
+    field, n, name = real.field, block.dim, block.name
+    maps = _matrices(field, block, {"n": n})
+    twist = maps.get("TWIST", Matrix.identity(field, n))
+    basis = block.basis or None
+    parts = []
+    if "MULT" in maps:
+        parts.append(HomAlgebra(
+            field, maps["MULT"], maps["UNIT"], twist, basis=basis, name=name, check=False
+        ))
+    if "COMULT" in maps:
+        parts.append(HomCoalgebra(
+            field, maps["COMULT"], maps["COUNIT"], twist, basis=basis, name=name, check=False
+        ))
+    structure = HomBialgebra(*parts, name=name, check=False) if len(parts) == 2 else parts[0]
+    if "ANTIPODE" in maps:
+        real.antipodes[(block.kind, name)] = maps["ANTIPODE"]
+    if block.kind == "HOPF":
+        structure = HomHopf(structure, maps["ANTIPODE"], name=name, check=False)
+    real.structures[(block.kind, name)] = structure
+
+
+def _realize_map(real, block):
+    field = real.field
+    hom = _referenced(real, block, "ACTING", ("HOPF", "BIALGEBRA"))
+    if block.carrier is not None:
+        alg, coalg = carrier_pieces(real, block.carrier)
+        ref = alg or coalg
+        if ref is None:
+            raise ExactError(f"CARRIER {block.carrier!r} names no structural block")
+        m, twist, basis = ref.dim, ref.twist, ref.basis
+    else:
+        m, twist, basis = block.dim, Matrix.identity(field, block.dim), block.basis or None
+    maps = _matrices(field, block, {"n": m, "h": hom.dim})
+    cls = ActionMap if block.kind == "ACTION" else CoactionMap
+    real.structures[(block.kind, block.name)] = cls(
+        hom, maps["MAP"], maps.get("TWIST", twist), basis, name=block.name
+    )
+
+
+def _realize_element(real, block):
+    hom = _referenced(real, block, "ON", ("HOPF",))
+    coeff = _matrices(real.field, block, {"h": hom.dim})["COEFF"]
+    cls = RMatrix if block.kind == "RMATRIX" else CobraidingForm
+    real.structures[(block.kind, block.name)] = cls(hom, coeff)
+
+
+_REALIZERS = {
+    **dict.fromkeys(STRUCTURAL_KINDS, _realize_structure),
+    **dict.fromkeys(MAP_KINDS, _realize_map),
+    **dict.fromkeys(ELEMENT_KINDS, _realize_element),
+}
 
 
 def _find_structure(real, name, kinds):
@@ -423,98 +465,32 @@ def _find_structure(real, name, kinds):
     raise ExactError(f"no block of kind {'/'.join(kinds)} named {name!r}")
 
 
-def _acting_structure(real, block):
-    if block.acting is None:
-        raise ExactError(f"{block.kind} {block.name} is missing ACTING")
-    return _find_structure(real, block.acting, ("HOPF", "BIALGEBRA"))
+def _referenced(real, block, keyword, kinds):
+    """The structure a block names by its ACTING or ON stanza."""
+    name = getattr(block, keyword.lower())
+    if name is None:
+        raise ExactError(f"{block.kind} {block.name} is missing {keyword}")
+    return _find_structure(real, name, kinds)
 
 
 def carrier_pieces(real, name):
-    """The (algebra, coalgebra) structures registered under a carrier name."""
-    alg = None
-    coalg = None
-    for kind in ("ALGEBRA", "BIALGEBRA", "HOPF"):
-        obj = real.structures.get((kind, name))
-        if obj is not None:
-            alg = obj if kind == "ALGEBRA" else obj.algebra
-            break
-    for kind in ("COALGEBRA", "BIALGEBRA", "HOPF"):
-        obj = real.structures.get((kind, name))
-        if obj is not None:
-            coalg = obj if kind == "COALGEBRA" else obj.coalgebra
-            break
-    return alg, coalg
-
-
-def _carrier_data(real, block):
-    if block.carrier is not None:
-        alg, coalg = carrier_pieces(real, block.carrier)
-        ref = alg or coalg
-        if ref is None:
-            raise ExactError(f"CARRIER {block.carrier!r} names no structural block")
-        return ref.dim, ref.twist, ref.basis
-    n = block.dim
-    twist = _twist_matrix(real.field, block, n)
-    basis = block.basis or None
-    return n, twist, basis
-
-
-def _realize_map_block(real, block):
-    hom = _acting_structure(real, block)
-    m, twist, basis = _carrier_data(real, block)
-    n = hom.dim
-    field = real.field
-    key = (block.kind, block.name)
-    if block.kind == "ACTION":
-        entries = {}
-        for (i, j), vals in block.action_rows.items():
-            if i >= n or j >= m or len(vals) != m:
-                raise ExactError(f"MAP row ({i},{j}) inconsistent with dims {n}, {m}")
-            for r, v in enumerate(vals):
-                entries[(r, i * m + j)] = v
-        matrix = Matrix(field, m, n * m, entries)
-        real.structures[key] = ActionMap(hom, matrix, twist, basis, name=block.name)
-    else:
-        entries = {}
-        for j, vals in block.coaction_rows.items():
-            if j >= m or len(vals) != n * m:
-                raise ExactError(f"MAP row {j} inconsistent with dims {n}, {m}")
-            for r, v in enumerate(vals):
-                entries[(r, j)] = v
-        matrix = Matrix(field, n * m, m, entries)
-        real.structures[key] = CoactionMap(hom, matrix, twist, basis, name=block.name)
-
-
-def _realize_element_block(real, block):
-    if block.on is None:
-        raise ExactError(f"{block.kind} {block.name} is missing ON")
-    hom = _find_structure(real, block.on, ("HOPF",))
-    n = hom.dim
-    field = real.field
-    if block.kind == "RMATRIX":
-        entries = {}
-        for i, vals in block.coeff.items():
-            if i >= n or len(vals) != n:
-                raise ExactError(f"COEFF row {i} inconsistent with DIM {n}")
-            for j, v in enumerate(vals):
-                entries[(i * n + j, 0)] = v
-        real.structures[(block.kind, block.name)] = RMatrix(
-            hom, Matrix(field, n * n, 1, entries)
-        )
-    else:
-        entries = {}
-        for i, vals in block.coeff.items():
-            if i >= n or len(vals) != n:
-                raise ExactError(f"COEFF row {i} inconsistent with DIM {n}")
-            for j, v in enumerate(vals):
-                entries[(i, j)] = v
-        real.structures[(block.kind, block.name)] = CobraidingForm(
-            hom, Matrix(field, n, n, entries)
-        )
+    """The (algebra, coalgebra) structures registered under a carrier name:
+    its ALGEBRA/COALGEBRA block, or else the parts of its BIALGEBRA or HOPF."""
+    pieces = []
+    for own, part in (("ALGEBRA", "algebra"), ("COALGEBRA", "coalgebra")):
+        found = real.structures.get((own, name))
+        for kind in ("BIALGEBRA", "HOPF"):
+            if found is None and (kind, name) in real.structures:
+                found = getattr(real.structures[(kind, name)], part)
+        pieces.append(found)
+    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
 # checking driver
+
+
+_MAP_CHECKS = {"ACTION": (check_action_axioms, "module"), "COACTION": (check_coaction_axioms, "comodule")}
 
 
 def run_checks(real):
@@ -529,75 +505,35 @@ def run_checks(real):
             reports.append(check_hom_algebra(obj, title=f"{title}: Hom-algebra axioms"))
         elif block.kind == "COALGEBRA":
             reports.append(check_hom_coalgebra(obj, title=f"{title}: Hom-coalgebra axioms"))
-        elif block.kind == "BIALGEBRA":
-            reports.append(check_hom_bialgebra(obj, title=f"{title}: Hom-bialgebra axioms"))
-            if key in real.antipodes:
+        elif block.kind in ("BIALGEBRA", "HOPF"):
+            bialgebra = obj.bialgebra if block.kind == "HOPF" else obj
+            reports.append(check_hom_bialgebra(bialgebra, title=f"{title}: Hom-bialgebra axioms"))
+            if key in real.antipodes:  # always, for a HOPF block
                 reports.append(
-                    check_antipode(obj, real.antipodes[key], title=f"{title}: antipode axioms")
+                    check_antipode(bialgebra, real.antipodes[key], title=f"{title}: antipode axioms")
                 )
-        elif block.kind == "HOPF":
-            reports.append(
-                check_hom_bialgebra(obj.bialgebra, title=f"{title}: Hom-bialgebra axioms")
-            )
-            reports.append(check_antipode(obj.bialgebra, obj.antipode, title=f"{title}: antipode axioms"))
-        elif block.kind == "ACTION":
-            reports.append(
-                check_action_axioms(obj, "module", title=f"{title}: module axioms")
-            )
-            alg, coalg = (None, None)
-            if block.carrier is not None:
-                alg, coalg = carrier_pieces(real, block.carrier)
-            if alg is not None:
-                reports.append(
-                    check_action_axioms(
-                        obj, "module-algebra", carrier=alg,
-                        title=f"{title}: module Hom-algebra axioms",
+        elif block.kind in MAP_KINDS:
+            checker, flavor = _MAP_CHECKS[block.kind]
+            reports.append(checker(obj, flavor, title=f"{title}: {flavor} axioms"))
+            pieces = (None, None) if block.carrier is None else carrier_pieces(real, block.carrier)
+            for part, carrier in zip(("algebra", "coalgebra"), pieces):
+                if carrier is not None:
+                    reports.append(
+                        checker(
+                            obj, f"{flavor}-{part}", carrier=carrier,
+                            title=f"{title}: {flavor} Hom-{part} axioms",
+                        )
                     )
-                )
-            if coalg is not None:
-                reports.append(
-                    check_action_axioms(
-                        obj, "module-coalgebra", carrier=coalg,
-                        title=f"{title}: module Hom-coalgebra axioms",
-                    )
-                )
-        elif block.kind == "COACTION":
-            reports.append(
-                check_coaction_axioms(obj, "comodule", title=f"{title}: comodule axioms")
-            )
-            alg, coalg = (None, None)
-            if block.carrier is not None:
-                alg, coalg = carrier_pieces(real, block.carrier)
-            if alg is not None:
-                reports.append(
-                    check_coaction_axioms(
-                        obj, "comodule-algebra", carrier=alg,
-                        title=f"{title}: comodule Hom-algebra axioms",
-                    )
-                )
-            if coalg is not None:
-                reports.append(
-                    check_coaction_axioms(
-                        obj, "comodule-coalgebra", carrier=coalg,
-                        title=f"{title}: comodule Hom-coalgebra axioms",
-                    )
-                )
         elif block.kind == "RMATRIX":
-            hom = _find_structure(real, block.on, ("HOPF",))
             reports.append(
-                check_quasitriangular(hom, obj, title=f"{title}: quasitriangular axioms")
+                check_quasitriangular(obj.hom, obj, title=f"{title}: quasitriangular axioms")
             )
         elif block.kind == "FORM":
-            hom = _find_structure(real, block.on, ("HOPF",))
             reports.append(
-                check_cobraiding_equivalence(hom, obj, title=f"{title}: cobraiding contract")
+                check_cobraiding_equivalence(obj.hom, obj, title=f"{title}: cobraiding contract")
             )
     # paired antipodes on same-name ALGEBRA/COALGEBRA blocks
-    names = []
-    for block in doc.blocks:
-        if block.kind == "ALGEBRA" and block.name not in names:
-            names.append(block.name)
-    for name in names:
+    for name in (block.name for block in doc.blocks if block.kind == "ALGEBRA"):
         alg = real.structures.get(("ALGEBRA", name))
         coalg = real.structures.get(("COALGEBRA", name))
         s = real.antipodes.get(("ALGEBRA", name)) or real.antipodes.get(("COALGEBRA", name))
@@ -614,28 +550,24 @@ def run_checks(real):
             continue
         act = real.structures[("ACTION", block.name)]
         module = YDModule(act, coact, name=block.name, check=False)
-        reports.append(check_hyd(module, title=f"PAIR {block.name}: Yetter-Drinfeld compatibility"))
+        hyd = check_hyd(module, title=f"PAIR {block.name}: Yetter-Drinfeld compatibility")
+        reports.append(hyd)
         if getattr(act.hom, "antipode", None) is not None:
             reports.append(
-                check_hyd_prime(module, title=f"PAIR {block.name}: antipode-form compatibility")
+                check_hyd_prime(
+                    module, title=f"PAIR {block.name}: antipode-form compatibility", hyd=hyd
+                )
             )
     return reports
 
 
 # ---------------------------------------------------------------------------
-# canonical printing
+# canonical printing: library objects become Blocks, and one printer turns
+# every Block into text
 
 
 def _fmt_row(field, values):
     return " ".join(field.format(v) for v in values)
-
-
-def _matrix_columns(mat):
-    """Images of the basis vectors, i.e. the columns, as dense lists."""
-    cols = []
-    for j in range(mat.cols):
-        cols.append([mat.entry(i, j) for i in range(mat.rows)])
-    return cols
 
 
 def render_field(field):
@@ -644,130 +576,100 @@ def render_field(field):
     return f"FIELD GF {field.characteristic}"
 
 
-def _structural_lines(kind, name, field, dim, basis, unit=None, counit=None,
-                      twist=None, mult=None, comult=None, antipode=None):
-    zero = field.zero
-    lines = [f"{kind} {name}", f"  DIM {dim}"]
-    if basis:
-        lines.append("  BASIS " + " ".join(basis))
-    if unit is not None:
-        lines.append("  UNIT " + _fmt_row(field, [unit.entry(i, 0) for i in range(dim)]))
-    if counit is not None:
-        lines.append("  COUNIT " + _fmt_row(field, [counit.entry(0, i) for i in range(dim)]))
-    if twist is not None:
-        for j, col in enumerate(_matrix_columns(twist)):
-            lines.append(f"  TWIST {j} : " + _fmt_row(field, col))
-    if mult is not None:
-        for i in range(dim):
-            for j in range(dim):
-                col = [mult.entry(k, i * dim + j) for k in range(dim)]
-                if any(v != zero for v in col):
-                    lines.append(f"  MULT {i} {j} : " + _fmt_row(field, col))
-    if comult is not None:
-        for i in range(dim):
-            col = [comult.entry(r, i) for r in range(dim * dim)]
-            if any(v != zero for v in col):
-                lines.append(f"  COMULT {i} : " + _fmt_row(field, col))
-    if antipode is not None:
-        for j, col in enumerate(_matrix_columns(antipode)):
-            lines.append(f"  ANTIPODE {j} : " + _fmt_row(field, col))
+def _block_lines(field, block):
+    """The canonical text of a block: stanzas in table order, rows in index
+    order, zero rows of sparse stanzas dropped."""
+    lines = [f"{block.kind} {block.name}"]
+    for stanza in _KIND_STANZAS[block.kind]:
+        if stanza.read is not None:
+            value = getattr(block, stanza.keyword.lower())
+            if value is not None:
+                words = value if isinstance(value, tuple) else (value,)
+                lines.append("  " + " ".join([stanza.keyword, *map(str, words)]))
+            continue
+        for idx, vals in sorted(block.rows.get(stanza.keyword, {}).items()):
+            if stanza.sparse and all(v == field.zero for v in vals):
+                continue
+            head = " ".join([stanza.keyword, *map(str, idx)] + ([":"] if idx else []))
+            lines.append(f"  {head} {_fmt_row(field, vals)}")
     lines.append("END")
     return lines
 
 
+def _object_lines(kind, name, field, sizes, values):
+    """Print library data as a block: `values` maps each keyword to a header
+    value or to the realized matrix that the stanza's rows are read from."""
+    block = Block(kind, name, 0)
+    for stanza in _KIND_STANZAS[kind]:
+        value = values.get(stanza.keyword)
+        if value is None:
+            continue
+        if stanza.read is not None:
+            setattr(block, stanza.keyword.lower(), value)
+            continue
+        extent, _, steps = _layout(stanza, sizes)
+        dr, dc = steps["p"]
+        dense = value.dense()
+        rows = block.rows[stanza.keyword] = {}
+        for idx in product(*(range(extent[leg]) for leg in "ij"[: len(stanza.index)])):
+            r, c = _origin(steps, idx)
+            rows[idx] = [dense[r + p * dr][c + p * dc] for p in range(extent["p"])]
+    return _block_lines(field, block)
+
+
+def _structure_lines(kind, name, s, antipode):
+    """Print a structure; every stanza but ANTIPODE reads the attribute
+    named after its keyword."""
+    values = {
+        stanza.keyword: getattr(s, stanza.keyword.lower())
+        for stanza in _KIND_STANZAS[kind]
+        if stanza.keyword != "ANTIPODE"
+    }
+    return _object_lines(kind, name, s.field, {"n": s.dim}, {**values, "ANTIPODE": antipode})
+
+
 def algebra_lines(name, alg, antipode=None):
-    return _structural_lines(
-        "ALGEBRA", name, alg.field, alg.dim, alg.basis,
-        unit=alg.unit, twist=alg.twist, mult=alg.mult, antipode=antipode,
-    )
+    return _structure_lines("ALGEBRA", name, alg, antipode)
 
 
 def coalgebra_lines(name, coalg, antipode=None):
-    return _structural_lines(
-        "COALGEBRA", name, coalg.field, coalg.dim, coalg.basis,
-        counit=coalg.counit, twist=coalg.twist, comult=coalg.comult, antipode=antipode,
-    )
+    return _structure_lines("COALGEBRA", name, coalg, antipode)
 
 
 def bialgebra_lines(name, h, antipode=None, kind="BIALGEBRA"):
-    return _structural_lines(
-        kind, name, h.field, h.dim, h.basis,
-        unit=h.unit, counit=h.counit, twist=h.twist,
-        mult=h.mult, comult=h.comult, antipode=antipode,
-    )
+    return _structure_lines(kind, name, h, antipode)
 
 
 def hopf_lines(name, hopf):
     return bialgebra_lines(name, hopf, antipode=hopf.antipode, kind="HOPF")
 
 
-def action_lines(name, act, acting_name, carrier_name=None):
-    field = act.field
-    n, m = act.hom.dim, act.carrier_dim
-    zero = field.zero
-    lines = [f"ACTION {name}", f"  ACTING {acting_name}"]
-    if carrier_name is not None:
-        lines.append(f"  CARRIER {carrier_name}")
-    else:
-        lines.append(f"  DIM {m}")
-        if act.carrier_basis:
-            lines.append("  BASIS " + " ".join(act.carrier_basis))
-        for j, col in enumerate(_matrix_columns(act.carrier_twist)):
-            lines.append(f"  TWIST {j} : " + _fmt_row(field, col))
-    for i in range(n):
-        for j in range(m):
-            col = [act.matrix.entry(r, i * m + j) for r in range(m)]
-            if any(v != zero for v in col):
-                lines.append(f"  MAP {i} {j} : " + _fmt_row(field, col))
-    lines.append("END")
-    return lines
+def _map_lines(kind, name, piece, acting_name, carrier_name):
+    return _object_lines(
+        kind, name, piece.field, {"n": piece.carrier_dim, "h": piece.hom.dim},
+        {"ACTING": acting_name, "CARRIER": carrier_name, "MAP": piece.matrix},
+    )
 
 
-def coaction_lines(name, coact, acting_name, carrier_name=None):
-    field = coact.field
-    n, m = coact.hom.dim, coact.carrier_dim
-    zero = field.zero
-    lines = [f"COACTION {name}", f"  ACTING {acting_name}"]
-    if carrier_name is not None:
-        lines.append(f"  CARRIER {carrier_name}")
-    else:
-        lines.append(f"  DIM {m}")
-        if coact.carrier_basis:
-            lines.append("  BASIS " + " ".join(coact.carrier_basis))
-        for j, col in enumerate(_matrix_columns(coact.carrier_twist)):
-            lines.append(f"  TWIST {j} : " + _fmt_row(field, col))
-    for j in range(m):
-        col = [coact.matrix.entry(r, j) for r in range(n * m)]
-        if any(v != zero for v in col):
-            lines.append(f"  MAP {j} : " + _fmt_row(field, col))
-    lines.append("END")
-    return lines
+def action_lines(name, act, acting_name, carrier_name):
+    return _map_lines("ACTION", name, act, acting_name, carrier_name)
+
+
+def coaction_lines(name, coact, acting_name, carrier_name):
+    return _map_lines("COACTION", name, coact, acting_name, carrier_name)
 
 
 def rmatrix_lines(name, rmatrix, on_name):
-    field = rmatrix.hom.field
-    n = rmatrix.hom.dim
-    zero = field.zero
-    lines = [f"RMATRIX {name}", f"  ON {on_name}"]
-    for i in range(n):
-        row = [rmatrix.coefficient(i, j) for j in range(n)]
-        if any(v != zero for v in row):
-            lines.append(f"  COEFF {i} : " + _fmt_row(field, row))
-    lines.append("END")
-    return lines
+    return _object_lines(
+        "RMATRIX", name, rmatrix.hom.field, {"h": rmatrix.hom.dim},
+        {"ON": on_name, "COEFF": rmatrix.coeffs},
+    )
 
 
 def form_lines(name, form, on_name):
-    field = form.hom.field
-    n = form.hom.dim
-    zero = field.zero
-    lines = [f"FORM {name}", f"  ON {on_name}"]
-    for i in range(n):
-        row = [form.matrix.entry(i, j) for j in range(n)]
-        if any(v != zero for v in row):
-            lines.append(f"  COEFF {i} : " + _fmt_row(field, row))
-    lines.append("END")
-    return lines
+    return _object_lines(
+        "FORM", name, form.hom.field, {"h": form.hom.dim}, {"ON": on_name, "COEFF": form.matrix}
+    )
 
 
 def render_document(field, block_lines):
@@ -786,102 +688,32 @@ def render_matrix_rows(mat):
 def render_parsed(doc):
     """Canonical text for a parsed document; scalars in canonical form,
     stanzas in fixed order, zero structure-constant rows dropped."""
-    field = doc.field
-    chunks = []
-    for b in doc.blocks:
-        lines = [f"{b.kind} {b.name}"]
-        if b.dim is not None:
-            lines.append(f"  DIM {b.dim}")
-        if b.basis:
-            lines.append("  BASIS " + " ".join(b.basis))
-        for attr, keyword in (("acting", "ACTING"), ("carrier", "CARRIER"), ("on", "ON")):
-            value = getattr(b, attr)
-            if value is not None:
-                lines.append(f"  {keyword} {value}")
-        if b.unit is not None:
-            lines.append("  UNIT " + _fmt_row(field, b.unit))
-        if b.counit is not None:
-            lines.append("  COUNIT " + _fmt_row(field, b.counit))
-        for i in sorted(b.twist):
-            lines.append(f"  TWIST {i} : " + _fmt_row(field, b.twist[i]))
-        for (i, j) in sorted(b.mult):
-            vals = b.mult[(i, j)]
-            if any(v != field.zero for v in vals):
-                lines.append(f"  MULT {i} {j} : " + _fmt_row(field, vals))
-        for i in sorted(b.comult):
-            vals = b.comult[i]
-            if any(v != field.zero for v in vals):
-                lines.append(f"  COMULT {i} : " + _fmt_row(field, vals))
-        for i in sorted(b.antipode):
-            lines.append(f"  ANTIPODE {i} : " + _fmt_row(field, b.antipode[i]))
-        for (i, j) in sorted(b.action_rows):
-            vals = b.action_rows[(i, j)]
-            if any(v != field.zero for v in vals):
-                lines.append(f"  MAP {i} {j} : " + _fmt_row(field, vals))
-        for j in sorted(b.coaction_rows):
-            vals = b.coaction_rows[j]
-            if any(v != field.zero for v in vals):
-                lines.append(f"  MAP {j} : " + _fmt_row(field, vals))
-        for i in sorted(b.coeff):
-            vals = b.coeff[i]
-            if any(v != field.zero for v in vals):
-                lines.append(f"  COEFF {i} : " + _fmt_row(field, vals))
-        lines.append("END")
-        chunks.append(lines)
-    return render_document(field, chunks)
+    return render_document(doc.field, [_block_lines(doc.field, b) for b in doc.blocks])
 
 
 # ---------------------------------------------------------------------------
 # catalog export
 
+# the printer of each block kind the catalog's documents hold
+_KIND_LINES = {
+    "ALGEBRA": algebra_lines,
+    "COALGEBRA": coalgebra_lines,
+    "HOPF": hopf_lines,
+    "ACTION": action_lines,
+    "COACTION": coaction_lines,
+    "RMATRIX": rmatrix_lines,
+}
+
 
 def catalog_document(identifier, field, param=None):
     """Render a catalog entry in the document format."""
-    from . import catalog as cat
-
-    entry = cat.catalog_entry(identifier)
-    if entry.param is not None and param is None:
-        param = field.coerce(entry.default_param)
-    if identifier == "kz2":
-        return render_document(field, [hopf_lines("kz2", cat.group_algebra_z2(field))])
-    if identifier == "taft-twisted":
-        return render_document(field, [hopf_lines("taft", cat.taft_twisted(field, param))])
-    if identifier == "dual-number":
-        alg = cat.dual_number_algebra(field, param)
-        coalg = cat.dual_number_coalgebra(field, param)
-        return render_document(
-            field,
-            [
-                algebra_lines("A", alg, antipode=cat.dual_number_antipode(field)),
-                coalgebra_lines("A", coalg),
-            ],
-        )
-    if identifier in ("taft-bundle", "dual-number-bundle"):
-        bundle = (
-            cat.taft_bundle(field, param)
-            if identifier == "taft-bundle"
-            else cat.dual_number_bundle(field, param)
-        )
-        chunks = [
-            hopf_lines("H", bundle.hom),
-            algebra_lines("A", bundle.algebra, antipode=bundle.carrier_antipode),
-            coalgebra_lines("A", bundle.coalgebra),
-            action_lines("yd", bundle.action, "H", carrier_name="A"),
-            coaction_lines("yd", bundle.coaction, "H", carrier_name="A"),
-        ]
-        return render_document(field, chunks)
-    if identifier == "taft-biproduct":
-        return render_document(
-            field, [hopf_lines("biproduct", cat.taft_biproduct(field, param))]
-        )
-    if identifier == "dual-number-biproduct":
-        return render_document(
-            field, [hopf_lines("biproduct", cat.dual_number_biproduct(field, param))]
-        )
-    if identifier == "kz2-rmatrix":
-        r = cat.z2_r_matrix(field)
-        return render_document(
-            field,
-            [hopf_lines("H", r.hom), rmatrix_lines("R", r, "H")],
-        )
-    raise KeyError(identifier)
+    entry = catalog_entry(identifier)
+    args = (field,)
+    if entry.param is not None:
+        args += (field.coerce(entry.default_param) if param is None else param,)
+    built = entry.builder(*args)
+    chunks = []
+    for kind, name, attributes, references in entry.blocks:
+        parts = [getattr(built, a) for a in attributes] or [built]
+        chunks.append(_KIND_LINES[kind](name, *parts, *references))
+    return render_document(field, chunks)

@@ -274,3 +274,14 @@ def test_modulus_beyond_the_primality_bound_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: line 2: ") and str(PRIME_BOUND) in err
+
+
+def test_check_evaluates_yetter_drinfeld_once_per_pair(tmp_path, capsys):
+    from homhopf import actions
+
+    path = tmp_path / "bundle.hh"
+    path.write_text(catalog_document("taft-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    with mock.patch.object(actions, "hyd_lhs_matrix", wraps=actions.hyd_lhs_matrix) as spy:
+        code, out, _ = run(capsys, "check", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
+    assert spy.call_count == 1

@@ -447,7 +447,7 @@ def test_relabelled_action_witnesses(field):
     assert r5.witness == "at a⊗1 -> 1⊗z: 0 != 2"
     assert hyd.witness == "at a⊗p -> 1⊗q: 0 != 2"
     verdicts = check_bosonization_equivalence(bundle)
-    assert verdicts.check("bialgebra-in-category").witness == "HYD"
+    assert verdicts.check("bialgebra-in-category").witness == "HYD: at a⊗p -> 1⊗q: 0 != 2"
     assert verdicts.check("agreement").passed
 
 

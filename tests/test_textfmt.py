@@ -187,3 +187,68 @@ def test_scalars_render_canonically():
     )
     text = "\n".join(algebra_lines("A", alg))
     assert "MULT 0 0 : -3/2" in text
+
+
+def _with_stanza(text, header, stanza, after=None):
+    """Insert a stanza line into the block `header`, right after its header
+    line or after its first line starting with `after`; returns the text
+    and the inserted line's number."""
+    lines = text.splitlines()
+    at = lines.index(header) + 1
+    if after is not None:
+        at = next(i for i in range(at, len(lines)) if lines[i].strip().startswith(after)) + 1
+    lines.insert(at, f"  {stanza}")
+    return "\n".join(lines) + "\n", at + 1
+
+
+_BUNDLE = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
+_RMATRIX = catalog_document("kz2-rmatrix", QQ)
+_FORM = _RMATRIX.replace("RMATRIX R", "FORM R")
+
+
+_REFUSED = [
+    (_BUNDLE, "ACTION yd", "DIM 3", "DIM not allowed in ACTION with a CARRIER"),
+    (_BUNDLE, "ACTION yd", "BASIS p q r", "BASIS not allowed in ACTION with a CARRIER"),
+    (_BUNDLE, "ACTION yd", "TWIST 0 : 0 0 0", "TWIST not allowed in ACTION with a CARRIER"),
+    (_BUNDLE, "COACTION yd", "DIM 2", "DIM not allowed in COACTION with a CARRIER"),
+    (_BUNDLE, "COACTION yd", "TWIST 0 : 1 0", "TWIST not allowed in COACTION with a CARRIER"),
+    (_RMATRIX, "RMATRIX R", "BASIS 1 a", "BASIS not allowed in RMATRIX"),
+    (_RMATRIX, "RMATRIX R", "TWIST 0 : 1 0", "TWIST not allowed in RMATRIX"),
+    (_RMATRIX, "RMATRIX R", "DIM 2", "DIM not allowed in RMATRIX"),
+    (_FORM, "FORM R", "BASIS 1 a", "BASIS not allowed in FORM"),
+    (_FORM, "FORM R", "TWIST 0 : 1 0", "TWIST not allowed in FORM"),
+    (_BUNDLE, "COALGEBRA A", "UNIT 1 0", "UNIT not allowed in COALGEBRA"),
+    (_BUNDLE, "ALGEBRA A", "COUNIT 1 0", "COUNIT not allowed in ALGEBRA"),
+    (_BUNDLE, "ACTION yd", "ANTIPODE 0 : 1 0", "ANTIPODE not allowed in ACTION"),
+    (_BUNDLE, "COACTION yd", "UNIT 1 0", "UNIT not allowed in COACTION"),
+    (_BUNDLE, "ACTION yd", "COUNIT 1 0", "COUNIT not allowed in ACTION"),
+    (_BUNDLE, "HOPF H", "ACTING H", "ACTING not allowed in HOPF"),
+    (_BUNDLE, "ALGEBRA A", "CARRIER A", "CARRIER not allowed in ALGEBRA"),
+    (_RMATRIX, "RMATRIX R", "ACTING H", "ACTING not allowed in RMATRIX"),
+    (_BUNDLE, "ACTION yd", "ON H", "ON not allowed in ACTION"),
+    (_BUNDLE, "HOPF H", "ON H", "ON not allowed in HOPF"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, header, stanza, message",
+    _REFUSED,
+    ids=[f"{header.split()[0]}-{stanza.split()[0]}" for _, header, stanza, _ in _REFUSED],
+)
+def test_stanzas_a_block_kind_does_not_read_are_refused(text, header, stanza, message):
+    mutated, lineno = _with_stanza(text, header, stanza)
+    _expect_parse_error(mutated, f"line {lineno}: {message}")
+
+
+def test_carrier_description_beside_carrier_is_refused_at_the_first_such_stanza(tmp_path, capsys):
+    # DIM, BASIS and a zero TWIST that realization never read, after CARRIER A
+    text, lineno = _with_stanza(_BUNDLE, "ACTION yd", "DIM 3", after="CARRIER")
+    text, _ = _with_stanza(text, "ACTION yd", "BASIS p q r", after="DIM")
+    text, _ = _with_stanza(text, "ACTION yd", "TWIST 0 : 0 0 0", after="BASIS")
+    path = tmp_path / "bundle.hh"
+    path.write_text(text, encoding="utf-8")
+    from homhopf.cli import main
+
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line {lineno}: DIM not allowed in ACTION with a CARRIER\n")
