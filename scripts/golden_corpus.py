@@ -5,7 +5,10 @@ stderr, exit code and emitted files of a fixed set of CLI runs.
 The runs are
   * `catalog show` and `catalog check <id> --witness` for every catalog
     entry over Q, GF7, GF2 and GF3;
-  * the ten subcommands on the catalog documents over Q;
+  * `check`, the four `construct` variants (tsmash with both twist maps),
+    `antipode`, `braiding-test`, `ybe-test` and `quasitriangular-check` on
+    every catalog document over Q, with their emitted files, and
+    `catalog list`;
   * `check --witness` on a fixed, seeded set of one-token mutations of four
     catalog documents (a dropped, duplicated or perturbed stanza line, and
     a row with one coefficient too few).
@@ -39,21 +42,20 @@ MUTATIONS_PER_KIND = 2
 SEED = 6
 
 
-def _subcommands(doc="doc.hh"):
-    """The ten subcommands, each as (case suffix, argv) on document `doc`;
-    `emit` stands for the output path."""
-    return (
-        ("check", ["check", doc, "--witness"]),
-        ("smash", ["construct", "smash", doc, "--witness", "--emit", "emit"]),
-        ("cosmash", ["construct", "cosmash", doc, "--witness", "--emit", "emit"]),
-        ("tsmash", ["construct", "tsmash", doc, "--witness", "--emit", "emit"]),
-        ("tsmash-flip", ["construct", "tsmash", doc, "--t", "flip", "--witness", "--emit", "emit"]),
-        ("biproduct", ["construct", "biproduct", doc, "--witness", "--emit", "emit"]),
-        ("antipode", ["antipode", doc, "--witness", "--emit", "emit"]),
-        ("braiding-test", ["braiding-test", doc, "--modules", "yd", "yd", "--witness", "--emit-matrix", "emit"]),
-        ("ybe-test", ["ybe-test", doc, "--modules", "yd", "yd", "yd", "--witness", "--emit-matrix", "emit"]),
-        ("quasitriangular-check", ["quasitriangular-check", doc, "--witness"]),
-    )
+# the subcommand runs on each catalog document, as (case suffix, argv);
+# `doc.hh` is the document read and `emit` the path written
+SUBCOMMANDS = (
+    ("check", ["check", "doc.hh", "--witness"]),
+    ("smash", ["construct", "smash", "doc.hh", "--witness", "--emit", "emit"]),
+    ("cosmash", ["construct", "cosmash", "doc.hh", "--witness", "--emit", "emit"]),
+    ("tsmash", ["construct", "tsmash", "doc.hh", "--witness", "--emit", "emit"]),
+    ("tsmash-flip", ["construct", "tsmash", "doc.hh", "--t", "flip", "--witness", "--emit", "emit"]),
+    ("biproduct", ["construct", "biproduct", "doc.hh", "--witness", "--emit", "emit"]),
+    ("antipode", ["antipode", "doc.hh", "--witness", "--emit", "emit"]),
+    ("braiding-test", ["braiding-test", "doc.hh", "--modules", "yd", "yd", "--witness", "--emit-matrix", "emit"]),
+    ("ybe-test", ["ybe-test", "doc.hh", "--modules", "yd", "yd", "yd", "--witness", "--emit-matrix", "emit"]),
+    ("quasitriangular-check", ["quasitriangular-check", "doc.hh", "--witness"]),
+)
 
 
 def _perturb(token):
@@ -103,7 +105,7 @@ def cases():
     for entry in CATALOG:
         text = catalog_document(entry.identifier, cli._parse_field("Q"))
         source = f"catalog show {entry.identifier} --field Q"
-        for suffix, argv in _subcommands():
+        for suffix, argv in SUBCOMMANDS:
             out.append((f"subcommands/{entry.identifier}-{suffix}", argv, text, source))
     rng = random.Random(SEED)
     for ident, field in MUTATED:

@@ -10,6 +10,7 @@ axiom suite (see TAFT_RELATION_NOTE and the tests).
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .fields import ExactError
 from .matrices import Matrix
@@ -234,6 +235,16 @@ def dual_number_bundle(field, l):
     )
 
 
+def _dual_number_carrier(field, l):
+    """The dual-number carrier without a (co)action, its parts named as on a
+    Bundle."""
+    return SimpleNamespace(
+        algebra=dual_number_algebra(field, l),
+        coalgebra=dual_number_coalgebra(field, l),
+        carrier_antipode=dual_number_antipode(field),
+    )
+
+
 def taft_biproduct(field, k, variant="printed"):
     """The eight-dimensional biproduct Hom-Hopf algebra of the Taft bundle."""
     bundle = taft_bundle(field, k, variant)
@@ -397,7 +408,7 @@ CATALOG = (
     CatalogEntry("taft-bundle", "twisted Taft carrier with its Z2 (co)action", "k", 2,
                  taft_bundle, _BUNDLE_DOCUMENT),
     CatalogEntry("dual-number", "two-dimensional nilpotent carrier twisted by l", "l", 2,
-                 dual_number_bundle, _CARRIER_DOCUMENT),
+                 _dual_number_carrier, _CARRIER_DOCUMENT),
     CatalogEntry("dual-number-bundle", "dual-number carrier with its Z2 (co)action", "l", 2,
                  dual_number_bundle, _BUNDLE_DOCUMENT),
     CatalogEntry("taft-biproduct", "eight-dimensional biproduct of the Taft bundle", "k", 2,

@@ -54,7 +54,8 @@ class Report:
         """One verdict named `name` for the whole report, witnessed by its
         first failing check."""
         fail = self.first_failure()
-        return CheckResult(name, fail is None, None if fail is None else f"{fail.name}: {fail.witness}")
+        witness = None if fail is None else f"{fail.name}: {fail.witness}"
+        return CheckResult(name, fail is None, witness)
 
     def prefixed(self, prefix):
         return Report(

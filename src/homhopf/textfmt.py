@@ -20,6 +20,7 @@ documents.  See the README for the full stanza list.
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import prod
+from operator import mul
 
 from .fields import ExactError, GF, QQ
 from .matrices import Matrix
@@ -150,8 +151,10 @@ STANZAS = (
     ),
     Stanza("MAP", ("ACTION",), index=("h", "n"), length="n", entry=("p", "ij"), sparse=True),
     Stanza("MAP", ("COACTION",), index=("n",), length="hn", entry=("p", "i"), sparse=True),
-    Stanza("COEFF", ("RMATRIX",), index=("h",), length="h", entry=("ip", ""), sparse=True, noun="row"),
-    Stanza("COEFF", ("FORM",), index=("h",), length="h", entry=("i", "p"), sparse=True, noun="row"),
+    Stanza("COEFF", ("RMATRIX",), index=("h",), length="h", entry=("ip", ""), sparse=True,
+           noun="row"),
+    Stanza("COEFF", ("FORM",), index=("h",), length="h", entry=("i", "p"), sparse=True,
+           noun="row"),
 )
 
 _KIND_STANZAS = {kind: tuple(s for s in STANZAS if kind in s.kinds) for kind in BLOCK_KINDS}
@@ -185,28 +188,17 @@ def _size(word, sizes):
 
 def _layout(stanza, sizes):
     """The extents of the legs i, j and p, the realized matrix's shape, and
-    each leg's (row, column) stride in it."""
+    the strides of (i, j, p) along its rows and along its columns."""
     extent = dict(zip("ij", (sizes[s] for s in stanza.index)), p=_size(stanza.length, sizes))
     shape, strides = [], []
     for legs in stanza.entry:
-        stride, step = {}, 1
+        stride, step = dict.fromkeys("ijp", 0), 1
         for leg in reversed(legs):
             stride[leg] = step
             step *= extent[leg]
         shape.append(step)
-        strides.append(stride)
-    steps = {leg: (strides[0].get(leg, 0), strides[1].get(leg, 0)) for leg in extent}
-    return extent, shape, steps
-
-
-def _origin(steps, idx):
-    """The matrix cell of the first scalar of the row at `idx`; the scalar
-    at position p lies p times the stride of leg p further on."""
-    r = c = 0
-    for leg, i in zip("ij", idx):
-        dr, dc = steps[leg]
-        r, c = r + dr * i, c + dc * i
-    return r, c
+        strides.append(tuple(stride.values()))
+    return extent, shape, strides
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +332,15 @@ def _validate_block(block, pending):
         return  # the remaining rows are sized by the referenced structure
     if block.basis is not None and len(block.basis) != n:
         raise ParseError(block.lineno, f"BASIS lists {len(block.basis)} labels for DIM {n}")
+    checked = [s for s in _KIND_STANZAS[kind] if s.read is None and not s.deferred]
+    lengths = {s.keyword: _size(s.length, {"n": n}) for s in checked}
     for lineno, stanza, idx in pending:
-        if stanza.read is not None or stanza.deferred:
+        if stanza.keyword not in lengths:
             continue
         if any(i >= n for i in idx):
             raise ParseError(lineno, f"index {idx} exceeds DIM {n}")
         vals = block.rows[stanza.keyword][idx]
-        length = _size(stanza.length, {"n": n})
+        length = lengths[stanza.keyword]
         if len(vals) != length:
             raise ParseError(lineno, f"expected {length} coefficients, got {len(vals)}")
     for stanza in _KIND_STANZAS[kind]:
@@ -375,9 +369,8 @@ def _matrices(field, block, sizes):
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None or not (stanza.sparse or stanza.keyword in block.rows):
             continue
-        extent, shape, steps = _layout(stanza, sizes)
+        extent, shape, (rs, cs) = _layout(stanza, sizes)
         deferred, zero = stanza.deferred, field.zero
-        dr, dc = steps["p"]
         entries = {}
         for idx, vals in block.rows.get(stanza.keyword, {}).items():
             if deferred and (
@@ -386,10 +379,11 @@ def _matrices(field, block, sizes):
                 shown = f"({','.join(map(str, idx))})" if len(idx) > 1 else idx[0]
                 dims = f"dims {sizes['h']}, {sizes['n']}" if "n" in sizes else f"DIM {sizes['h']}"
                 raise ExactError(f"{stanza.keyword} row {shown} inconsistent with {dims}")
-            r, c = _origin(steps, idx)
+            # the scalar at p sits p strides of leg p past the row's first
+            r, c = sum(map(mul, idx, rs)), sum(map(mul, idx, cs))
             for p, v in enumerate(vals):
                 if v != zero:
-                    entries[(r + p * dr, c + p * dc)] = v
+                    entries[(r + p * rs[2], c + p * cs[2])] = v
         out[stanza.keyword] = Matrix(field, *shape, entries)
     return out
 
@@ -457,20 +451,16 @@ _REALIZERS = {
 }
 
 
-def _find_structure(real, name, kinds):
+def _referenced(real, block, keyword, kinds):
+    """The structure of one of `kinds` a block names by its ACTING or ON stanza."""
+    name = getattr(block, keyword.lower())
+    if name is None:
+        raise ExactError(f"{block.kind} {block.name} is missing {keyword}")
     for kind in kinds:
         obj = real.structures.get((kind, name))
         if obj is not None:
             return obj
     raise ExactError(f"no block of kind {'/'.join(kinds)} named {name!r}")
-
-
-def _referenced(real, block, keyword, kinds):
-    """The structure a block names by its ACTING or ON stanza."""
-    name = getattr(block, keyword.lower())
-    if name is None:
-        raise ExactError(f"{block.kind} {block.name} is missing {keyword}")
-    return _find_structure(real, name, kinds)
 
 
 def carrier_pieces(real, name):
@@ -490,7 +480,10 @@ def carrier_pieces(real, name):
 # checking driver
 
 
-_MAP_CHECKS = {"ACTION": (check_action_axioms, "module"), "COACTION": (check_coaction_axioms, "comodule")}
+_MAP_CHECKS = {
+    "ACTION": (check_action_axioms, "module"),
+    "COACTION": (check_coaction_axioms, "comodule"),
+}
 
 
 def run_checks(real):
@@ -506,11 +499,11 @@ def run_checks(real):
         elif block.kind == "COALGEBRA":
             reports.append(check_hom_coalgebra(obj, title=f"{title}: Hom-coalgebra axioms"))
         elif block.kind in ("BIALGEBRA", "HOPF"):
-            bialgebra = obj.bialgebra if block.kind == "HOPF" else obj
-            reports.append(check_hom_bialgebra(bialgebra, title=f"{title}: Hom-bialgebra axioms"))
+            bial = obj.bialgebra if block.kind == "HOPF" else obj
+            reports.append(check_hom_bialgebra(bial, title=f"{title}: Hom-bialgebra axioms"))
             if key in real.antipodes:  # always, for a HOPF block
                 reports.append(
-                    check_antipode(bialgebra, real.antipodes[key], title=f"{title}: antipode axioms")
+                    check_antipode(bial, real.antipodes[key], title=f"{title}: antipode axioms")
                 )
         elif block.kind in MAP_KINDS:
             checker, flavor = _MAP_CHECKS[block.kind]
@@ -579,6 +572,7 @@ def render_field(field):
 def _block_lines(field, block):
     """The canonical text of a block: stanzas in table order, rows in index
     order, zero rows of sparse stanzas dropped."""
+    zero = field.zero
     lines = [f"{block.kind} {block.name}"]
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None:
@@ -588,10 +582,10 @@ def _block_lines(field, block):
                 lines.append("  " + " ".join([stanza.keyword, *map(str, words)]))
             continue
         for idx, vals in sorted(block.rows.get(stanza.keyword, {}).items()):
-            if stanza.sparse and all(v == field.zero for v in vals):
+            if stanza.sparse and all(v == zero for v in vals):
                 continue
-            head = " ".join([stanza.keyword, *map(str, idx)] + ([":"] if idx else []))
-            lines.append(f"  {head} {_fmt_row(field, vals)}")
+            at = f" {' '.join(map(str, idx))} :" if idx else ""
+            lines.append(f"  {stanza.keyword}{at} {_fmt_row(field, vals)}")
     lines.append("END")
     return lines
 
@@ -607,13 +601,12 @@ def _object_lines(kind, name, field, sizes, values):
         if stanza.read is not None:
             setattr(block, stanza.keyword.lower(), value)
             continue
-        extent, _, steps = _layout(stanza, sizes)
-        dr, dc = steps["p"]
+        extent, _, (rs, cs) = _layout(stanza, sizes)
         dense = value.dense()
         rows = block.rows[stanza.keyword] = {}
         for idx in product(*(range(extent[leg]) for leg in "ij"[: len(stanza.index)])):
-            r, c = _origin(steps, idx)
-            rows[idx] = [dense[r + p * dr][c + p * dc] for p in range(extent["p"])]
+            r, c = sum(map(mul, idx, rs)), sum(map(mul, idx, cs))
+            rows[idx] = [dense[r + p * rs[2]][c + p * cs[2]] for p in range(extent["p"])]
     return _block_lines(field, block)
 
 
