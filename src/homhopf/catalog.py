@@ -385,10 +385,6 @@ class CatalogEntry:
     blocks: tuple
 
 
-def _hopf_document(name):
-    return (("HOPF", name, (), ()),)
-
-
 _CARRIER_DOCUMENT = (
     ("ALGEBRA", "A", ("algebra", "carrier_antipode"), ()),
     ("COALGEBRA", "A", ("coalgebra",), ()),
@@ -402,9 +398,9 @@ _BUNDLE_DOCUMENT = (
 
 CATALOG = (
     CatalogEntry("kz2", "two-element group algebra, identity twist", None, 0,
-                 group_algebra_z2, _hopf_document("kz2")),
+                 group_algebra_z2, (("HOPF", "kz2", (), ()),)),
     CatalogEntry("taft-twisted", "four-dimensional Taft algebra twisted by k", "k", 2,
-                 taft_twisted, _hopf_document("taft")),
+                 taft_twisted, (("HOPF", "taft", (), ()),)),
     CatalogEntry("taft-bundle", "twisted Taft carrier with its Z2 (co)action", "k", 2,
                  taft_bundle, _BUNDLE_DOCUMENT),
     CatalogEntry("dual-number", "two-dimensional nilpotent carrier twisted by l", "l", 2,
@@ -412,9 +408,9 @@ CATALOG = (
     CatalogEntry("dual-number-bundle", "dual-number carrier with its Z2 (co)action", "l", 2,
                  dual_number_bundle, _BUNDLE_DOCUMENT),
     CatalogEntry("taft-biproduct", "eight-dimensional biproduct of the Taft bundle", "k", 2,
-                 taft_biproduct, _hopf_document("biproduct")),
+                 taft_biproduct, (("HOPF", "biproduct", (), ()),)),
     CatalogEntry("dual-number-biproduct", "four-dimensional biproduct of the dual-number bundle",
-                 "l", 2, dual_number_biproduct, _hopf_document("biproduct")),
+                 "l", 2, dual_number_biproduct, (("HOPF", "biproduct", (), ()),)),
     CatalogEntry("kz2-rmatrix", "triangular element on the Z2 group algebra", None, 0,
                  z2_r_matrix, (("HOPF", "H", ("hom",), ()), ("RMATRIX", "R", (), ("H",)))),
 )

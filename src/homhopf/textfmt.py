@@ -18,6 +18,7 @@ documents.  See the README for the full stanza list.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import mul
@@ -181,15 +182,18 @@ class StructureDocument:
     blocks: tuple
 
 
-def _size(word, sizes):
+def _size(word, n, h=None):
     """The product of the sizes a word of size letters names."""
-    return prod(sizes[s] for s in word)
+    return prod({"n": n, "h": h}[s] for s in word)
 
 
-def _layout(stanza, sizes):
-    """The extents of the legs i, j and p, the realized matrix's shape, and
-    the strides of (i, j, p) along its rows and along its columns."""
-    extent = dict(zip("ij", (sizes[s] for s in stanza.index)), p=_size(stanza.length, sizes))
+@lru_cache(maxsize=1024)
+def _layout(stanza, n, h):
+    """The extents of the legs (i, j, p) at sizes n and h, the realized
+    matrix's shape, and the strides of (i, j, p) along its rows and along
+    its columns."""
+    extent = dict.fromkeys("ij", 0)
+    extent.update(zip("ij", (_size(s, n, h) for s in stanza.index)), p=_size(stanza.length, n, h))
     shape, strides = [], []
     for legs in stanza.entry:
         stride, step = dict.fromkeys("ijp", 0), 1
@@ -198,7 +202,7 @@ def _layout(stanza, sizes):
             step *= extent[leg]
         shape.append(step)
         strides.append(tuple(stride.values()))
-    return extent, shape, strides
+    return tuple(extent.values()), tuple(shape), tuple(strides)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def _validate_block(block, pending):
     if block.basis is not None and len(block.basis) != n:
         raise ParseError(block.lineno, f"BASIS lists {len(block.basis)} labels for DIM {n}")
     checked = [s for s in _KIND_STANZAS[kind] if s.read is None and not s.deferred]
-    lengths = {s.keyword: _size(s.length, {"n": n}) for s in checked}
+    lengths = {s.keyword: _size(s.length, n) for s in checked}
     for lineno, stanza, idx in pending:
         if stanza.keyword not in lengths:
             continue
@@ -361,7 +365,7 @@ class Realization:
     antipodes: dict
 
 
-def _matrices(field, block, sizes):
+def _matrices(field, block, n, h=None):
     """The realized matrix of every row stanza the block gives, and the zero
     map for each sparse stanza it omits.  Rows sized by the referenced
     structure are checked here; the parser checked the others."""
@@ -369,20 +373,20 @@ def _matrices(field, block, sizes):
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None or not (stanza.sparse or stanza.keyword in block.rows):
             continue
-        extent, shape, (rs, cs) = _layout(stanza, sizes)
-        deferred, zero = stanza.deferred, field.zero
+        extent, shape, (rs, cs) = _layout(stanza, n, h)
+        deferred = stanza.deferred
         entries = {}
         for idx, vals in block.rows.get(stanza.keyword, {}).items():
             if deferred and (
-                any(i >= extent[leg] for leg, i in zip("ij", idx)) or len(vals) != extent["p"]
+                any(i >= e for i, e in zip(idx, extent)) or len(vals) != extent[2]
             ):
                 shown = f"({','.join(map(str, idx))})" if len(idx) > 1 else idx[0]
-                dims = f"dims {sizes['h']}, {sizes['n']}" if "n" in sizes else f"DIM {sizes['h']}"
+                dims = f"DIM {h}" if n is None else f"dims {h}, {n}"
                 raise ExactError(f"{stanza.keyword} row {shown} inconsistent with {dims}")
             # the scalar at p sits p strides of leg p past the row's first
             r, c = sum(map(mul, idx, rs)), sum(map(mul, idx, cs))
             for p, v in enumerate(vals):
-                if v != zero:
+                if v:  # a zero scalar stores nothing
                     entries[(r + p * rs[2], c + p * cs[2])] = v
         out[stanza.keyword] = Matrix(field, *shape, entries)
     return out
@@ -393,13 +397,18 @@ def realize(doc):
     real = Realization(doc.field, doc, {}, {})
     # structural blocks first: the others refer to them by name
     for block in sorted(doc.blocks, key=lambda b: b.kind not in STRUCTURAL_KINDS):
-        _REALIZERS[block.kind](real, block)
+        if block.kind in STRUCTURAL_KINDS:
+            _realize_structure(real, block)
+        elif block.kind in MAP_KINDS:
+            _realize_map(real, block)
+        else:
+            _realize_element(real, block)
     return real
 
 
 def _realize_structure(real, block):
     field, n, name = real.field, block.dim, block.name
-    maps = _matrices(field, block, {"n": n})
+    maps = _matrices(field, block, n)
     twist = maps.get("TWIST", Matrix.identity(field, n))
     basis = block.basis or None
     parts = []
@@ -430,7 +439,7 @@ def _realize_map(real, block):
         m, twist, basis = ref.dim, ref.twist, ref.basis
     else:
         m, twist, basis = block.dim, Matrix.identity(field, block.dim), block.basis or None
-    maps = _matrices(field, block, {"n": m, "h": hom.dim})
+    maps = _matrices(field, block, m, hom.dim)
     cls = ActionMap if block.kind == "ACTION" else CoactionMap
     real.structures[(block.kind, block.name)] = cls(
         hom, maps["MAP"], maps.get("TWIST", twist), basis, name=block.name
@@ -439,16 +448,9 @@ def _realize_map(real, block):
 
 def _realize_element(real, block):
     hom = _referenced(real, block, "ON", ("HOPF",))
-    coeff = _matrices(real.field, block, {"h": hom.dim})["COEFF"]
+    coeff = _matrices(real.field, block, None, hom.dim)["COEFF"]
     cls = RMatrix if block.kind == "RMATRIX" else CobraidingForm
     real.structures[(block.kind, block.name)] = cls(hom, coeff)
-
-
-_REALIZERS = {
-    **dict.fromkeys(STRUCTURAL_KINDS, _realize_structure),
-    **dict.fromkeys(MAP_KINDS, _realize_map),
-    **dict.fromkeys(ELEMENT_KINDS, _realize_element),
-}
 
 
 def _referenced(real, block, keyword, kinds):
@@ -572,7 +574,6 @@ def render_field(field):
 def _block_lines(field, block):
     """The canonical text of a block: stanzas in table order, rows in index
     order, zero rows of sparse stanzas dropped."""
-    zero = field.zero
     lines = [f"{block.kind} {block.name}"]
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None:
@@ -582,7 +583,7 @@ def _block_lines(field, block):
                 lines.append("  " + " ".join([stanza.keyword, *map(str, words)]))
             continue
         for idx, vals in sorted(block.rows.get(stanza.keyword, {}).items()):
-            if stanza.sparse and all(v == zero for v in vals):
+            if stanza.sparse and not any(vals):  # an all-zero row
                 continue
             at = f" {' '.join(map(str, idx))} :" if idx else ""
             lines.append(f"  {stanza.keyword}{at} {_fmt_row(field, vals)}")
@@ -590,7 +591,7 @@ def _block_lines(field, block):
     return lines
 
 
-def _object_lines(kind, name, field, sizes, values):
+def _object_lines(kind, name, field, values, n=None, h=None):
     """Print library data as a block: `values` maps each keyword to a header
     value or to the realized matrix that the stanza's rows are read from."""
     block = Block(kind, name, 0)
@@ -601,12 +602,12 @@ def _object_lines(kind, name, field, sizes, values):
         if stanza.read is not None:
             setattr(block, stanza.keyword.lower(), value)
             continue
-        extent, _, (rs, cs) = _layout(stanza, sizes)
+        extent, _, (rs, cs) = _layout(stanza, n, h)
         dense = value.dense()
         rows = block.rows[stanza.keyword] = {}
-        for idx in product(*(range(extent[leg]) for leg in "ij"[: len(stanza.index)])):
+        for idx in product(*map(range, extent[: len(stanza.index)])):
             r, c = sum(map(mul, idx, rs)), sum(map(mul, idx, cs))
-            rows[idx] = [dense[r + p * rs[2]][c + p * cs[2]] for p in range(extent["p"])]
+            rows[idx] = [dense[r + p * rs[2]][c + p * cs[2]] for p in range(extent[2])]
     return _block_lines(field, block)
 
 
@@ -618,7 +619,7 @@ def _structure_lines(kind, name, s, antipode):
         for stanza in _KIND_STANZAS[kind]
         if stanza.keyword != "ANTIPODE"
     }
-    return _object_lines(kind, name, s.field, {"n": s.dim}, {**values, "ANTIPODE": antipode})
+    return _object_lines(kind, name, s.field, {**values, "ANTIPODE": antipode}, s.dim)
 
 
 def algebra_lines(name, alg, antipode=None):
@@ -639,8 +640,9 @@ def hopf_lines(name, hopf):
 
 def _map_lines(kind, name, piece, acting_name, carrier_name):
     return _object_lines(
-        kind, name, piece.field, {"n": piece.carrier_dim, "h": piece.hom.dim},
+        kind, name, piece.field,
         {"ACTING": acting_name, "CARRIER": carrier_name, "MAP": piece.matrix},
+        piece.carrier_dim, piece.hom.dim,
     )
 
 
@@ -654,14 +656,14 @@ def coaction_lines(name, coact, acting_name, carrier_name):
 
 def rmatrix_lines(name, rmatrix, on_name):
     return _object_lines(
-        "RMATRIX", name, rmatrix.hom.field, {"h": rmatrix.hom.dim},
-        {"ON": on_name, "COEFF": rmatrix.coeffs},
+        "RMATRIX", name, rmatrix.hom.field, {"ON": on_name, "COEFF": rmatrix.coeffs},
+        h=rmatrix.hom.dim,
     )
 
 
 def form_lines(name, form, on_name):
     return _object_lines(
-        "FORM", name, form.hom.field, {"h": form.hom.dim}, {"ON": on_name, "COEFF": form.matrix}
+        "FORM", name, form.hom.field, {"ON": on_name, "COEFF": form.matrix}, h=form.hom.dim
     )
 
 

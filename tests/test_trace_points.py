@@ -9,8 +9,11 @@ from pathlib import Path
 
 import homhopf.cli  # noqa: F401  (loads every library module)
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, PERFBENCH)
 import tracing  # noqa: E402
+
+sys.path.remove(PERFBENCH)  # keep the benchmark's module names off the test path
 
 
 def _bindings():
