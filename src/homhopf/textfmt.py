@@ -482,12 +482,6 @@ def carrier_pieces(real, name):
 # checking driver
 
 
-_MAP_CHECKS = {
-    "ACTION": (check_action_axioms, "module"),
-    "COACTION": (check_coaction_axioms, "comodule"),
-}
-
-
 def run_checks(real):
     """The deterministic suite `check` runs over a realized document."""
     reports = []
@@ -508,7 +502,11 @@ def run_checks(real):
                     check_antipode(bial, real.antipodes[key], title=f"{title}: antipode axioms")
                 )
         elif block.kind in MAP_KINDS:
-            checker, flavor = _MAP_CHECKS[block.kind]
+            checker, flavor = (
+                (check_action_axioms, "module")
+                if block.kind == "ACTION"
+                else (check_coaction_axioms, "comodule")
+            )
             reports.append(checker(obj, flavor, title=f"{title}: {flavor} axioms"))
             pieces = (None, None) if block.carrier is None else carrier_pieces(real, block.carrier)
             for part, carrier in zip(("algebra", "coalgebra"), pieces):
@@ -689,19 +687,19 @@ def render_parsed(doc):
 # ---------------------------------------------------------------------------
 # catalog export
 
-# the printer of each block kind the catalog's documents hold
-_KIND_LINES = {
-    "ALGEBRA": algebra_lines,
-    "COALGEBRA": coalgebra_lines,
-    "HOPF": hopf_lines,
-    "ACTION": action_lines,
-    "COACTION": coaction_lines,
-    "RMATRIX": rmatrix_lines,
-}
-
 
 def catalog_document(identifier, field, param=None):
     """Render a catalog entry in the document format."""
+    # the printer of each block kind the catalog's documents hold, looked up
+    # when called so that wrappers installed on the module names apply
+    printers = {
+        "ALGEBRA": algebra_lines,
+        "COALGEBRA": coalgebra_lines,
+        "HOPF": hopf_lines,
+        "ACTION": action_lines,
+        "COACTION": coaction_lines,
+        "RMATRIX": rmatrix_lines,
+    }
     entry = catalog_entry(identifier)
     args = (field,)
     if entry.param is not None:
@@ -710,5 +708,5 @@ def catalog_document(identifier, field, param=None):
     chunks = []
     for kind, name, attributes, references in entry.blocks:
         parts = [getattr(built, a) for a in attributes] or [built]
-        chunks.append(_KIND_LINES[kind](name, *parts, *references))
+        chunks.append(printers[kind](name, *parts, *references))
     return render_document(field, chunks)
