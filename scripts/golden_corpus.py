@@ -11,7 +11,13 @@ The runs are
     `catalog list`;
   * `check --witness` on a fixed, seeded set of one-token mutations of four
     catalog documents (a dropped, duplicated or perturbed stanza line, and
-    a row with one coefficient too few).
+    a row with one coefficient too few);
+  * non-integer rationals: `catalog show` and `catalog check --witness`
+    over Q at `--param=-1/2` and `--param=3/2` for every entry that takes a
+    parameter; `check`, `antipode` and `construct biproduct` on the
+    taft-bundle and dual-number-bundle documents at -1/2; and `check
+    --witness` on seeded mutations of those two documents that add 1/3 to
+    one coefficient.
 
 Usage:  python3 scripts/golden_corpus.py [--out DIR]
 
@@ -40,6 +46,11 @@ FIELDS = ("Q", "GF7", "GF2", "GF3")
 MUTATED = (("taft-bundle", "Q"), ("dual-number-bundle", "GF7"), ("taft-biproduct", "Q"), ("kz2-rmatrix", "Q"))
 MUTATIONS_PER_KIND = 2
 SEED = 6
+RATIONAL_PARAMS = ("-1/2", "3/2")
+RATIONAL_DOCUMENTS = ("taft-bundle", "dual-number-bundle")
+RATIONAL_SUBCOMMANDS = ("check", "biproduct", "antipode")
+RATIONAL_MUTATIONS = 3
+RATIONAL_SEED = 7
 
 
 # the subcommand runs on each catalog document, as (case suffix, argv);
@@ -89,6 +100,27 @@ def _mutations(text, rng):
     return out
 
 
+def _third_mutations(text, rng):
+    """Seeded mutations adding 1/3 to one coefficient, so the perturbed
+    token is a non-integer rational, as (label, what, text)."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith("  ") and ":" in line]
+    out = []
+    for i in sorted(rng.sample(rows, RATIONAL_MUTATIONS)):
+        tokens = lines[i].split()
+        at = rng.randrange(tokens.index(":") + 1, len(tokens))
+        tokens[at] = str(Fraction(tokens[at]) + Fraction(1, 3))
+        mutated = list(lines)
+        mutated[i] = "  " + " ".join(tokens)
+        what = f"third line {i + 1}: {lines[i].strip()!r} -> {mutated[i].strip()!r}"
+        out.append((f"third-{i + 1}", what, "\n".join(mutated) + "\n"))
+    return out
+
+
+def _slug(param):
+    return param.replace("-", "m").replace("/", "_")
+
+
 def cases():
     """Every case as (name, argv, document, source), in a fixed order.
     `document` is the text of the file `doc.hh` the argv reads, or None, and
@@ -114,6 +146,27 @@ def cases():
             source = f"catalog show {ident} --field {field}, {what}"
             argv = ["check", "doc.hh", "--witness"]
             out.append((f"mutations/{ident}-{field}-{label}", argv, mutated, source))
+    for entry in CATALOG:
+        if entry.param is None:
+            continue
+        for param in RATIONAL_PARAMS:
+            stem = f"{entry.identifier}-Q-param-{_slug(param)}"
+            argv = ["catalog", "show", entry.identifier, "--field", "Q", f"--param={param}"]
+            out.append((f"catalog-show/{stem}", argv, None, None))
+            argv = ["catalog", "check", entry.identifier, "--field", "Q", f"--param={param}", "--witness"]
+            out.append((f"catalog-check/{stem}", argv, None, None))
+    param = RATIONAL_PARAMS[0]
+    runs = dict(SUBCOMMANDS)
+    rng = random.Random(RATIONAL_SEED)
+    for ident in RATIONAL_DOCUMENTS:
+        text = catalog_document(ident, cli._parse_field("Q"), Fraction(param))
+        stem = f"{ident}-Q-param-{_slug(param)}"
+        source = f"catalog show {ident} --field Q --param={param}"
+        for suffix in RATIONAL_SUBCOMMANDS:
+            out.append((f"subcommands/{stem}-{suffix}", runs[suffix], text, source))
+        for label, what, mutated in _third_mutations(text, rng):
+            argv = ["check", "doc.hh", "--witness"]
+            out.append((f"mutations/{stem}-{label}", argv, mutated, f"{source}, {what}"))
     return out
 
 
