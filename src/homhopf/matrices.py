@@ -7,8 +7,10 @@ coordinate vectors, so compose(g, f) applies f first.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
+from math import gcd, lcm
 
 from .fields import ExactError, FieldMismatchError, ShapeError, SingularMatrixError
 
@@ -34,35 +36,55 @@ __all__ = [
 
 
 class Matrix:
-    """Immutable exact matrix; rows are dicts holding only nonzero entries."""
+    """Immutable exact matrix; rows are dicts holding only nonzero entries.
 
-    __slots__ = ("field", "rows", "cols", "_rowdicts")
+    Entries are stored as integers: residues in [0, p) over GF(p), and over
+    Q numerators over the one denominator `den`.  The stored form is
+    canonical: `den >= 1`, gcd(den, every numerator) == 1, `den == 1` over
+    GF(p), and no zero is stored, so equal matrices store equal data.
+    Scalars read back (`entry`, `row_items`, `dense`, mismatches) are field
+    values: Fractions over Q.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_rowdicts", "den")
 
     def __init__(self, field, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimension")
         rowdicts = [dict() for _ in range(rows)]
         if entries:
-            zero = field.zero
+            coerce = field.coerce
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ShapeError(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = field.coerce(v)
-                if v != zero:
+                v = coerce(v)
+                if v:
                     rowdicts[i][j] = v
         self.field = field
         self.rows = rows
         self.cols = cols
+        if field.characteristic:
+            self.den = 1
+        else:
+            rowdicts, self.den = _numerators(rowdicts)
         self._rowdicts = tuple(rowdicts)
 
     @classmethod
-    def _make(cls, field, rows, cols, rowdicts):
+    def _make(cls, field, rows, cols, rowdicts, den=1):
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
         m._rowdicts = tuple(rowdicts)
+        m.den = den
         return m
+
+    @classmethod
+    def _from_values(cls, field, rows, cols, rowdicts):
+        """A matrix from rows of coerced nonzero field values."""
+        if field.characteristic:
+            return cls._make(field, rows, cols, rowdicts)
+        return cls._make(field, rows, cols, *_numerators(rowdicts))
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -88,35 +110,37 @@ class Matrix:
     def diagonal(cls, field, values):
         vals = [field.coerce(v) for v in values]
         n = len(vals)
-        rd = [({i: vals[i]} if vals[i] != field.zero else {}) for i in range(n)]
-        return cls._make(field, n, n, rd)
+        return cls._from_values(field, n, n, [({i: v} if v else {}) for i, v in enumerate(vals)])
 
     @classmethod
     def column(cls, field, values):
         vals = [field.coerce(v) for v in values]
-        rd = [({0: v} if v != field.zero else {}) for v in vals]
-        return cls._make(field, len(vals), 1, rd)
+        return cls._from_values(field, len(vals), 1, [({0: v} if v else {}) for v in vals])
 
     @classmethod
     def row_vector(cls, field, values):
         vals = [field.coerce(v) for v in values]
-        rd = {j: v for j, v in enumerate(vals) if v != field.zero}
-        return cls._make(field, 1, len(vals), [rd])
+        rd = {j: v for j, v in enumerate(vals) if v}
+        return cls._from_values(field, 1, len(vals), [rd])
 
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self._rowdicts[i].get(j, self.field.zero)
+        v = self._rowdicts[i].get(j, 0)
+        return v if self.field.characteristic else Fraction(v, self.den)
 
     def row_items(self, i):
-        return sorted(self._rowdicts[i].items())
+        items = sorted(self._rowdicts[i].items())
+        if self.field.characteristic:
+            return items
+        return [(j, Fraction(v, self.den)) for j, v in items]
 
     def dense(self):
-        zero = self.field.zero
-        return [
-            [self._rowdicts[i].get(j, zero) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        cols = range(self.cols)
+        if self.field.characteristic:
+            return [[row.get(j, 0) for j in cols] for row in self._rowdicts]
+        zero, den = self.field.zero, self.den
+        return [[Fraction(row[j], den) if j in row else zero for j in cols] for row in self._rowdicts]
 
     def nnz(self):
         return sum(len(r) for r in self._rowdicts)
@@ -132,6 +156,7 @@ class Matrix:
             self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
+            and self.den == other.den
             and self._rowdicts == other._rowdicts
         )
 
@@ -142,42 +167,45 @@ class Matrix:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("addition shape mismatch")
-        add, zero = self.field.add, self.field.zero
+        p = self.field.characteristic
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
         out = []
         for ra, rb in zip(self._rowdicts, other._rowdicts):
-            row = dict(ra)
+            row = dict(ra) if fa == 1 else {j: v * fa for j, v in ra.items()}
             for j, v in rb.items():
-                w = add(row.get(j, zero), v)
-                if w == zero:
-                    row.pop(j, None)
-                else:
+                w = row.get(j, 0) + v * fb
+                if p:
+                    w %= p
+                if w:
                     row[j] = w
+                else:
+                    del row[j]  # v is nonzero, so a zero sum cancels a stored entry
             out.append(row)
-        return Matrix._make(self.field, self.rows, self.cols, out)
+        if p:
+            return Matrix._make(self.field, self.rows, self.cols, out)
+        return _canonical(self.field, self.rows, self.cols, out, den)
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix._make(
-            self.field,
-            self.rows,
-            self.cols,
-            [{j: neg(v) for j, v in r.items()} for r in self._rowdicts],
-        )
+        p = self.field.characteristic  # p - v is -v over Q and the residue of -v over GF(p)
+        out = [{j: p - v for j, v in r.items()} for r in self._rowdicts]
+        return Matrix._make(self.field, self.rows, self.cols, out, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        if c == self.field.zero:
+        if not c:
             return Matrix.zero(self.field, self.rows, self.cols)
-        mul = self.field.mul
-        return Matrix._make(
-            self.field,
-            self.rows,
-            self.cols,
-            [{j: mul(c, v) for j, v in r.items()} for r in self._rowdicts],
-        )
+        p = self.field.characteristic
+        if p:
+            out = [{j: c * v % p for j, v in r.items()} for r in self._rowdicts]
+            return Matrix._make(self.field, self.rows, self.cols, out)
+        num = c.numerator
+        out = [{j: num * v for j, v in r.items()} for r in self._rowdicts]
+        return _canonical(self.field, self.rows, self.cols, out, self.den * c.denominator)
 
     def __mul__(self, other):
         """Matrix product; cost is proportional to matching nonzeros."""
@@ -197,7 +225,9 @@ class Matrix:
                     w = acc.get(j)
                     acc[j] = v if w is None else w + v
             out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
-        return Matrix._make(self.field, self.rows, other.cols, out)
+        if p:
+            return Matrix._make(self.field, self.rows, other.cols, out)
+        return _canonical(self.field, self.rows, other.cols, out, self.den * other.den)
 
     def kron(self, other):
         """Kronecker product; entry ((i,i'),(j,j')) = A[i,j]*B[i',j']."""
@@ -216,14 +246,16 @@ class Matrix:
                     jb = j * bc
                     for j2, b in brow.items():
                         target[jb + j2] = a * b % p if p else a * b
-        return Matrix._make(self.field, self.rows * br, self.cols * bc, out)
+        if p:
+            return Matrix._make(self.field, self.rows * br, self.cols * bc, out)
+        return _canonical(self.field, self.rows * br, self.cols * bc, out, self.den * other.den)
 
     def transpose(self):
         out = [dict() for _ in range(self.cols)]
         for i, row in enumerate(self._rowdicts):
             for j, v in row.items():
                 out[j][i] = v
-        return Matrix._make(self.field, self.cols, self.rows, out)
+        return Matrix._make(self.field, self.cols, self.rows, out, self.den)
 
     def inverse(self):
         """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
@@ -265,17 +297,23 @@ def first_mismatch(f, g):
         raise FieldMismatchError(f"{f.field} vs {g.field}")
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise ShapeError(f"{f.rows}x{f.cols} vs {g.rows}x{g.cols}")
-    zero = f.field.zero
+    frows, grows, den = f._rowdicts, g._rowdicts, f.den
+    if den != g.den:  # cross-multiply, so both sets of numerators are over f.den*g.den
+        frows = [{j: v * g.den for j, v in r.items()} for r in frows]
+        grows = [{j: v * f.den for j, v in r.items()} for r in grows]
+        den = f.den * g.den
     for i in range(f.rows):
-        fr = f._rowdicts[i]
-        gr = g._rowdicts[i]
+        fr = frows[i]
+        gr = grows[i]
         if fr == gr:
             continue
         for j in sorted(set(fr) | set(gr)):
-            a = fr.get(j, zero)
-            b = gr.get(j, zero)
+            a = fr.get(j, 0)
+            b = gr.get(j, 0)
             if a != b:
-                return Mismatch(i, j, a, b)
+                if f.field.characteristic:
+                    return Mismatch(i, j, a, b)
+                return Mismatch(i, j, Fraction(a, den), Fraction(b, den))
     return None
 
 
@@ -289,16 +327,45 @@ _EMPTY_ROW = {}  # rows are never mutated once a matrix is made, so empty ones c
 
 def _reduced(acc, p):
     """A row of unreduced sums of products as stored: each entry reduced mod
-    p once (over Q, p = 0, the Fractions are already exact), zeros dropped."""
+    p once (over Q, p = 0, numerators are exact integers), zeros dropped."""
     if p:
         return {j: r for j, v in acc.items() if (r := v % p)}
     return {j: v for j, v in acc.items() if v}
 
 
+def _numerators(rowdicts):
+    """Rows of nonzero Fractions as (rows of integer numerators, their
+    denominator): the lcm of the Fractions' denominators, which leaves the
+    form canonical because every Fraction is in lowest terms."""
+    den = 1
+    for row in rowdicts:
+        for v in row.values():
+            if den % v.denominator:
+                den = lcm(den, v.denominator)
+    if den == 1:
+        return [{j: v.numerator for j, v in row.items()} for row in rowdicts], 1
+    return [{j: v.numerator * (den // v.denominator) for j, v in row.items()} for row in rowdicts], den
+
+
+def _canonical(field, rows, cols, out, den):
+    """The Q matrix of integer rows `out` over den >= 1, in canonical form:
+    the content that den shares with every numerator is divided out."""
+    if den != 1:
+        g = den
+        for row in out:
+            if row:
+                g = gcd(g, *row.values())
+                if g == 1:
+                    break
+        if g != 1:
+            den //= g
+            out = [{j: v // g for j, v in row.items()} if row else _EMPTY_ROW for row in out]
+    return Matrix._make(field, rows, cols, out, den)
+
+
 @lru_cache(maxsize=None)
 def _identity_cached(field, n):
-    one = field.one
-    return Matrix._make(field, n, n, [{i: one} for i in range(n)])
+    return Matrix._make(field, n, n, [{i: 1} for i in range(n)])
 
 
 def kron(a, b):
@@ -344,7 +411,9 @@ def kron_apply(a, b, y):
                         acc[c] = v if cur is None else cur + v
             if acc:
                 out[i * br + i2] = _reduced(acc, p)
-    return Matrix._make(a.field, a.rows * br, y.cols, out)
+    if p:
+        return Matrix._make(a.field, a.rows * br, y.cols, out)
+    return _canonical(a.field, a.rows * br, y.cols, out, a.den * b.den * y.den)
 
 
 def kron_apply_right(y, a, b):
@@ -376,7 +445,9 @@ def kron_apply_right(y, a, b):
                     cur = acc.get(base + jb)
                     acc[base + jb] = v if cur is None else cur + v
         out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
-    return Matrix._make(a.field, y.rows, a.cols * bc, out)
+    if p:
+        return Matrix._make(a.field, y.rows, a.cols * bc, out)
+    return _canonical(a.field, y.rows, a.cols * bc, out, y.den * a.den * b.den)
 
 
 def compose(*mats):
@@ -443,7 +514,7 @@ def permute_row_legs(m, dims, perm):
     for r, row in enumerate(m._rowdicts):
         if row:
             out[_relabel(r, legs)] = row
-    return Matrix._make(m.field, m.rows, m.cols, out)
+    return Matrix._make(m.field, m.rows, m.cols, out, m.den)
 
 
 def permute_col_legs(m, dims, perm):
@@ -457,7 +528,7 @@ def permute_col_legs(m, dims, perm):
     col_strides = _leg_strides(dims, range(len(dims)))  # row-major strides of dims
     legs = tuple((dims[p], col_strides[p]) for p in reversed(perm))
     out = [{_relabel(c, legs): v for c, v in row.items()} for row in m._rowdicts]
-    return Matrix._make(m.field, m.rows, m.cols, out)
+    return Matrix._make(m.field, m.rows, m.cols, out, m.den)
 
 
 def leg_perm(field, dims, perm):
@@ -477,12 +548,11 @@ def _leg_perm_cached(field, dims, perm):
     total = 1
     for d in dims:
         total *= d
-    one = field.one
     out = [dict() for _ in range(total)]
     idx = [0] * k
     row = 0
     for col in range(total):
-        out[row][col] = one
+        out[row][col] = 1
         for pos in range(k - 1, -1, -1):
             idx[pos] += 1
             row += stride_of_input[pos]
@@ -499,7 +569,13 @@ def swap_matrix(field, n, m):
 
 
 def solve(a, b):
-    """Solve a*X = b exactly (a square); raises SingularMatrixError otherwise."""
+    """Solve a*X = b exactly (a square); raises SingularMatrixError otherwise.
+
+    Gauss-Jordan elimination on the stored integer rows of [a | b], taking
+    the first nonzero pivot at or below the diagonal: over GF(p) each row
+    operation is reduced mod p; over Q it is fraction-free (Bareiss), every
+    division exact, and the solution's one denominator is formed at the end.
+    """
     if a.rows != a.cols:
         raise ShapeError("solve needs a square coefficient matrix")
     if a.rows != b.rows:
@@ -507,40 +583,76 @@ def solve(a, b):
     field = a.field
     if field != b.field:
         raise FieldMismatchError(f"{a.field} vs {b.field}")
-    n = a.rows
-    zero, one = field.zero, field.one
-    left = [row[:] for row in a.dense()]
-    right = [row[:] for row in b.dense()]
+    n, m = a.rows, b.cols
+    width = n + m
+    rows = []
+    for ra, rb in zip(a._rowdicts, b._rowdicts):
+        row = [0] * width
+        for j, v in ra.items():
+            row[j] = v
+        for j, v in rb.items():
+            row[n + j] = v
+        rows.append(row)
+    p = field.characteristic
+    if p:
+        _eliminate_mod(rows, n, p)
+        return Matrix._make(field, n, m, [_right_part(row, n) for row in rows])
+    # the rows hold [a.den*a | b.den*b]; elimination leaves [d*I | R] with
+    # R = d * (a.den*a)^-1 * b.den*b, so X = a^-1*b = R * a.den / (b.den*d)
+    d = _eliminate_fraction_free(rows, n)
+    scale = a.den if d > 0 else -a.den
+    out = [{j: v * scale for j, v in _right_part(row, n).items()} for row in rows]
+    return _canonical(field, n, m, out, b.den * abs(d))
+
+
+def _right_part(row, n):
+    return {j: v for j, v in enumerate(row[n:]) if v}
+
+
+def _pivot_row(rows, col, n):
+    for r in range(col, n):
+        if rows[r][col]:
+            if r != col:
+                rows[col], rows[r] = rows[r], rows[col]
+            return rows[col]
+    raise SingularMatrixError(f"matrix is singular at column {col}")
+
+
+def _eliminate_mod(rows, n, p):
+    """Reduce augmented rows to [I | X] in place, every entry mod p."""
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if left[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        if pivot != col:
-            left[col], left[pivot] = left[pivot], left[col]
-            right[col], right[pivot] = right[pivot], right[col]
-        p = left[col][col]
-        if p != one:
-            pinv = field.inv(p)
-            left[col] = [field.mul(pinv, v) for v in left[col]]
-            right[col] = [field.mul(pinv, v) for v in right[col]]
-        for r in range(n):
+        prow = _pivot_row(rows, col, n)
+        if prow[col] != 1:
+            inv = pow(prow[col], p - 2, p)
+            prow = rows[col] = [v * inv % p for v in prow]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                rows[r] = [(v - f * w) % p for v, w in zip(row, prow)]
+
+
+def _eliminate_fraction_free(rows, n):
+    """Reduce augmented integer rows to [d*I | d*X] in place and return d.
+
+    Fraction-free Gauss-Jordan (Bareiss): at step col every other row
+    becomes (pivot*row - row[col]*pivot_row) / previous pivot, a division
+    that is exact because each entry is a minor of the input, so no entry
+    grows beyond a determinant of it.
+    """
+    prev = 1
+    for col in range(n):
+        prow = _pivot_row(rows, col, n)
+        pk = prow[col]
+        for r, row in enumerate(rows):
             if r == col:
                 continue
-            f = left[r][col]
-            if f == zero:
-                continue
-            left[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(left[r], left[col])]
-            right[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(right[r], right[col])]
-    entries = {}
-    for i, row in enumerate(right):
-        for j, v in enumerate(row):
-            if v != zero:
-                entries[(i, j)] = v
-    return Matrix(field, n, b.cols, entries)
+            f = row[col]
+            if f:
+                rows[r] = [(pk * v - f * w) // prev for v, w in zip(row, prow)]
+            elif pk != prev:
+                rows[r] = [pk * v // prev for v in row]
+        prev = pk
+    return prev
 
 
 class TwistCache:

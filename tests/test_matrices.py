@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from homhopf import (
     swap_matrix,
     unflatten_index,
 )
+from homhopf.catalog import cyclic_group_hopf
 from homhopf.matrices import (
     TwistCache,
     kron_apply,
@@ -28,6 +31,7 @@ from homhopf.matrices import (
     permute_col_legs,
     permute_row_legs,
 )
+from homhopf.structures import check_hom_bialgebra
 
 F7 = GF(7)
 
@@ -366,3 +370,209 @@ def test_products_that_cancel_store_no_zeros(field):
     top = field.characteristic - 1 if field.characteristic else Fraction(-1, 3)
     square = Matrix.from_rows(field, [[top]]) * Matrix.from_rows(field, [[top]])
     _assert_kernel_result(square, [[field.mul(top, top)]])
+
+
+# The stored form: integer numerators over one denominator `den`, canonical
+# (den >= 1, gcd(den, every numerator) == 1, no stored zero, den == 1 over
+# GF(p)).  Every kernel is checked over Q against element-wise Fraction
+# arithmetic on scalars with non-unit and mixed denominators, values that
+# cancel against each other, and numerators and denominators past 2**64.
+BIG = 2**64 + 13
+RATIONALS = (
+    0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3),
+    Fraction(5, 6), Fraction(-5, 6), BIG, -BIG, Fraction(BIG, 3), Fraction(-BIG, 3),
+    Fraction(1, BIG), Fraction(-1, BIG),
+)
+RESIDUES = (0, 0, 1, -1, 2, -2, BIG)
+EXACT_FIELDS = (QQ, QQ, QQ, F7, GF(2))
+
+
+def _assert_canonical(m):
+    values = [v for row in m._rowdicts for v in row.values()]
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(v) is int and v for v in values)
+    assert gcd(m.den, *values) == 1
+    p = m.field.characteristic
+    if p:
+        assert m.den == 1 and all(0 < v < p for v in values)
+
+
+def _assert_exact(m, dense):
+    """The reference entry for entry, with Fraction values over Q, and the
+    very matrix the constructor builds from the reference."""
+    _assert_canonical(m)
+    got = m.dense()
+    assert got == dense
+    kind = int if m.field.characteristic else Fraction
+    assert all(type(v) is kind for row in got for v in row)
+    assert m == Matrix.from_rows(m.field, dense)
+
+
+def _exact_matrix(field, rows, cols):
+    values = RESIDUES if field.characteristic else RATIONALS
+    return st.lists(
+        st.lists(st.sampled_from(values).map(field.coerce), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda r: Matrix.from_rows(field, r))
+
+
+@st.composite
+def exact_operands(draw, shapes):
+    field = draw(st.sampled_from(EXACT_FIELDS))
+    size = {}
+    for name in "".join(shapes):
+        size.setdefault(name, draw(st.integers(min_value=1, max_value=3)))
+    return field, [draw(_exact_matrix(field, size[r], size[c])) for r, c in shapes]
+
+
+def _dense_solve(field, a, b):
+    """Gauss-Jordan on [a | b] one scalar operation at a time, taking the
+    first nonzero pivot at or below the diagonal; the singular column, or X."""
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != field.zero), None)
+        if pivot is None:
+            return col
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = field.inv(rows[col][col])
+        rows[col] = [field.mul(inv, v) for v in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f != field.zero:
+                rows[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+@settings(max_examples=100)
+@given(exact_operands(("ik", "kj")))
+def test_exact_product(case):
+    field, (a, b) = case
+    _assert_exact(a * b, _dense_product(field, a.dense(), b.dense()))
+
+
+@settings(max_examples=100)
+@given(exact_operands(("ij", "kl")))
+def test_exact_kron(case):
+    field, (a, b) = case
+    _assert_exact(a.kron(b), _dense_kron(field, a.dense(), b.dense()))
+
+
+@settings(max_examples=100)
+@given(exact_operands(("ab", "cd")), st.integers(min_value=1, max_value=3), st.data())
+def test_exact_kron_apply(case, cols, data):
+    field, (a, b) = case
+    y = data.draw(_exact_matrix(field, a.cols * b.cols, cols))
+    dense = _dense_product(field, _dense_kron(field, a.dense(), b.dense()), y.dense())
+    _assert_exact(kron_apply(a, b, y), dense)
+
+
+@settings(max_examples=100)
+@given(exact_operands(("ab", "cd")), st.integers(min_value=1, max_value=3), st.data())
+def test_exact_kron_apply_right(case, rows, data):
+    field, (a, b) = case
+    y = data.draw(_exact_matrix(field, rows, a.rows * b.rows))
+    dense = _dense_product(field, y.dense(), _dense_kron(field, a.dense(), b.dense()))
+    _assert_exact(kron_apply_right(y, a, b), dense)
+
+
+@settings(max_examples=100)
+@given(exact_operands(("ij", "ij")), st.data())
+def test_exact_sum_difference_negation_scale_transpose(case, data):
+    field, (a, b) = case
+    c = field.coerce(data.draw(st.sampled_from(RESIDUES if field.characteristic else RATIONALS)))
+    da, db = a.dense(), b.dense()
+    pairs = [list(zip(ra, rb)) for ra, rb in zip(da, db)]
+    _assert_exact(a + b, [[field.add(x, y) for x, y in row] for row in pairs])
+    _assert_exact(a - b, [[field.sub(x, y) for x, y in row] for row in pairs])
+    _assert_exact(-a, [[field.neg(x) for x in row] for row in da])
+    _assert_exact(a.scale(c), [[field.mul(c, x) for x in row] for row in da])
+    _assert_exact(a.transpose(), [list(col) for col in zip(*da)])
+    _assert_exact(a + (-a), [[field.zero] * a.cols for _ in range(a.rows)])
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(EXACT_FIELDS), st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+def test_exact_leg_permutations(field, dims, data):
+    perm = data.draw(st.permutations(range(len(dims))))
+    out_dims = [dims[p] for p in perm]
+    total = prod(dims)
+
+    def moved(flat):  # the index that leg_perm(dims, perm) sends flat to
+        idx = unflatten_index(dims, flat)
+        return flatten_index(out_dims, [idx[p] for p in perm])
+
+    x = data.draw(_exact_matrix(field, total, 2))
+    dense = [None] * total
+    for r, row in enumerate(x.dense()):
+        dense[moved(r)] = row
+    _assert_exact(permute_row_legs(x, dims, perm), dense)
+    y = data.draw(_exact_matrix(field, 2, total))
+    _assert_exact(
+        permute_col_legs(y, dims, perm), [[row[moved(c)] for c in range(total)] for row in y.dense()]
+    )
+
+
+@settings(max_examples=200)
+@given(exact_operands(("nn", "nm")))
+def test_exact_solve_and_inverse(case):
+    field, (a, b) = case
+    for rhs in (b, Matrix.identity(field, a.rows)):
+        expected = _dense_solve(field, a.dense(), rhs.dense())
+        if isinstance(expected, int):
+            with pytest.raises(SingularMatrixError, match=f"^matrix is singular at column {expected}$"):
+                solve(a, rhs)
+        else:
+            _assert_exact(solve(a, rhs), expected)
+            if rhs.is_identity():
+                _assert_exact(a.inverse(), expected)
+
+
+def test_solve_keeps_the_first_pivot_rule_on_a_wide_range_of_scalars():
+    # column 1 has no pivot once column 0 is cleared, whatever the scale
+    a = Matrix.from_rows(QQ, [[Fraction(1, BIG), 2, 3], [Fraction(2, BIG), 4, 5], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError, match="^matrix is singular at column 1$"):
+        a.inverse()
+    t = Matrix.diagonal(QQ, [Fraction(2, 3), -BIG, Fraction(1, BIG)])
+    assert t.inverse() == Matrix.diagonal(QQ, [Fraction(3, 2), Fraction(-1, BIG), BIG])
+
+
+def test_constructor_from_rows_and_product_build_one_matrix():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    built = Matrix(QQ, 2, 2, {(0, 0): half, (0, 1): Fraction(2, 3), (1, 1): Fraction(-5, 6)})
+    rows = Matrix.from_rows(QQ, [[half, Fraction(4, 6)], [0, Fraction(-10, 12)]])
+    product = Matrix.from_rows(QQ, [[half, 0], [0, Fraction(1, 6)]]) * Matrix.from_rows(
+        QQ, [[1, Fraction(4, 3)], [0, -5]]
+    )
+    # a product whose denominators multiply to 6 * 3 but whose content cancels
+    cancelled = Matrix.from_rows(QQ, [[3, 0], [0, third]]).scale(half) * Matrix.from_rows(
+        QQ, [[third, Fraction(4, 9)], [0, Fraction(-5, 1)]]
+    )
+    for m in (built, rows, product, cancelled):
+        _assert_canonical(m)
+        assert m == built
+    assert built.den == 6 and built._rowdicts == ({0: 3, 1: 4}, {1: -5})
+    assert Matrix.from_rows(QQ, [[half, 0]]) * Matrix.from_rows(QQ, [[2], [1]]) == Matrix.identity(QQ, 1)
+    assert Matrix.from_rows(QQ, [[half, half]]).scale(0) == Matrix.zero(QQ, 1, 2)
+
+
+def test_first_mismatch_across_denominators_returns_fractions():
+    sixths = Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)]])
+    quarters = Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 4)]])
+    mm = first_mismatch(sixths, quarters)
+    assert (mm.row, mm.col, mm.lhs, mm.rhs) == (0, 1, Fraction(1, 3), Fraction(1, 4))
+    assert type(mm.lhs) is Fraction and type(mm.rhs) is Fraction
+    # equal numerators, different denominators: 1 != 1/2
+    mm = first_mismatch(Matrix.from_rows(QQ, [[1, 0]]), Matrix.from_rows(QQ, [[Fraction(1, 2), 0]]))
+    assert (mm.row, mm.col, mm.lhs, mm.rhs) == (0, 0, Fraction(1), Fraction(1, 2))
+    assert type(mm.lhs) is Fraction
+    assert first_mismatch(Matrix.zero(QQ, 2, 2), Matrix.from_rows(QQ, [[0, 0], [0, Fraction(0, 3)]])) is None
+
+
+def test_q_bialgebra_check_makes_no_fraction_products():
+    hopf = cyclic_group_hopf(QQ, 16)
+    with mock.patch.object(Fraction, "__mul__", autospec=True, side_effect=Fraction.__mul__) as spy:
+        report = check_hom_bialgebra(hopf)
+    assert report.passed
+    assert spy.call_count == 0
