@@ -220,9 +220,12 @@ def _parse_indices(tokens, count, lineno):
     if len(tokens) != count:
         raise ParseError(lineno, f"expected {count} indices, got {len(tokens)}")
     try:
-        return tuple(int(t) for t in tokens)
+        idx = tuple(int(t) for t in tokens)
     except ValueError as exc:
         raise ParseError(lineno, f"malformed index in {tokens}") from exc
+    if any(i < 0 for i in idx):
+        raise ParseError(lineno, f"index {idx} is negative")
+    return idx
 
 
 def _split_stanza(tokens, lineno, n_indices):

@@ -285,3 +285,27 @@ def test_check_evaluates_yetter_drinfeld_once_per_pair(tmp_path, capsys):
         code, out, _ = run(capsys, "check", str(path))
     assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
     assert spy.call_count == 1
+
+
+_TWO_DIM_ALGEBRA = """FORMAT 1
+FIELD Q
+ALGEBRA A
+  DIM 2
+  UNIT 1 0
+  MULT 0 0 : 1 0
+{row}
+END
+"""
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("  MULT 1 -1 : 0 5", "error: line 7: index (1, -1) is negative\n"),
+        ("  TWIST -1 : 0 5", "error: line 7: index (-1,) is negative\n"),
+    ],
+)
+def test_negative_stanza_index_is_refused_at_parse(tmp_path, capsys, row, message):
+    path = tmp_path / "negative.hh"
+    path.write_text(_TWO_DIM_ALGEBRA.format(row=row), encoding="utf-8")
+    assert run(capsys, "check", str(path)) == (1, "", message)
