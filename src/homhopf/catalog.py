@@ -89,8 +89,8 @@ def group_algebra_z2(field, name="KZ2"):
     cube = _cube(field, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}})
     comult = _comult(field, 2, {0: {(0, 0): 1}, 1: {(1, 1): 1}})
     basis = ("1", "a")
-    alg = HomAlgebra(field, cube, [1, 0], basis=basis)
-    coalg = HomCoalgebra(field, comult, [1, 1], basis=basis)
+    alg = HomAlgebra(field, cube, [1, 0], basis=basis, check=False)
+    coalg = HomCoalgebra(field, comult, [1, 1], basis=basis, check=False)
     return HomHopf(HomBialgebra(alg, coalg, name=name), Matrix.identity(field, 2), name=name)
 
 
@@ -100,8 +100,8 @@ def cyclic_group_hopf(field, order, name=None):
     cube = _cube(field, n, {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)})
     comult = _comult(field, n, {i: {(i, i): 1} for i in range(n)})
     basis = tuple("1" if i == 0 else f"g{i}" for i in range(n))
-    alg = HomAlgebra(field, cube, [1] + [0] * (n - 1), basis=basis)
-    coalg = HomCoalgebra(field, comult, [1] * n, basis=basis)
+    alg = HomAlgebra(field, cube, [1] + [0] * (n - 1), basis=basis, check=False)
+    coalg = HomCoalgebra(field, comult, [1] * n, basis=basis, check=False)
     antipode = Matrix(field, n, n, {((n - i) % n, i): field.one for i in range(n)})
     return HomHopf(HomBialgebra(alg, coalg, name=name or f"KZ{n}"), antipode)
 
@@ -137,8 +137,8 @@ def taft_hopf(field, name="Taft"):
         },
     )
     basis = ("1", "g", "x", "y")
-    alg = HomAlgebra(field, _cube(field, 4, table), [1, 0, 0, 0], basis=basis)
-    coalg = HomCoalgebra(field, comult, [1, 1, 0, 0], basis=basis)
+    alg = HomAlgebra(field, _cube(field, 4, table), [1, 0, 0, 0], basis=basis, check=False)
+    coalg = HomCoalgebra(field, comult, [1, 1, 0, 0], basis=basis, check=False)
     antipode = Matrix(field, 4, 4, {(0, 0): 1, (1, 1): 1, (3, 2): 1, (2, 3): -1})
     return HomHopf(HomBialgebra(alg, coalg, name=name), antipode, name=name)
 

@@ -313,6 +313,8 @@ def _cmd_catalog(args):
     except KeyError as exc:
         raise UsageError(f"unknown catalog entry {args.id!r}") from exc
     param = None
+    if entry.param is None and args.param is not None:
+        raise UsageError(f"catalog entry {entry.identifier!r} takes no --param")
     if entry.param is not None:
         token = args.param if args.param is not None else str(entry.default_param)
         param = field.parse(token)

@@ -9,8 +9,7 @@ coordinate vectors, so compose(g, f) applies f first.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .fields import ExactError, FieldMismatchError, ShapeError, SingularMatrixError
 
@@ -146,14 +145,14 @@ class Matrix:
         return sum(len(r) for r in self._rowdicts)
 
     def _check_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
-            self.field == other.field
+            (self.field is other.field or self.field == other.field)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
@@ -293,10 +292,12 @@ def first_mismatch(f, g):
     """Return the first differing (row, col) in row-major order, or None."""
     if not isinstance(f, Matrix) or not isinstance(g, Matrix):
         raise ExactError("first_mismatch expects matrices")
-    if f.field != g.field:
+    if f.field is not g.field and f.field != g.field:
         raise FieldMismatchError(f"{f.field} vs {g.field}")
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise ShapeError(f"{f.rows}x{f.cols} vs {g.rows}x{g.cols}")
+    if f.den == g.den and f._rowdicts == g._rowdicts:
+        return None
     frows, grows, den = f._rowdicts, g._rowdicts, f.den
     if den != g.den:  # cross-multiply, so both sets of numerators are over f.den*g.den
         frows = [{j: v * g.den for j, v in r.items()} for r in frows]
@@ -383,11 +384,12 @@ def kron_apply(a, b, y):
     time; cost is proportional to the matching nonzeros, which matters when
     a (x) b would be large but y is thin.
     """
-    if a.field != b.field or a.field != y.field:
+    field = a.field
+    if (b.field is not field and b.field != field) or (y.field is not field and y.field != field):
         raise FieldMismatchError("kron_apply operands over different fields")
     if y.rows != a.cols * b.cols:
         raise ShapeError(f"kron_apply: {a.cols * b.cols} rows expected, got {y.rows}")
-    p = a.field.characteristic
+    p = field.characteristic
     br, bc = b.rows, b.cols
     brows, yrows = b._rowdicts, y._rowdicts
     out = [_EMPTY_ROW] * (a.rows * br)
@@ -412,8 +414,8 @@ def kron_apply(a, b, y):
             if acc:
                 out[i * br + i2] = _reduced(acc, p)
     if p:
-        return Matrix._make(a.field, a.rows * br, y.cols, out)
-    return _canonical(a.field, a.rows * br, y.cols, out, a.den * b.den * y.den)
+        return Matrix._make(field, a.rows * br, y.cols, out)
+    return _canonical(field, a.rows * br, y.cols, out, a.den * b.den * y.den)
 
 
 def kron_apply_right(y, a, b):
@@ -422,32 +424,41 @@ def kron_apply_right(y, a, b):
     The mirror of kron_apply: cost is proportional to the matching nonzeros,
     which matters when a (x) b would be tall but y has few rows.
     """
-    if a.field != b.field or a.field != y.field:
+    field = a.field
+    if (b.field is not field and b.field != field) or (y.field is not field and y.field != field):
         raise FieldMismatchError("kron_apply_right operands over different fields")
     if y.cols != a.rows * b.rows:
         raise ShapeError(f"kron_apply_right: {a.rows * b.rows} columns expected, got {y.cols}")
-    p = a.field.characteristic
+    p = field.characteristic
     arows, brows = a._rowdicts, b._rowdicts
-    bc = b.cols
+    br, bc = b.rows, b.cols
     out = []
     for yrow in y._rowdicts:
         acc = {}
         for c, vy in yrow.items():
-            ia, ib = divmod(c, b.rows)
-            arow, brow = arows[ia], brows[ib]
+            arow, brow = arows[c // br], brows[c % br]
             if not arow or not brow:
                 continue
-            for ja, va in arow.items():
-                w = vy * va
-                base = ja * bc
+            if len(arow) <= len(brow):  # the longer factor row runs innermost
+                for ja, va in arow.items():
+                    w = vy * va
+                    base = ja * bc
+                    for jb, vb in brow.items():
+                        v = w * vb
+                        cur = acc.get(base + jb)
+                        acc[base + jb] = v if cur is None else cur + v
+            else:
                 for jb, vb in brow.items():
-                    v = w * vb
-                    cur = acc.get(base + jb)
-                    acc[base + jb] = v if cur is None else cur + v
+                    w = vy * vb
+                    for ja, va in arow.items():
+                        k = ja * bc + jb
+                        v = w * va
+                        cur = acc.get(k)
+                        acc[k] = v if cur is None else cur + v
         out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
     if p:
-        return Matrix._make(a.field, y.rows, a.cols * bc, out)
-    return _canonical(a.field, y.rows, a.cols * bc, out, y.den * a.den * b.den)
+        return Matrix._make(field, y.rows, a.cols * bc, out)
+    return _canonical(field, y.rows, a.cols * bc, out, y.den * a.den * b.den)
 
 
 def compose(*mats):
@@ -484,22 +495,38 @@ def _leg_strides(dims, perm):
     return strides
 
 
-def _relabel(flat, legs):
-    """Re-add the digits of a flat index, read against (dim, stride) pairs
-    listed least significant leg first, each times its new stride."""
-    out = 0
+@lru_cache(maxsize=256)
+def _relabel_tables(dims, perm, cols):
+    """The flat-index relabelling of a leg permutation as two tables,
+    r -> high[r // size] + low[r % size]: `high` over the leading legs and
+    `low` over the trailing ones, split where the two together are
+    shortest, so a table of n^4 indices holds 2 n^2 entries.
+
+    For rows, flat indices follow dims and each leg moves to its stride in
+    the rearranged product; for columns (cols=True) they follow the
+    rearranged legs and each moves back to its row-major stride in dims.
+    """
+    strides = _leg_strides(dims, perm)
+    if cols:
+        back = _leg_strides(dims, range(len(dims)))
+        dims, strides = [dims[p] for p in perm], [back[p] for p in perm]
+    split = min(range(len(dims) + 1), key=lambda k: prod(dims[:k]) + prod(dims[k:]))
+    legs = list(zip(dims, strides))
+    return prod(dims[split:]), _stride_table(legs[:split]), _stride_table(legs[split:])
+
+
+def _stride_table(legs):
+    """The new index of every flat index over (dim, stride) legs, most
+    significant leg first."""
+    table = [0]
     for d, stride in legs:
-        flat, digit = divmod(flat, d)
-        out += digit * stride
-    return out
+        table = [t + i * stride for t in table for i in range(d)]
+    return tuple(table)
 
 
 def _leg_count(dims, size, what):
-    total = 1
-    for d in dims:
-        total *= d
-    if total != size:
-        raise ShapeError(f"legs {tuple(dims)} span {total} {what}, matrix has {size}")
+    if prod(dims) != size:
+        raise ShapeError(f"legs {tuple(dims)} span {prod(dims)} {what}, matrix has {size}")
 
 
 def permute_row_legs(m, dims, perm):
@@ -507,13 +534,12 @@ def permute_row_legs(m, dims, perm):
 
     Output leg j carries input leg perm[j]; dims are the row legs of m.
     """
-    strides = _leg_strides(dims, perm)
     _leg_count(dims, m.rows, "rows")
-    legs = tuple(zip(reversed(dims), reversed(strides)))
+    size, high, low = _relabel_tables(tuple(dims), tuple(perm), False)
     out = [_EMPTY_ROW] * m.rows
     for r, row in enumerate(m._rowdicts):
         if row:
-            out[_relabel(r, legs)] = row
+            out[high[r // size] + low[r % size]] = row
     return Matrix._make(m.field, m.rows, m.cols, out, m.den)
 
 
@@ -523,11 +549,9 @@ def permute_col_legs(m, dims, perm):
     dims are the input legs of the permutation, so the result's columns
     follow dims and the columns of m follow the rearranged legs.
     """
-    _leg_strides(dims, perm)  # rejects a non-permutation
     _leg_count(dims, m.cols, "columns")
-    col_strides = _leg_strides(dims, range(len(dims)))  # row-major strides of dims
-    legs = tuple((dims[p], col_strides[p]) for p in reversed(perm))
-    out = [{_relabel(c, legs): v for c, v in row.items()} for row in m._rowdicts]
+    size, high, low = _relabel_tables(tuple(dims), tuple(perm), True)
+    out = [{high[c // size] + low[c % size]: v for c, v in row.items()} for row in m._rowdicts]
     return Matrix._make(m.field, m.rows, m.cols, out, m.den)
 
 
@@ -545,9 +569,7 @@ def leg_perm(field, dims, perm):
 def _leg_perm_cached(field, dims, perm):
     stride_of_input = _leg_strides(dims, perm)
     k = len(dims)
-    total = 1
-    for d in dims:
-        total *= d
+    total = prod(dims)
     out = [dict() for _ in range(total)]
     idx = [0] * k
     row = 0
@@ -581,7 +603,7 @@ def solve(a, b):
     if a.rows != b.rows:
         raise ShapeError("right-hand side row count mismatch")
     field = a.field
-    if field != b.field:
+    if field is not b.field and field != b.field:
         raise FieldMismatchError(f"{a.field} vs {b.field}")
     n, m = a.rows, b.cols
     width = n + m

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 import classical_oracle as classical
@@ -7,6 +9,7 @@ from homhopf import (
     StructureError,
     check_hom_bialgebra,
     check_radford_conditions,
+    structures,
 )
 from homhopf.catalog import (
     CATALOG,
@@ -154,3 +157,20 @@ def test_r_matrix_entry_values():
     four = GF(7).inv(GF(7).coerce(2))
     assert r.coefficient(0, 0) == four
     assert r.coefficient(1, 1) == GF(7).neg(four)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [(group_algebra_z2, ()), (cyclic_group_hopf, (5,)), (taft_hopf, ())],
+    ids=["kz2", "kz5", "taft"],
+)
+def test_builders_check_each_axiom_once(field, build, args):
+    # the parts are built unchecked; the one Hom-bialgebra check covers HA and HC
+    with mock.patch.object(
+        structures, "check_hom_algebra", wraps=structures.check_hom_algebra
+    ) as algebra, mock.patch.object(
+        structures, "check_hom_coalgebra", wraps=structures.check_hom_coalgebra
+    ) as coalgebra:
+        build(field, *args)
+    assert algebra.call_count == 1
+    assert coalgebra.call_count == 1

@@ -309,3 +309,18 @@ def test_negative_stanza_index_is_refused_at_parse(tmp_path, capsys, row, messag
     path = tmp_path / "negative.hh"
     path.write_text(_TWO_DIM_ALGEBRA.format(row=row), encoding="utf-8")
     assert run(capsys, "check", str(path)) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "show", "kz2", "--param=abc"),
+        ("catalog", "check", "kz2-rmatrix", "--param=1/2"),
+        ("catalog", "check", "kz2", "--param", "-1", "--field", "GF7"),
+    ],
+)
+def test_param_on_an_entry_without_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: catalog entry {argv[2]!r} takes no --param\n"

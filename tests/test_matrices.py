@@ -26,6 +26,7 @@ from homhopf import (
 from homhopf.catalog import cyclic_group_hopf
 from homhopf.matrices import (
     TwistCache,
+    _relabel_tables,
     kron_apply,
     kron_apply_right,
     permute_col_legs,
@@ -191,16 +192,18 @@ def _scalars(field):
 
 @st.composite
 def leg_case(draw, side):
-    """A field, leg dims (1-dim legs included), a permutation of the legs
-    (the identity included) and a sparse matrix whose rows or columns span
-    the legs."""
+    """A field, 1-6 leg dims of 1-4 (1-dim legs included; at most 256
+    indices, so the explicit permutation matrix stays small), a permutation
+    of the legs (the identity included) and a sparse matrix whose rows or
+    columns span the legs.  Six legs let the relabel tables split at every
+    leg boundary."""
     field = draw(st.sampled_from((F7, QQ)))
-    dims = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)))
+    dims = tuple(
+        draw(st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(lambda d: prod(d) <= 256))
+    )
     legs = list(range(len(dims)))
     perm = tuple(draw(st.one_of(st.just(legs), st.permutations(legs))))
-    total = 1
-    for d in dims:
-        total *= d
+    total = prod(dims)
     other = draw(st.integers(min_value=1, max_value=3))
     rows, cols = (total, other) if side == "rows" else (other, total)
     cells = st.tuples(
@@ -234,6 +237,26 @@ def test_permute_legs_reject_bad_arguments():
         permute_row_legs(x, (2, 2), (1, 0))
     with pytest.raises(ShapeError):
         permute_col_legs(x, (3, 3), (1, 0))
+
+
+def test_relabel_tables_hold_two_square_roots_of_the_legs():
+    # a full table of the compat permutation at KZ_24 would hold 331,776 indices
+    for cols in (False, True):
+        size, high, low = _relabel_tables((24, 24, 24, 24), (0, 2, 1, 3), cols)
+        assert len(high) + len(low) <= 2 * 576
+        assert size == len(low)
+
+
+@pytest.mark.parametrize("field", (F7, QQ), ids=str)
+def test_kron_apply_right_with_either_factor_row_longer(field):
+    long_row = Matrix.from_rows(field, [[1, 2, -1, 3], [0, 0, 1, 0]])
+    short_row = Matrix.from_rows(field, [[0, 5, 0], [2, 0, 0], [0, 0, 0]])
+    y = Matrix.from_rows(field, [[1, -1, 0, 2, 1, 3], [0, 2, 1, 0, 0, -3]])
+    for a, b in ((long_row, short_row), (short_row, long_row)):
+        got = kron_apply_right(y, a, b)
+        dense = _dense_product(field, y.dense(), _dense_kron(field, a.dense(), b.dense()))
+        assert got.dense() == dense
+        assert got == y * kron(a, b)
 
 
 def test_twist_cache_powers():
