@@ -15,8 +15,8 @@ from .matrices import (
     permute_col_legs,
     permute_row_legs,
 )
-from .report import CheckResult, Report, StructureError, eq_check
-from .structures import default_basis, twist_invertible_check
+from .report import CheckResult, Report, eq_check
+from .structures import _Twisted, default_basis, twist_invertible_check
 
 __all__ = [
     "ActionMap",
@@ -52,76 +52,54 @@ def same_bialgebra(h1, h2):
     )
 
 
-class ActionMap:
+class _CarrierMap:
+    """A (co)action matrix of `hom` on a carrier with its own twist; the
+    subclasses fix the matrix shape and the noun of the messages."""
+
+    def __init__(self, hom, matrix, carrier_twist, carrier_basis=None, name=None):
+        m = carrier_twist.rows
+        if carrier_twist.cols != m:
+            raise ShapeError("carrier twist must be square")
+        shape = self._shape(hom.dim, m)
+        if (matrix.rows, matrix.cols) != shape:
+            raise ShapeError(f"{self._noun} matrix must be {shape[0]} x {shape[1]}")
+        if matrix.field != hom.field or carrier_twist.field != hom.field:
+            raise ExactError(f"{self._noun} data must share the acting structure's field")
+        self.hom = hom
+        self.matrix = matrix
+        self.carrier_twist = carrier_twist
+        self.carrier_dim = m
+        self.carrier_basis = (
+            tuple(carrier_basis) if carrier_basis is not None else default_basis(m)
+        )
+        if len(self.carrier_basis) != m:
+            raise ShapeError("carrier basis label count must equal the carrier dimension")
+        self.name = name
+        self._twists = TwistCache(carrier_twist)  # shared by a YDModule on this action
+
+    @property
+    def field(self):
+        return self.hom.field
+
+
+class ActionMap(_CarrierMap):
     """Bilinear action H (x) M -> M with its own carrier twist."""
 
-    def __init__(self, hom, matrix, carrier_twist, carrier_basis=None, name=None):
-        n = hom.dim
-        m = carrier_twist.rows
-        if carrier_twist.cols != m:
-            raise ShapeError("carrier twist must be square")
-        if (matrix.rows, matrix.cols) != (m, n * m):
-            raise ShapeError(f"action matrix must be {m} x {n * m}")
-        if matrix.field != hom.field or carrier_twist.field != hom.field:
-            raise ExactError("action data must share the acting structure's field")
-        self.hom = hom
-        self.matrix = matrix
-        self.carrier_twist = carrier_twist
-        self.carrier_dim = m
-        self.carrier_basis = (
-            tuple(carrier_basis) if carrier_basis is not None else default_basis(m)
-        )
-        if len(self.carrier_basis) != m:
-            raise ShapeError("carrier basis label count must equal the carrier dimension")
-        self.name = name
-        self._twists = TwistCache(carrier_twist)
+    _noun = "action"
 
-    @property
-    def field(self):
-        return self.hom.field
-
-    def carrier_twist_power(self, k):
-        return self._twists.power(k)
-
-    @property
-    def carrier_twist_inv(self):
-        return self._twists.inverse
+    @staticmethod
+    def _shape(n, m):
+        return m, n * m
 
 
-class CoactionMap:
+class CoactionMap(_CarrierMap):
     """Coaction M -> H (x) M with its own carrier twist."""
 
-    def __init__(self, hom, matrix, carrier_twist, carrier_basis=None, name=None):
-        n = hom.dim
-        m = carrier_twist.rows
-        if carrier_twist.cols != m:
-            raise ShapeError("carrier twist must be square")
-        if (matrix.rows, matrix.cols) != (n * m, m):
-            raise ShapeError(f"coaction matrix must be {n * m} x {m}")
-        if matrix.field != hom.field or carrier_twist.field != hom.field:
-            raise ExactError("coaction data must share the acting structure's field")
-        self.hom = hom
-        self.matrix = matrix
-        self.carrier_twist = carrier_twist
-        self.carrier_dim = m
-        self.carrier_basis = (
-            tuple(carrier_basis) if carrier_basis is not None else default_basis(m)
-        )
-        if len(self.carrier_basis) != m:
-            raise ShapeError("carrier basis label count must equal the carrier dimension")
-        self.name = name
-        self._twists = TwistCache(carrier_twist)
+    _noun = "coaction"
 
-    @property
-    def field(self):
-        return self.hom.field
-
-    def carrier_twist_power(self, k):
-        return self._twists.power(k)
-
-    @property
-    def carrier_twist_inv(self):
-        return self._twists.inverse
+    @staticmethod
+    def _shape(n, m):
+        return n * m, m
 
 
 def trivial_action(hom, carrier_twist, carrier_basis=None):
@@ -309,7 +287,7 @@ def hyd_rhs_matrix(action, coaction):
     return kron_apply(hom.mult, i_m, step)
 
 
-class YDModule:
+class YDModule(_Twisted):
     """One action and one coaction on a shared carrier, Yetter-Drinfeld compatible."""
 
     def __init__(self, action, coaction, name=None, check=True):
@@ -322,44 +300,21 @@ class YDModule:
         self.action = action
         self.coaction = coaction
         self.hom = action.hom
+        self.field = action.field
         self.dim = action.carrier_dim
         self.twist = action.carrier_twist
         self.basis = action.carrier_basis
         self.name = name
         self._twists = action._twists
         if check:
-            for rep in (
-                check_action_axioms(action),
-                check_coaction_axioms(coaction),
-                check_hyd(self),
-            ):
-                if not rep.passed:
-                    fail = rep.first_failure()
-                    raise StructureError(
-                        f"Yetter-Drinfeld module invalid: {fail.name}", rep
-                    )
-
-    @property
-    def field(self):
-        return self.hom.field
-
-    def twist_power(self, k):
-        return self._twists.power(k)
-
-    @property
-    def twist_inv(self):
-        return self._twists.inverse
-
-
-def _as_pair(module_or_action, coaction=None):
-    if coaction is None:
-        return module_or_action.action, module_or_action.coaction
-    return module_or_action, coaction
+            reports = (check_action_axioms(action), check_coaction_axioms(coaction), check_hyd(self))
+            for rep in reports:
+                rep.require("Yetter-Drinfeld module invalid")
 
 
 def check_hyd(module, title=None):
     """The Yetter-Drinfeld compatibility as one exact map equality on H (x) M."""
-    action, coaction = _as_pair(module)
+    action, coaction = module.action, module.coaction
     legs = (action.hom.basis, action.carrier_basis)
     check = eq_check(
         "HYD", hyd_lhs_matrix(action, coaction), hyd_rhs_matrix(action, coaction), legs, legs
@@ -393,7 +348,7 @@ def _hyd_prime_rhs(action, coaction, antipode):
 def check_hyd_prime(module, title=None, hyd=None):
     """The antipode form of the compatibility, plus agreement with the plain
     form; `hyd` is the module's `check_hyd` report when the caller has it."""
-    action, coaction = _as_pair(module)
+    action, coaction = module.action, module.coaction
     hom = action.hom
     antipode = getattr(hom, "antipode", None)
     if antipode is None:

@@ -109,15 +109,20 @@ def associator_matrix(m1, m2, m3):
     return kron_list(m1.twist_inv, Matrix.identity(field, m2.dim), m3.twist)
 
 
+def _morphism(what, src, tgt, matrix, check):
+    """The morphism src -> tgt given by `matrix`, checked when `check` is set."""
+    f = CategoryMorphism(src, tgt, matrix)
+    if check:
+        fail = check_yd_morphism(f).first_failure()
+        if fail is not None:
+            raise ExactError(f"{what} is not a morphism: {fail.name}")
+    return f
+
+
 def associator(m1, m2, m3, check=True):
     src = yd_tensor(yd_tensor(m1, m2, check=False), m3, check=False)
     tgt = yd_tensor(m1, yd_tensor(m2, m3, check=False), check=False)
-    f = CategoryMorphism(src, tgt, associator_matrix(m1, m2, m3))
-    if check:
-        rep = check_yd_morphism(f)
-        if not rep.passed:
-            raise ExactError(f"associator is not a morphism: {rep.first_failure().name}")
-    return f
+    return _morphism("associator", src, tgt, associator_matrix(m1, m2, m3), check)
 
 
 def braiding_matrix(m1, m2):
@@ -132,16 +137,8 @@ def braiding_matrix(m1, m2):
 
 
 def braiding(m1, m2, check=True):
-    f = CategoryMorphism(
-        yd_tensor(m1, m2, check=False),
-        yd_tensor(m2, m1, check=False),
-        braiding_matrix(m1, m2),
-    )
-    if check:
-        rep = check_yd_morphism(f)
-        if not rep.passed:
-            raise ExactError(f"braiding is not a morphism: {rep.first_failure().name}")
-    return f
+    src, tgt = yd_tensor(m1, m2, check=False), yd_tensor(m2, m1, check=False)
+    return _morphism("braiding", src, tgt, braiding_matrix(m1, m2), check)
 
 
 def braiding_inverse_matrix(m1, m2):
@@ -160,16 +157,8 @@ def braiding_inverse_matrix(m1, m2):
 
 
 def braiding_inverse(m1, m2, check=True):
-    f = CategoryMorphism(
-        yd_tensor(m2, m1, check=False),
-        yd_tensor(m1, m2, check=False),
-        braiding_inverse_matrix(m1, m2),
-    )
-    if check:
-        rep = check_yd_morphism(f)
-        if not rep.passed:
-            raise ExactError(f"braiding inverse is not a morphism: {rep.first_failure().name}")
-    return f
+    src, tgt = yd_tensor(m2, m1, check=False), yd_tensor(m1, m2, check=False)
+    return _morphism("braiding inverse", src, tgt, braiding_inverse_matrix(m1, m2), check)
 
 
 def yang_baxter_operator(m1, m2):

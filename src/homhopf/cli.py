@@ -303,11 +303,18 @@ def _cmd_qt_check(args):
 
 def _cmd_catalog(args):
     if args.action == "list":
+        for option in ("id", "param", "field", "emit"):
+            value = getattr(args, option)
+            if value is not None:
+                name = "entry id" if option == "id" else f"--{option}"
+                raise UsageError(f"catalog list takes no {name} (got {value!r})")
         for entry in cat.CATALOG:
             param = entry.param or "-"
             print(f"{entry.identifier:24} param={param:2} {entry.summary}")
         return 0
-    field = _parse_field(args.field)
+    if args.id is None:
+        raise UsageError("catalog show/check needs an entry id")
+    field = _parse_field(args.field or "Q")
     try:
         entry = cat.catalog_entry(args.id)
     except KeyError as exc:
@@ -400,7 +407,7 @@ def build_parser():
     p_cat = sub.add_parser("catalog", help="list, show or check the built-in examples")
     p_cat.add_argument("action", choices=["list", "show", "check"])
     p_cat.add_argument("id", nargs="?")
-    p_cat.add_argument("--field", default="Q", help="Q (default) or GF<p>")
+    p_cat.add_argument("--field", help="Q (default for show and check) or GF<p>")
     p_cat.add_argument("--param", help="twist parameter k or l, in scalar syntax")
     p_cat.add_argument("--emit")
     p_cat.add_argument("--witness", action="store_true")
@@ -418,22 +425,14 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(_glue_signed_params(sys.argv[1:] if argv is None else argv))
-        if args.command == "catalog" and args.action != "list" and args.id is None:
-            raise UsageError("catalog show/check needs an entry id")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except textfmt.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except StructureError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         if exc.report is not None:
             for line in exc.report.lines(True):
                 print(line, file=sys.stderr)
         return MATH_EXIT
-    except ExactError as exc:
+    except (UsageError, textfmt.ParseError, ExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

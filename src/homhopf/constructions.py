@@ -158,11 +158,9 @@ def smash_comult_matrix(carrier, hom, coaction):
 
 def smash_product(carrier, hom, action, name=None, check=True):
     """Smash product Hom-algebra on A (x) H; gated by the module Hom-algebra axioms."""
-    gate = check_action_axioms(action, "module-algebra", carrier=carrier)
-    if not gate.passed:
-        raise StructureError(
-            f"action is not a module Hom-algebra: {gate.first_failure().name}", gate
-        )
+    gate = check_action_axioms(action, "module-algebra", carrier=carrier).require(
+        "action is not a module Hom-algebra"
+    )
     algebra = HomAlgebra(
         hom.field,
         smash_mult_matrix(carrier, hom, action),
@@ -177,11 +175,9 @@ def smash_product(carrier, hom, action, name=None, check=True):
 
 def smash_coproduct(carrier, hom, coaction, name=None, check=True):
     """Smash coproduct Hom-coalgebra on C (x) H; gated by the comodule Hom-coalgebra axioms."""
-    gate = check_coaction_axioms(coaction, "comodule-coalgebra", carrier=carrier)
-    if not gate.passed:
-        raise StructureError(
-            f"coaction is not a comodule Hom-coalgebra: {gate.first_failure().name}", gate
-        )
+    gate = check_coaction_axioms(coaction, "comodule-coalgebra", carrier=carrier).require(
+        "coaction is not a comodule Hom-coalgebra"
+    )
     coalgebra = HomCoalgebra(
         hom.field,
         smash_comult_matrix(carrier, hom, coaction),
@@ -238,11 +234,7 @@ def check_t_smash_conditions(t_map, title=None):
 def t_smash_coproduct(carrier, hom, t_map, name=None, check=True):
     """Coproduct Delta(c (x) h) = c1 (x) beta^-1(h1)_T (x) alpha^-1(c2_T) (x) h2,
     admitted iff the C1-C3 gate passes."""
-    gate = check_t_smash_conditions(t_map)
-    if not gate.passed:
-        raise StructureError(
-            f"twist-map coproduct gate fails: {gate.first_failure().name}", gate
-        )
+    gate = check_t_smash_conditions(t_map).require("twist-map coproduct gate fails")
     field, m, n = hom.field, carrier.dim, hom.dim
     i_m = Matrix.identity(field, m)
     i_n = Matrix.identity(field, n)
@@ -349,11 +341,7 @@ def _radford_gate(bundle, title=None):
 
 def radford_biproduct(bundle, name=None, check=True):
     """Assemble the biproduct Hom-bialgebra once the R1-R5 gate passes."""
-    gate = check_radford_conditions(bundle)
-    if not gate.passed:
-        raise StructureError(
-            f"biproduct gate fails: {gate.first_failure().name}", gate
-        )
+    gate = check_radford_conditions(bundle).require("biproduct gate fails")
     # the bialgebra check below covers the smash algebra and coalgebra axioms
     smash = smash_product(bundle.algebra, bundle.hom, bundle.action, name=name, check=False)
     cosmash = smash_coproduct(bundle.coalgebra, bundle.hom, bundle.coaction, name=name, check=False)
@@ -401,11 +389,9 @@ def biproduct_antipode(bundle, s_carrier=None, check=True, biproduct=None):
         s_carrier = bundle.carrier_antipode
     if s_carrier is None:
         raise ExactError("no carrier antipode supplied")
-    gate = carrier_antipode_report(bundle.algebra, bundle.coalgebra, s_carrier)
-    if not gate.passed:
-        raise StructureError(
-            f"carrier antipode preconditions fail: {gate.first_failure().name}", gate
-        )
+    gate = carrier_antipode_report(bundle.algebra, bundle.coalgebra, s_carrier).require(
+        "carrier antipode preconditions fail"
+    )
     a = bundle.algebra
     field, m, n = hom.field, a.dim, hom.dim
     i_n = Matrix.identity(field, n)
@@ -419,11 +405,9 @@ def biproduct_antipode(bundle, s_carrier=None, check=True, biproduct=None):
         if biproduct is None:
             biproduct = radford_biproduct(bundle, check=False).bialgebra
         # one title, whatever name the caller gave its bialgebra
-        rep = check_antipode(biproduct, matrix, title="antipode axioms [biproduct]")
-        if not rep.passed:
-            raise StructureError(
-                f"biproduct antipode fails its axioms: {rep.first_failure().name}", rep
-            )
+        check_antipode(biproduct, matrix, title="antipode axioms [biproduct]").require(
+            "biproduct antipode fails its axioms"
+        )
     return BiproductAntipode(matrix, gate)
 
 

@@ -15,7 +15,7 @@ from .matrices import (
     maps_equal,
     permute_row_legs,
 )
-from .report import CheckResult, Report, StructureError, eq_check
+from .report import CheckResult, Report, eq_check
 from .actions import (
     ActionMap,
     CoactionMap,
@@ -87,15 +87,6 @@ class CobraidingForm:
         return Matrix(self.hom.field, 1, n * n, entries)
 
 
-def _merge_eq(name, comparisons):
-    """Fold several labelled map equalities into one named verdict."""
-    for label, lhs, rhs, in_legs, out_legs in comparisons:
-        res = eq_check(label, lhs, rhs, in_legs, out_legs)
-        if not res.passed:
-            return CheckResult(name, False, f"{label}: {res.witness}")
-    return CheckResult(name, True)
-
-
 def check_quasitriangular(hom, rmatrix, title=None):
     """The five quasitriangular axioms, each an exact map/element equality."""
     s = getattr(hom, "antipode", None)
@@ -113,13 +104,13 @@ def check_quasitriangular(hom, rmatrix, title=None):
     two = (b, b)
     three = (b, b, b)
     checks = [
-        _merge_eq(
+        Report(
             "QHA1",
-            [
-                ("counit-left", kron_apply(hom.counit, i_n, r), hom.unit, None, one),
-                ("counit-right", kron_apply(i_n, hom.counit, r), hom.unit, None, one),
-            ],
-        ),
+            (
+                eq_check("counit-left", kron_apply(hom.counit, i_n, r), hom.unit, None, one),
+                eq_check("counit-right", kron_apply(i_n, hom.counit, r), hom.unit, None, one),
+            ),
+        ).summarize("QHA1"),
         eq_check(
             "QHA2",
             kron_apply(d, beta, r),
@@ -149,11 +140,7 @@ def check_quasitriangular(hom, rmatrix, title=None):
 def induced_coaction(hom, rmatrix, check_gate=True):
     """rho(h) = beta^-3(R2) (x) R1 h, a coaction of H on itself with twist beta."""
     if check_gate:
-        rep = check_quasitriangular(hom, rmatrix)
-        if not rep.passed:
-            raise StructureError(
-                f"element fails the quasitriangular axioms: {rep.first_failure().name}", rep
-            )
+        check_quasitriangular(hom, rmatrix).require("element fails the quasitriangular axioms")
     field, n = hom.field, hom.dim
     i_n = Matrix.identity(field, n)
     step = kron(rmatrix.coeffs, i_n)  # (R1, R2, h)

@@ -57,6 +57,13 @@ class Report:
         witness = None if fail is None else f"{fail.name}: {fail.witness}"
         return CheckResult(name, fail is None, witness)
 
+    def require(self, what):
+        """This report if it passed; else refuse with `what` and the name of
+        its first failing check."""
+        if not self.passed:
+            raise StructureError(f"{what}: {self.first_failure().name}", self)
+        return self
+
     def prefixed(self, prefix):
         return Report(
             self.title,

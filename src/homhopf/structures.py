@@ -148,40 +148,25 @@ def _coerce_row(field, counit, n):
     return Matrix.row_vector(field, list(counit))
 
 
-class HomAlgebra:
-    """(A, mu, 1, alpha): multiplication cube, unit and twist over a named basis."""
+class _Twisted:
+    """Field, dimension, named basis and twist (the identity by default) of
+    one structure, with the twist's powers and inverse cached."""
 
-    def __init__(self, field, mult, unit, twist=None, basis=None, name=None, check=True):
-        if isinstance(mult, MultCube):
-            dim = mult.dim
-            mmat = mult.to_matrix()
-        else:
-            mmat = mult
-            dim = mmat.rows
-            if mmat.cols != dim * dim:
-                raise ShapeError("multiplication matrix must be n x n^2")
+    def __init__(self, field, structure_map, dim, twist, basis, name):
         if twist is None:
             twist = Matrix.identity(field, dim)
         if twist.rows != dim or twist.cols != dim:
             raise ShapeError("twist must be n x n")
-        if mmat.field != field or twist.field != field:
+        if structure_map.field != field or twist.field != field:
             raise ExactError("all structure maps must share one field")
         self.field = field
         self.dim = dim
-        self.mult = mmat
-        self.unit = _coerce_column(field, unit, dim)
         self.twist = twist
         self.basis = tuple(basis) if basis is not None else default_basis(dim)
         if len(self.basis) != dim:
             raise ShapeError("basis label count must equal the dimension")
         self.name = name
         self._twists = TwistCache(twist)
-        self._cube = None
-        if check:
-            rep = check_hom_algebra(self)
-            if not rep.passed:
-                fail = rep.first_failure()
-                raise StructureError(f"Hom-algebra axioms fail: {fail.name}", rep)
 
     def twist_power(self, k):
         return self._twists.power(k)
@@ -189,6 +174,22 @@ class HomAlgebra:
     @property
     def twist_inv(self):
         return self._twists.inverse
+
+
+class HomAlgebra(_Twisted):
+    """(A, mu, 1, alpha): multiplication cube, unit and twist over a named basis."""
+
+    def __init__(self, field, mult, unit, twist=None, basis=None, name=None, check=True):
+        if isinstance(mult, MultCube):
+            mult = mult.to_matrix()
+        elif mult.cols != mult.rows * mult.rows:
+            raise ShapeError("multiplication matrix must be n x n^2")
+        super().__init__(field, mult, mult.rows, twist, basis, name)
+        self.mult = mult
+        self.unit = _coerce_column(field, unit, self.dim)
+        self._cube = None
+        if check:
+            check_hom_algebra(self).require("Hom-algebra axioms fail")
 
     @property
     def cube(self):
@@ -197,47 +198,20 @@ class HomAlgebra:
         return self._cube
 
 
-class HomCoalgebra:
+class HomCoalgebra(_Twisted):
     """(C, Delta, eps, beta): comultiplication, counit and twist over a named basis."""
 
     def __init__(self, field, comult, counit, twist=None, basis=None, name=None, check=True):
         if isinstance(comult, ComultMap):
-            dim = comult.dim
-            dmat = comult.to_matrix()
-        else:
-            dmat = comult
-            dim = dmat.cols
-            if dmat.rows != dim * dim:
-                raise ShapeError("comultiplication matrix must be n^2 x n")
-        if twist is None:
-            twist = Matrix.identity(field, dim)
-        if twist.rows != dim or twist.cols != dim:
-            raise ShapeError("twist must be n x n")
-        if dmat.field != field or twist.field != field:
-            raise ExactError("all structure maps must share one field")
-        self.field = field
-        self.dim = dim
-        self.comult = dmat
-        self.counit = _coerce_row(field, counit, dim)
-        self.twist = twist
-        self.basis = tuple(basis) if basis is not None else default_basis(dim)
-        if len(self.basis) != dim:
-            raise ShapeError("basis label count must equal the dimension")
-        self.name = name
-        self._twists = TwistCache(twist)
+            comult = comult.to_matrix()
+        elif comult.rows != comult.cols * comult.cols:
+            raise ShapeError("comultiplication matrix must be n^2 x n")
+        super().__init__(field, comult, comult.cols, twist, basis, name)
+        self.comult = comult
+        self.counit = _coerce_row(field, counit, self.dim)
         self._comult_map = None
         if check:
-            rep = check_hom_coalgebra(self)
-            if not rep.passed:
-                fail = rep.first_failure()
-                raise StructureError(f"Hom-coalgebra axioms fail: {fail.name}", rep)
-
-    def twist_power(self, k):
-        return self._twists.power(k)
-
-    @property
-    def twist_inv(self):
-        return self._twists.inverse
+            check_hom_coalgebra(self).require("Hom-coalgebra axioms fail")
 
     @property
     def comult_map(self):
@@ -262,10 +236,7 @@ class HomBialgebra:
         self.coalgebra = coalgebra
         self.name = name
         if check:
-            rep = check_hom_bialgebra(self)
-            if not rep.passed:
-                fail = rep.first_failure()
-                raise StructureError(f"Hom-bialgebra axioms fail: {fail.name}", rep)
+            check_hom_bialgebra(self).require("Hom-bialgebra axioms fail")
 
     field = property(lambda self: self.algebra.field)
     dim = property(lambda self: self.algebra.dim)
@@ -294,10 +265,7 @@ class HomHopf:
         self.name = name if name is not None else bialgebra.name
         self._antipode_inv = None
         if check:
-            rep = check_antipode(bialgebra, antipode)
-            if not rep.passed:
-                fail = rep.first_failure()
-                raise StructureError(f"antipode axioms fail: {fail.name}", rep)
+            check_antipode(bialgebra, antipode).require("antipode axioms fail")
 
     algebra = property(lambda self: self.bialgebra.algebra)
     coalgebra = property(lambda self: self.bialgebra.coalgebra)
@@ -524,10 +492,9 @@ def yau_twist(h, gamma, name=None, check=True):
     ]
     if antipode is not None:
         checks.append(eq_check("automorphism.antipode", antipode * gamma, gamma * antipode, one, one))
-    rep = Report("Hopf automorphism verification", tuple(checks))
-    if not rep.passed:
-        fail = rep.first_failure()
-        raise StructureError(f"twisting map is not a Hopf automorphism: {fail.name}", rep)
+    Report("Hopf automorphism verification", tuple(checks)).require(
+        "twisting map is not a Hopf automorphism"
+    )
     twisted_name = name if name is not None else (f"{h.name}_twisted" if h.name else None)
     # the bialgebra check below covers the algebra and coalgebra axioms
     alg = HomAlgebra(field, gamma * m, u, gamma, basis=b, check=False)

@@ -5,8 +5,10 @@ from homhopf import (
     ActionMap,
     CoactionMap,
     ExactError,
+    GF,
     Matrix,
     QQ,
+    ShapeError,
     StructureError,
     YDModule,
     check_action_axioms,
@@ -192,3 +194,40 @@ def test_action_kind_validation():
         check_action_axioms(b.action, "module-algebra")  # carrier missing
     with pytest.raises(ExactError):
         check_coaction_axioms(b.coaction, "comodule-coalgebra", carrier=dual_number_algebra(QQ, 3))
+
+
+@pytest.mark.parametrize(
+    "cls, noun, shape",
+    [(ActionMap, "action", (2, 4)), (CoactionMap, "coaction", (4, 2))],
+)
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("matrix shape", ShapeError, "{noun} matrix must be {rows} x {cols}"),
+        ("matrix field", ExactError, "{noun} data must share the acting structure's field"),
+        ("twist field", ExactError, "{noun} data must share the acting structure's field"),
+        ("non-square twist", ShapeError, "carrier twist must be square"),
+        ("basis count", ShapeError, "carrier basis label count must equal the carrier dimension"),
+    ],
+)
+def test_carrier_map_refusal_messages(cls, noun, shape, fault, error, message):
+    hom = group_algebra_z2(QQ)
+    rows, cols = shape
+    twist = Matrix.diagonal(QQ, [1, 2])
+    basis = None
+    matrix = Matrix(QQ, rows, cols, {})
+    if fault == "matrix shape":
+        matrix = Matrix(QQ, rows + 1, cols, {})
+    elif fault == "matrix field":
+        matrix = Matrix(GF(7), rows, cols, {})
+    elif fault == "twist field":
+        twist = Matrix.diagonal(GF(7), [1, 2])
+    elif fault == "non-square twist":
+        twist = Matrix(QQ, 2, 3, {(0, 0): 1, (1, 1): 2})
+    else:
+        basis = ("1", "z", "w")
+    with pytest.raises(ExactError) as info:
+        cls(hom, matrix, twist, basis)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(noun=noun, rows=rows, cols=cols)
+    cls(hom, Matrix(QQ, rows, cols, {}), Matrix.diagonal(QQ, [1, 2]))  # the fault-free map

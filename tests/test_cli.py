@@ -324,3 +324,30 @@ def test_param_on_an_entry_without_one_is_a_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert err == f"error: catalog entry {argv[2]!r} takes no --param\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("catalog", "list", "--param=abc", "--field", "GF4"), "takes no --param (got 'abc')"),
+        (("catalog", "list", "kz2"), "takes no entry id (got 'kz2')"),
+        (("catalog", "list", "--field", "Q"), "takes no --field (got 'Q')"),
+    ],
+)
+def test_catalog_list_refuses_what_it_does_not_read(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: catalog list {message}\n")
+
+
+def test_catalog_list_refuses_emit_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "list.hh"
+    code, out, err = run(capsys, "catalog", "list", "--emit", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: catalog list takes no --emit (got {str(path)!r})\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("action", ["show", "check"])
+def test_catalog_field_defaults_to_q(capsys, action):
+    assert run(capsys, "catalog", action, "dual-number") == run(
+        capsys, "catalog", action, "dual-number", "--field", "Q"
+    )
