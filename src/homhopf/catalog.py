@@ -22,6 +22,7 @@ from .structures import (
     HomCoalgebra,
     HomHopf,
     MultCube,
+    yau_twist,
 )
 from .actions import ActionMap, CoactionMap
 from .constructions import Bundle, biproduct_antipode, radford_biproduct
@@ -148,8 +149,6 @@ def taft_twisted(field, k, name=None):
     k = field.coerce(k)
     if k == field.zero:
         raise StructureError("the twisting parameter k must be nonzero")
-    from .structures import yau_twist
-
     gamma = Matrix.diagonal(field, [field.one, field.one, k, k])
     return yau_twist(taft_hopf(field), gamma, name=name or "H_twisted")
 

@@ -283,19 +283,11 @@ def _cmd_qt_check(args):
     for block in real.document.blocks:
         obj = real.structures.get((block.kind, block.name))
         if block.kind == "RMATRIX":
-            hom = real.structures[("HOPF", block.on)]
-            reports.append(
-                check_rmatrix_equivalence(
-                    hom, rmatrix=obj, title=f"RMATRIX {block.name}: quasitriangular/YD equivalence"
-                )
-            )
+            title = f"RMATRIX {block.name}: quasitriangular/YD equivalence"
+            reports.append(check_rmatrix_equivalence(obj.hom, rmatrix=obj, title=title))
         elif block.kind == "FORM":
-            hom = real.structures[("HOPF", block.on)]
-            reports.append(
-                check_cobraiding_equivalence(
-                    hom, obj, title=f"FORM {block.name}: cobraiding contract"
-                )
-            )
+            title = f"FORM {block.name}: cobraiding contract"
+            reports.append(check_cobraiding_equivalence(obj.hom, obj, title=title))
     if not reports:
         raise UsageError("no RMATRIX or FORM blocks found")
     return _print_reports(reports, args.witness)
@@ -308,6 +300,8 @@ def _cmd_catalog(args):
             if value is not None:
                 name = "entry id" if option == "id" else f"--{option}"
                 raise UsageError(f"catalog list takes no {name} (got {value!r})")
+        if args.witness:
+            raise UsageError("catalog list takes no --witness")
         for entry in cat.CATALOG:
             param = entry.param or "-"
             print(f"{entry.identifier:24} param={param:2} {entry.summary}")

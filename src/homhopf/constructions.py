@@ -14,12 +14,13 @@ from .structures import (
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
+    _antipode_checks,
     check_antipode,
-    convolution,
     tensor_basis,
     twist_invertible_check,
 )
 from .actions import (
+    YDModule,
     check_action_axioms,
     check_coaction_axioms,
     hyd_lhs_matrix,
@@ -280,8 +281,6 @@ class Bundle:
                 raise ExactError("action/coaction act through a different Hom-bialgebra")
 
     def yd_module(self, check=False, name=None):
-        from .actions import YDModule
-
         return YDModule(self.action, self.coaction, name=name, check=check)
 
 
@@ -351,27 +350,8 @@ def radford_biproduct(bundle, name=None, check=True):
 
 def carrier_antipode_report(algebra, coalgebra, s_carrier, title=None):
     """Convolution identities and twist commutation for the carrier antipode."""
-    a, c = algebra, coalgebra
-    field, m = a.field, a.dim
-    i_m = Matrix.identity(field, m)
-    ue = a.unit * c.counit
-    ab = (a.basis,)
-    pair = _PairView(a, c)
-    checks = (
-        eq_check("carrier-antipode.left", convolution(s_carrier, i_m, pair), ue, ab, ab),
-        eq_check("carrier-antipode.right", convolution(i_m, s_carrier, pair), ue, ab, ab),
-        eq_check("carrier-antipode.twist", s_carrier * a.twist, a.twist * s_carrier, ab, ab),
-    )
+    checks = _antipode_checks("carrier-antipode", algebra, coalgebra, s_carrier)
     return Report(title or "carrier antipode preconditions", checks)
-
-
-class _PairView:
-    """Minimal mult/comult view so convolution works on an (algebra, coalgebra) pair."""
-
-    def __init__(self, algebra, coalgebra):
-        self.dim = algebra.dim
-        self.mult = algebra.mult
-        self.comult = coalgebra.comult
 
 
 def biproduct_antipode(bundle, s_carrier=None, check=True, biproduct=None):

@@ -133,19 +133,19 @@ class ComultMap:
 
 
 def _coerce_column(field, unit, n):
-    if isinstance(unit, Matrix):
-        if (unit.rows, unit.cols) != (n, 1):
-            raise ShapeError("unit must be an n x 1 column")
-        return unit
-    return Matrix.column(field, list(unit))
+    if not isinstance(unit, Matrix):
+        unit = Matrix.column(field, list(unit))
+    if (unit.rows, unit.cols) != (n, 1):
+        raise ShapeError("unit must be an n x 1 column")
+    return unit
 
 
 def _coerce_row(field, counit, n):
-    if isinstance(counit, Matrix):
-        if (counit.rows, counit.cols) != (1, n):
-            raise ShapeError("counit must be a 1 x n row")
-        return counit
-    return Matrix.row_vector(field, list(counit))
+    if not isinstance(counit, Matrix):
+        counit = Matrix.row_vector(field, list(counit))
+    if (counit.rows, counit.cols) != (1, n):
+        raise ShapeError("counit must be a 1 x n row")
+    return counit
 
 
 class _Twisted:
@@ -220,7 +220,7 @@ class HomCoalgebra(_Twisted):
         return self._comult_map
 
 
-class HomBialgebra:
+class HomBialgebra(_Twisted):
     """A Hom-algebra and Hom-coalgebra sharing dimension, basis and twist."""
 
     def __init__(self, algebra, coalgebra, name=None, check=True):
@@ -234,25 +234,16 @@ class HomBialgebra:
             raise ExactError("algebra and coalgebra must share one basis")
         self.algebra = algebra
         self.coalgebra = coalgebra
+        self.field, self.dim, self.basis = algebra.field, algebra.dim, algebra.basis
+        self.mult, self.unit, self.twist = algebra.mult, algebra.unit, algebra.twist
+        self.comult, self.counit = coalgebra.comult, coalgebra.counit
         self.name = name
+        self._twists = algebra._twists
         if check:
             check_hom_bialgebra(self).require("Hom-bialgebra axioms fail")
 
-    field = property(lambda self: self.algebra.field)
-    dim = property(lambda self: self.algebra.dim)
-    basis = property(lambda self: self.algebra.basis)
-    mult = property(lambda self: self.algebra.mult)
-    unit = property(lambda self: self.algebra.unit)
-    comult = property(lambda self: self.coalgebra.comult)
-    counit = property(lambda self: self.coalgebra.counit)
-    twist = property(lambda self: self.algebra.twist)
-    twist_inv = property(lambda self: self.algebra.twist_inv)
 
-    def twist_power(self, k):
-        return self.algebra.twist_power(k)
-
-
-class HomHopf:
+class HomHopf(HomBialgebra):
     """Hom-bialgebra with an antipode commuting with the twist."""
 
     def __init__(self, bialgebra, antipode, name=None, check=True):
@@ -260,27 +251,13 @@ class HomHopf:
             raise ShapeError("antipode must be n x n")
         if antipode.field != bialgebra.field:
             raise ExactError("antipode must live over the structure field")
+        name = name if name is not None else bialgebra.name
+        super().__init__(bialgebra.algebra, bialgebra.coalgebra, name=name, check=False)
         self.bialgebra = bialgebra
         self.antipode = antipode
-        self.name = name if name is not None else bialgebra.name
         self._antipode_inv = None
         if check:
             check_antipode(bialgebra, antipode).require("antipode axioms fail")
-
-    algebra = property(lambda self: self.bialgebra.algebra)
-    coalgebra = property(lambda self: self.bialgebra.coalgebra)
-    field = property(lambda self: self.bialgebra.field)
-    dim = property(lambda self: self.bialgebra.dim)
-    basis = property(lambda self: self.bialgebra.basis)
-    mult = property(lambda self: self.bialgebra.mult)
-    unit = property(lambda self: self.bialgebra.unit)
-    comult = property(lambda self: self.bialgebra.comult)
-    counit = property(lambda self: self.bialgebra.counit)
-    twist = property(lambda self: self.bialgebra.twist)
-    twist_inv = property(lambda self: self.bialgebra.twist_inv)
-
-    def twist_power(self, k):
-        return self.bialgebra.twist_power(k)
 
     @property
     def antipode_inv(self):
@@ -374,27 +351,33 @@ def check_hom_bialgebra(h, title=None):
     return Report(title or f"Hom-bialgebra axioms [{h.name or 'bialgebra'}]", tuple(checks))
 
 
-def convolution(f, g, h):
-    """The convolution product mu o (f (x) g) o Delta on endomaps of h."""
+def convolution(f, g, h, coalgebra=None):
+    """The convolution product mu o (f (x) g) o Delta on endomaps of h, with
+    Delta taken from `coalgebra` when given."""
     n = h.dim
     if (f.rows, f.cols) != (n, n) or (g.rows, g.cols) != (n, n):
         raise ShapeError("convolution expects n x n endomaps")
-    return kron_apply_right(h.mult, f, g) * h.comult
+    return kron_apply_right(h.mult, f, g) * (coalgebra or h).comult
+
+
+def _antipode_checks(prefix, algebra, coalgebra, s):
+    """S*id = id*S = u o eps through the mult of `algebra` and the comult of
+    `coalgebra`, and S commuting with the algebra's twist."""
+    n, one, t = algebra.dim, (algebra.basis,), algebra.twist
+    i_n = Matrix.identity(algebra.field, n)
+    ue = algebra.unit * coalgebra.counit
+    return (
+        eq_check(f"{prefix}.left", convolution(s, i_n, algebra, coalgebra), ue, one, one),
+        eq_check(f"{prefix}.right", convolution(i_n, s, algebra, coalgebra), ue, one, one),
+        eq_check(f"{prefix}.twist", s * t, t * s, one, one),
+    )
 
 
 def check_antipode(h, antipode=None, title=None):
     """Convolution identities S*id = id*S = u o eps and twist commutation."""
     s = antipode if antipode is not None else h.antipode
-    field, n, b = h.field, h.dim, h.basis
-    i_n = Matrix.identity(field, n)
-    ue = h.unit * h.counit
-    one = (b,)
-    checks = [
-        eq_check("antipode.left", convolution(s, i_n, h), ue, one, one),
-        eq_check("antipode.right", convolution(i_n, s, h), ue, one, one),
-        eq_check("antipode.twist", s * h.twist, h.twist * s, one, one),
-    ]
-    return Report(title or f"antipode axioms [{h.name or 'hopf'}]", tuple(checks))
+    checks = _antipode_checks("antipode", h, h, s)
+    return Report(title or f"antipode axioms [{h.name or 'hopf'}]", checks)
 
 
 def convolution_inverse(algebra, coalgebra):

@@ -498,11 +498,10 @@ def run_checks(real):
         elif block.kind == "COALGEBRA":
             reports.append(check_hom_coalgebra(obj, title=f"{title}: Hom-coalgebra axioms"))
         elif block.kind in ("BIALGEBRA", "HOPF"):
-            bial = obj.bialgebra if block.kind == "HOPF" else obj
-            reports.append(check_hom_bialgebra(bial, title=f"{title}: Hom-bialgebra axioms"))
+            reports.append(check_hom_bialgebra(obj, title=f"{title}: Hom-bialgebra axioms"))
             if key in real.antipodes:  # always, for a HOPF block
                 reports.append(
-                    check_antipode(bial, real.antipodes[key], title=f"{title}: antipode axioms")
+                    check_antipode(obj, real.antipodes[key], title=f"{title}: antipode axioms")
                 )
         elif block.kind in MAP_KINDS:
             checker, flavor = (

@@ -171,6 +171,24 @@ def _singular_twist_bundle(tmp_path, old):
     return path
 
 
+def test_pair_antipode_report_survives_differing_twists(tmp_path, capsys):
+    # an ALGEBRA and a COALGEBRA of one name form no bialgebra when their
+    # twists differ, and their paired antipode identities are still reported
+    text = catalog_document("dual-number", QQ, QQ.coerce(2))
+    head, coalgebra = text.split("COALGEBRA A\n")
+    path = tmp_path / "pair.hh"
+    path.write_text(
+        head + "COALGEBRA A\n" + coalgebra.replace("TWIST 1 : 0 2", "TWIST 1 : 0 3"),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (2, "")
+    assert "== PAIR A: antipode identities" in out
+    verdicts = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    for name in ("left", "right", "twist"):
+        assert f"carrier-antipode.{name}" in verdicts
+
+
 def test_singular_acting_twist_is_reported(tmp_path, capsys):
     path = _singular_twist_bundle(tmp_path, "  TWIST 1 : 0 1\n")  # the HOPF block's
     code, out, err = run(capsys, "check", str(path), "--witness")
@@ -332,6 +350,7 @@ def test_param_on_an_entry_without_one_is_a_usage_error(capsys, argv):
         (("catalog", "list", "--param=abc", "--field", "GF4"), "takes no --param (got 'abc')"),
         (("catalog", "list", "kz2"), "takes no entry id (got 'kz2')"),
         (("catalog", "list", "--field", "Q"), "takes no --field (got 'Q')"),
+        (("catalog", "list", "--witness"), "takes no --witness"),
     ],
 )
 def test_catalog_list_refuses_what_it_does_not_read(capsys, argv, message):

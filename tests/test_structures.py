@@ -11,8 +11,10 @@ from homhopf import (
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
+    HomHopf,
     Matrix,
     QQ,
+    ShapeError,
     StructureError,
     check_antipode,
     check_hom_algebra,
@@ -91,6 +93,31 @@ def test_classical_coalgebra_group_likes():
     h = group_algebra_z2(QQ)
     assert h.twist.is_identity()
     assert check_hom_coalgebra(h.coalgebra).passed
+
+
+def test_hopf_algebra_is_a_bialgebra_holding_its_parts_maps(field):
+    h = taft_twisted(field, 2)
+    assert isinstance(taft_hopf(field), HomBialgebra)
+    assert isinstance(h, HomHopf) and isinstance(h, HomBialgebra)
+    for s in (h, h.bialgebra):
+        for attr in ("field", "dim", "basis", "mult", "unit", "twist"):
+            assert getattr(s, attr) is getattr(s.algebra, attr)
+        for attr in ("comult", "counit"):
+            assert getattr(s, attr) is getattr(s.coalgebra, attr)
+        assert s.twist_power(-1) is s.algebra.twist_power(-1)
+        assert s.twist_inv is s.algebra.twist_inv
+    assert check_hom_bialgebra(h).checks == check_hom_bialgebra(h.bialgebra).checks
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_unit_and_counit_lists_of_the_wrong_length_are_refused(check):
+    h = group_algebra_z2(QQ)
+    with pytest.raises(ShapeError) as caught:
+        HomAlgebra(QQ, h.mult, [1, 0, 0], check=check)
+    assert str(caught.value) == "unit must be an n x 1 column"
+    with pytest.raises(ShapeError) as caught:
+        HomCoalgebra(QQ, h.comult, [1], check=check)
+    assert str(caught.value) == "counit must be a 1 x n row"
 
 
 def test_antipode_candidate_fails_on_x():
