@@ -7,6 +7,8 @@ check failed or a construction gate refused.
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from .fields import ExactError, GF, QQ
@@ -68,9 +70,25 @@ def _load(path):
 
 
 def _emit(path, text):
+    """Write `text` to `path`, created with the umask's mode when missing.
+
+    An existing regular file is overwritten in place and then cut to length.
+    Truncating it first, as `open(path, "w")` does, frees its blocks before
+    the write, and on some filesystems that waits on the disk. The write is
+    not atomic either way. A target that cannot be cut (`/dev/null`,
+    `/dev/stdout`, a FIFO) is written as a stream."""
+    sys.stdout.flush()  # a target that is stdout gets the text after the reports
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            fh = open(fd, "w", encoding="utf-8")
+        except BaseException:
+            os.close(fd)
+            raise
+        with fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 

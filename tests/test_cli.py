@@ -1,12 +1,21 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homhopf import cli
 from homhopf.cli import main
 from homhopf.fields import PRIME_BOUND
-from homhopf.textfmt import catalog_document, parse_document, realize
-from homhopf import QQ
+from homhopf.textfmt import catalog_document, parse_document, realize, render_parsed
+from homhopf import GF, QQ
 
 
 def run(capsys, *argv):
@@ -244,6 +253,139 @@ def test_emit_to_unwritable_path_is_an_error(tmp_path, capsys):
                        "--emit-matrix", str(target))
     assert code == 1
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+# Every command that writes a file, with "{src}" for the bundle document; the
+# target path follows the last token.
+_EMITTERS = {
+    "construct": ("construct", "biproduct", "{src}", "--emit"),
+    "antipode": ("antipode", "{src}", "--emit"),
+    "catalog-show": ("catalog", "show", "dual-number-bundle", "--param", "2", "--emit"),
+    "braiding-test": ("braiding-test", "{src}", "--modules", "yd", "yd", "--emit-matrix"),
+}
+
+
+def _emit_argv(tmp_path, command, target):
+    src = tmp_path / "bundle.hh"
+    if not src.exists():
+        src.write_text(catalog_document("dual-number-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    return [str(src) if token == "{src}" else token for token in _EMITTERS[command]] + [str(target)]
+
+
+@pytest.mark.parametrize("command", sorted(_EMITTERS))
+def test_re_emit_over_an_existing_file_matches_a_fresh_emit(tmp_path, capsys, command):
+    fresh = tmp_path / "fresh.out"
+    first = run(capsys, *_emit_argv(tmp_path, command, fresh))
+    assert (first[0], first[2]) == (0, "")
+    expected = fresh.read_bytes()
+    for k, old in enumerate((expected * 3 + b"left over\n", expected[: len(expected) // 2])):
+        target = tmp_path / f"again{k}.out"
+        target.write_bytes(old)
+        assert run(capsys, *_emit_argv(tmp_path, command, target)) == first
+        assert target.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command", sorted(_EMITTERS))
+def test_emit_to_dev_null_exits_0(tmp_path, capsys, command):
+    code, _, err = run(capsys, *_emit_argv(tmp_path, command, "/dev/null"))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", sorted(_EMITTERS))
+def test_emit_to_a_directory_is_an_error(tmp_path, capsys, command):
+    code, _, err = run(capsys, *_emit_argv(tmp_path, command, tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_emit_closes_the_descriptor_when_wrapping_it_fails(tmp_path, capsys):
+    real_open, fds = os.open, []
+
+    def spy(*args):
+        fds.append(real_open(*args))
+        return fds[-1]
+
+    target = tmp_path / "kz2.hh"
+    with mock.patch.object(cli.os, "open", spy), \
+            mock.patch.object(cli, "open", side_effect=OSError("no file object"), create=True):
+        code, _, err = run(capsys, "catalog", "show", "kz2", "--emit", str(target))
+    assert (code, err) == (1, f"error: cannot write {target}: no file object\n")
+    with pytest.raises(OSError):
+        os.fstat(fds[0])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_emit_to_stdout_through_a_pipe(tmp_path):
+    argv = _emit_argv(tmp_path, "construct", "/dev/stdout")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered
+    proc = subprocess.run([sys.executable, "-m", "homhopf", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env, timeout=60, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("utf-8").splitlines()[-1] == "END"
+
+
+_FUZZ_DOCUMENTS = tuple(
+    catalog_document(ident, field, field.coerce(2))
+    for ident in ("dual-number-bundle", "taft-bundle")
+    for field in (QQ, GF(7))
+)
+
+
+def _mutate(text, line, how, token):
+    """Drop or duplicate one line below the FORMAT/FIELD header, or put
+    `token` in place of the last scalar of one matrix row."""
+    lines = text.splitlines(keepends=True)
+    if how == "perturb":
+        rows = [i for i, row in enumerate(lines) if " : " in row]
+        i = rows[line % len(rows)]
+        lines[i] = lines[i].rstrip("\n").rsplit(" ", 1)[0] + f" {token}\n"
+    else:
+        i = 2 + line % (len(lines) - 2)
+        lines[i:i + 1] = [] if how == "drop" else [lines[i]] * 2
+    return "".join(lines)
+
+
+def _quiet_main(*argv):
+    """`run` without capsys, which hypothesis cannot reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    doc=st.sampled_from(_FUZZ_DOCUMENTS),
+    line=st.integers(min_value=0, max_value=10**4),
+    how=st.sampled_from(("drop", "duplicate", "perturb")),
+    token=st.sampled_from(("0", "1", "-1", "2", "1/2", "x")),
+)
+def test_mutated_documents_exit_cleanly_and_emit_round_trips(fuzz_dir, doc, line, how, token):
+    # A new source file per example, since truncating an old one can wait on
+    # the disk; one target for all, so an emit also lands on the previous
+    # example's file, which may be longer or shorter.
+    fd, src = tempfile.mkstemp(suffix=".hh", dir=fuzz_dir)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(_mutate(doc, line, how, token))
+    target = fuzz_dir / "biproduct.hh"
+    code, _, err = _quiet_main("check", src)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    argv = ("construct", "biproduct", src, "--emit", str(target))
+    first = _quiet_main(*argv)
+    assert first[0] in (0, 1, 2) and "Traceback" not in first[2]
+    emitted = target.read_text(encoding="utf-8") if first[0] == 0 else None
+    assert _quiet_main(*argv) == first
+    if emitted is not None:
+        assert target.read_text(encoding="utf-8") == emitted
+        assert render_parsed(parse_document(emitted)) == emitted
 
 
 @pytest.mark.parametrize("action", ["show", "check"])
