@@ -17,7 +17,12 @@ The runs are
     parameter; `check`, `antipode` and `construct biproduct` on the
     taft-bundle and dual-number-bundle documents at -1/2; and `check
     --witness` on seeded mutations of those two documents that add 1/3 to
-    one coefficient.
+    one coefficient;
+  * co-side mutations: `check --witness` and `construct cosmash --witness`
+    on seeded mutations of the taft-bundle and dual-number-bundle documents
+    over Q and GF7 that each add 1 to two or three scalars of the COMULT
+    rows and the COACTION MAP rows, so that a failing co-side check has
+    several mismatching entries to choose its witness from.
 
 Usage:  python3 scripts/golden_corpus.py [--out DIR]
 
@@ -51,6 +56,14 @@ RATIONAL_DOCUMENTS = ("taft-bundle", "dual-number-bundle")
 RATIONAL_SUBCOMMANDS = ("check", "biproduct", "antipode")
 RATIONAL_MUTATIONS = 3
 RATIONAL_SEED = 7
+COSIDE_DOCUMENTS = ("taft-bundle", "dual-number-bundle")
+COSIDE_FIELDS = ("Q", "GF7")
+COSIDE_MUTATIONS = 5
+COSIDE_SEED = 8
+COSIDE_RUNS = (
+    ("check", ["check", "doc.hh", "--witness"]),
+    ("cosmash", ["construct", "cosmash", "doc.hh", "--witness"]),
+)
 
 
 # the subcommand runs on each catalog document, as (case suffix, argv);
@@ -117,6 +130,35 @@ def _third_mutations(text, rng):
     return out
 
 
+def _coside_mutations(text, rng):
+    """Seeded mutations adding 1 to two or three scalars of the COMULT rows
+    and the COACTION MAP rows, as (label, what, text)."""
+    lines = text.splitlines()
+    scalars = []  # (line index, token index) of every eligible scalar
+    block = ""
+    for i, line in enumerate(lines):
+        if not line.startswith("  "):
+            block = line.split(" ")[0]
+            continue
+        tokens = line.split()
+        if tokens[0] == "COMULT" or (block == "COACTION" and tokens[0] == "MAP"):
+            scalars += [(i, at) for at in range(tokens.index(":") + 1, len(tokens))]
+    out = []
+    for number in range(COSIDE_MUTATIONS):
+        picked = sorted(rng.sample(scalars, rng.choice((2, 3))))
+        mutated = list(lines)
+        for i, at in picked:
+            tokens = mutated[i].split()
+            tokens[at] = _perturb(tokens[at])
+            mutated[i] = "  " + " ".join(tokens)
+        changed = sorted({i for i, _ in picked})
+        what = "; ".join(
+            f"line {i + 1}: {lines[i].strip()!r} -> {mutated[i].strip()!r}" for i in changed
+        )
+        out.append((f"coside-{number}", what, "\n".join(mutated) + "\n"))
+    return out
+
+
 def _slug(param):
     return param.replace("-", "m").replace("/", "_")
 
@@ -167,6 +209,15 @@ def cases():
         for label, what, mutated in _third_mutations(text, rng):
             argv = ["check", "doc.hh", "--witness"]
             out.append((f"mutations/{stem}-{label}", argv, mutated, f"{source}, {what}"))
+    rng = random.Random(COSIDE_SEED)
+    for ident in COSIDE_DOCUMENTS:
+        for field in COSIDE_FIELDS:
+            text = catalog_document(ident, cli._parse_field(field))
+            source = f"catalog show {ident} --field {field}"
+            for label, what, mutated in _coside_mutations(text, rng):
+                for suffix, argv in COSIDE_RUNS:
+                    name = f"mutations/{ident}-{field}-{label}-{suffix}"
+                    out.append((name, argv, mutated, f"{source}, {what}"))
     return out
 
 
