@@ -16,7 +16,14 @@ from .matrices import (
     permute_row_legs,
 )
 from .report import CheckResult, Report, eq_check
-from .structures import _Twisted, default_basis, twist_invertible_check
+from .structures import (
+    _CO_NAMES,
+    _co_check,
+    _Dual,
+    _Twisted,
+    default_basis,
+    twist_invertible_check,
+)
 
 __all__ = [
     "ActionMap",
@@ -123,20 +130,25 @@ def regular_coaction(hom):
 
 
 _ACTION_KINDS = ("module", "module-algebra", "module-coalgebra")
-_COACTION_KINDS = ("comodule", "comodule-algebra", "comodule-coalgebra")
+_COACTION_KINDS = tuple(_CO_NAMES[kind] for kind in _ACTION_KINDS)  # each at its twin's place
 
 
-def _carrier_consistent(act_or_coact, carrier):
+def _carrier_consistent(kind, act_or_coact, carrier):
+    """Refuse a missing or mismatched carrier for an -algebra or -coalgebra kind."""
+    if "-" not in kind:
+        return
+    if carrier is None:
+        raise ExactError(f"{kind} check needs the carrier Hom-{kind.partition('-')[2]}")
     if carrier.dim != act_or_coact.carrier_dim:
         raise ShapeError("carrier structure dimension mismatch")
     if carrier.twist != act_or_coact.carrier_twist:
         raise ExactError("carrier structure twist differs from the action's carrier twist")
 
 
-def check_action_axioms(act, kind="module", carrier=None, title=None):
-    """HM1/HM2 always; HMA (module Hom-algebra) or HMC (module Hom-coalgebra) on request."""
-    if kind not in _ACTION_KINDS:
-        raise ValueError(f"unknown action kind {kind!r}")
+def _action_checks(act, kind, carrier, eq):
+    """HM1/HM2, plus HMA for a module-algebra `kind` or HMC for a
+    module-coalgebra one, compared by `eq`, on a carrier that
+    _carrier_consistent has admitted."""
     hom = act.hom
     field, n, m = hom.field, hom.dim, act.carrier_dim
     p = act.matrix
@@ -146,20 +158,17 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
     i_m = Matrix.identity(field, m)
     hb, cb = hom.basis, act.carrier_basis
     checks = [
-        eq_check("HM1", t * p, kron_apply_right(p, beta, t), (hb, cb), (cb,)),
-        eq_check(
+        eq("HM1", t * p, kron_apply_right(p, beta, t), (hb, cb), (cb,)),
+        eq(
             "HM2.assoc",
             kron_apply_right(p, beta, p),
             kron_apply_right(p, hom.mult, t),
             (hb, hb, cb),
             (cb,),
         ),
-        eq_check("HM2.unit", kron_apply_right(p, hom.unit, i_m), t, (cb,), (cb,)),
+        eq("HM2.unit", kron_apply_right(p, hom.unit, i_m), t, (cb,), (cb,)),
     ]
     if kind == "module-algebra":
-        if carrier is None:
-            raise ExactError("module-algebra check needs the carrier Hom-algebra")
-        _carrier_consistent(act, carrier)
         ma = carrier.mult
         # ma (p (x) p) P (Delta (x) id) with P the middle-leg flip, as
         # ((ma (p (x) p)) P) (Delta (x) id)
@@ -169,9 +178,9 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
             Matrix.identity(field, m * m),
         )
         lhs = kron_apply_right(p, hom.twist_power(2), ma)
-        checks.append(eq_check("HMA1", lhs, rhs, (hb, cb, cb), (cb,)))
+        checks.append(eq("HMA1", lhs, rhs, (hb, cb, cb), (cb,)))
         checks.append(
-            eq_check(
+            eq(
                 "HMA2",
                 kron_apply_right(p, i_n, carrier.unit),
                 carrier.unit * hom.counit,
@@ -180,15 +189,18 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
             )
         )
     elif kind == "module-coalgebra":
-        if carrier is None:
-            raise ExactError("module-coalgebra check needs the carrier Hom-coalgebra")
-        _carrier_consistent(act, carrier)
         dc = carrier.comult
-        flipped = permute_row_legs(kron(hom.comult, dc), (n, n, m, m), (0, 2, 1, 3))
-        rhs = kron_apply(p, p, flipped)
-        checks.append(eq_check("HMC1", dc * p, rhs, (hb, cb), (cb, cb)))
+        # (p (x) p) P (Delta (x) dc) with P the middle-leg flip, built from
+        # the thinner end: on a dual, Delta and dc are transposed products
+        if p.nnz() ** 2 < hom.comult.nnz() * dc.nnz():
+            acted = permute_col_legs(kron(p, p), (n, n, m, m), (0, 2, 1, 3))
+            rhs = kron_apply_right(acted, hom.comult, dc)
+        else:
+            flipped = permute_row_legs(kron(hom.comult, dc), (n, n, m, m), (0, 2, 1, 3))
+            rhs = kron_apply(p, p, flipped)
+        checks.append(eq("HMC1", dc * p, rhs, (hb, cb), (cb, cb)))
         checks.append(
-            eq_check(
+            eq(
                 "HMC2",
                 carrier.counit * p,
                 kron(hom.counit, carrier.counit),
@@ -196,69 +208,28 @@ def check_action_axioms(act, kind="module", carrier=None, title=None):
                 None,
             )
         )
-    return Report(title or f"{kind} axioms [{act.name or 'action'}]", tuple(checks))
+    return tuple(checks)
+
+
+def check_action_axioms(act, kind="module", carrier=None, title=None):
+    """HM1/HM2 always; HMA (module Hom-algebra) or HMC (module Hom-coalgebra) on request."""
+    if kind not in _ACTION_KINDS:
+        raise ValueError(f"unknown action kind {kind!r}")
+    _carrier_consistent(kind, act, carrier)
+    checks = _action_checks(act, kind, carrier, eq_check)
+    return Report(title or f"{kind} axioms [{act.name or 'action'}]", checks)
 
 
 def check_coaction_axioms(coact, kind="comodule", carrier=None, title=None):
-    """HCM1/HCM2 always; HCMA (comodule Hom-algebra) or HCMC (comodule Hom-coalgebra) on request."""
+    """HCM1/HCM2 always; HCMA (comodule Hom-algebra) or HCMC (comodule
+    Hom-coalgebra) on request: HMC or HMA of the dual action."""
     if kind not in _COACTION_KINDS:
         raise ValueError(f"unknown coaction kind {kind!r}")
-    hom = coact.hom
-    field, n, m = hom.field, hom.dim, coact.carrier_dim
-    q = coact.matrix
-    t = coact.carrier_twist
-    beta = hom.twist
-    i_n = Matrix.identity(field, n)
-    i_m = Matrix.identity(field, m)
-    hb, cb = hom.basis, coact.carrier_basis
-    checks = [
-        eq_check("HCM1", q * t, kron_apply(beta, t, q), (cb,), (hb, cb)),
-        eq_check(
-            "HCM2.coassoc",
-            kron_apply(beta, q, q),
-            kron_apply(hom.comult, t, q),
-            (cb,),
-            (hb, hb, cb),
-        ),
-        eq_check("HCM2.counit", kron_apply(hom.counit, i_m, q), t, (cb,), (cb,)),
-    ]
-    if kind == "comodule-algebra":
-        if carrier is None:
-            raise ExactError("comodule-algebra check needs the carrier Hom-algebra")
-        _carrier_consistent(coact, carrier)
-        ma = carrier.mult
-        flipped = permute_row_legs(kron(q, q), (n, m, n, m), (0, 2, 1, 3))
-        rhs = kron_apply(hom.mult, ma, flipped)
-        checks.append(eq_check("HCMA1", q * ma, rhs, (cb, cb), (hb, cb)))
-        checks.append(
-            eq_check(
-                "HCMA2",
-                q * carrier.unit,
-                kron(hom.unit, carrier.unit),
-                None,
-                (hb, cb),
-            )
-        )
-    elif kind == "comodule-coalgebra":
-        if carrier is None:
-            raise ExactError("comodule-coalgebra check needs the carrier Hom-coalgebra")
-        _carrier_consistent(coact, carrier)
-        dc = carrier.comult
-        # (mu (x) id) P (q (x) q) dc, with P (q (x) q) dc = P ((q (x) q) dc)
-        flipped = permute_row_legs(kron_apply(q, q, dc), (n, m, n, m), (0, 2, 1, 3))
-        rhs = kron_apply(hom.mult, Matrix.identity(field, m * m), flipped)
-        lhs = kron_apply(hom.twist_power(2), dc, q)
-        checks.append(eq_check("HCMC1", lhs, rhs, (cb,), (hb, cb, cb)))
-        checks.append(
-            eq_check(
-                "HCMC2",
-                kron_apply(i_n, carrier.counit, q),
-                hom.unit * carrier.counit,
-                (cb,),
-                (hb,),
-            )
-        )
-    return Report(title or f"{kind} axioms [{coact.name or 'coaction'}]", tuple(checks))
+    _carrier_consistent(kind, coact, carrier)
+    twin = _ACTION_KINDS[_COACTION_KINDS.index(kind)]
+    dual_carrier = None if carrier is None else _Dual(carrier)
+    checks = _action_checks(_Dual(coact), twin, dual_carrier, _co_check)
+    return Report(title or f"{kind} axioms [{coact.name or 'coaction'}]", checks)
 
 
 def hyd_lhs_matrix(action, coaction):

@@ -254,6 +254,7 @@ class Matrix:
         for i, row in enumerate(self._rowdicts):
             for j, v in row.items():
                 out[j][i] = v
+        out = [row or _EMPTY_ROW for row in out]
         return Matrix._make(self.field, self.cols, self.rows, out, self.den)
 
     def inverse(self):

@@ -26,6 +26,7 @@ from .actions import (
     regular_action,
     regular_coaction,
 )
+from .structures import twist_invertible_check
 
 __all__ = [
     "RMatrix",
@@ -191,12 +192,16 @@ def check_rmatrix_equivalence(hom, rmatrix=None, coaction=None, title=None):
     other than the induced one are reported and the rest is skipped."""
     if (rmatrix is None) == (coaction is None):
         raise ExactError("provide exactly one of rmatrix or coaction")
+    title = title or "quasitriangular/YD equivalence"
+    invertible = twist_invertible_check(hom)
+    if not invertible.passed:  # the induced coaction twists by beta^-3
+        return Report(title, (invertible,))
     checks = []
     if coaction is not None:
         rmatrix, shape = rmatrix_from_coaction(hom, coaction)
         checks.append(shape)
         if rmatrix is None:
-            return Report(title or "quasitriangular/YD equivalence", tuple(checks))
+            return Report(title, tuple(checks))
     else:
         coaction = induced_coaction(hom, rmatrix, check_gate=False)
     qha = check_quasitriangular(hom, rmatrix)
@@ -209,7 +214,7 @@ def check_rmatrix_equivalence(hom, rmatrix=None, coaction=None, title=None):
         f"YD-side={'PASS' if comodule.passed and hyd.passed else 'FAIL'}"
     )
     checks.append(CheckResult("agreement", agree, witness))
-    return Report(title or "quasitriangular/YD equivalence", tuple(checks))
+    return Report(title, tuple(checks))
 
 
 def induced_action_from_form(hom, form):
@@ -227,6 +232,10 @@ def check_cobraiding_equivalence(hom, form, title=None):
     """The operational cobraiding contract: the induced action is a module
     Hom-algebra and, paired with the regular coaction, Yetter-Drinfeld
     compatible."""
+    title = title or "cobraiding contract"
+    invertible = twist_invertible_check(hom)
+    if not invertible.passed:  # the induced action twists by beta^-3
+        return Report(title, (invertible,))
     action = induced_action_from_form(hom, form)
     module_report = check_action_axioms(action, "module-algebra", carrier=hom.algebra)
     yd = YDModule(action, regular_coaction(hom), check=False)
@@ -239,4 +248,4 @@ def check_cobraiding_equivalence(hom, form, title=None):
         hyd_check,
         CheckResult("cobraided", conj, None if conj else "conjunction fails"),
     )
-    return Report(title or "cobraiding contract", checks)
+    return Report(title, checks)

@@ -224,6 +224,36 @@ def test_singular_carrier_twist_refuses_the_biproduct(tmp_path, capsys):
         assert "R4  FAIL  [carrier twist is singular]" in err
 
 
+def test_singular_acting_twist_refuses_the_flip_tsmash(tmp_path, capsys):
+    # C2 untwists by beta^-1
+    path = _singular_twist_bundle(tmp_path, "  TWIST 1 : 0 1\n")  # the HOPF block's
+    code, out, err = run(capsys, "construct", "tsmash", str(path), "--t", "flip", "--witness")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("refused: twist-map coproduct gate fails:")
+    assert "  twist.invertible  FAIL  [twist matrix is singular]" in err.splitlines()
+
+
+@pytest.mark.parametrize("block", ["RMATRIX", "FORM"])
+def test_singular_acting_twist_is_reported_by_the_equivalences(tmp_path, capsys, block):
+    # the induced coaction and the induced action twist by beta^-3
+    text = catalog_document("kz2-rmatrix", QQ)
+    assert "  TWIST 1 : 0 1\n" in text  # the HOPF block's
+    text = text.replace("  TWIST 1 : 0 1\n", "  TWIST 1 : 0 0\n")
+    if block == "FORM":
+        head = text[: text.index("RMATRIX R")]
+        text = head + "FORM R\n  ON H\n  COEFF 0 : 1 1\n  COEFF 1 : 1 -1\nEND\n"
+    path = tmp_path / "singular.hh"
+    path.write_text(text, encoding="utf-8")
+    commands = ["quasitriangular-check", "check"] if block == "FORM" else ["quasitriangular-check"]
+    for command in commands:
+        code, out, err = run(capsys, command, str(path), "--witness")
+        assert (code, err) == (2, "")
+        assert f"== {block} R: " in out
+        assert "  twist.invertible  FAIL  [twist matrix is singular]" in out.splitlines()
+        assert out.splitlines()[-1] == "OVERALL FAIL"
+
+
 @pytest.mark.parametrize(
     "old, verdict",
     [("  TWIST 1 : 0 1\n", "twist.invertible"), ("  TWIST 1 : 0 2\n", "yd.twist.invertible")],

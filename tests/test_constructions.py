@@ -344,6 +344,18 @@ def test_cosmash_tensor_gate(field):
     assert not check_cosmash_tensor_gate(h, regular_coaction(h)).passed
 
 
+def test_cosmash_tensor_gate_witness_is_its_own_first_mismatch():
+    # the gate runs as the smash gate of the dual action, yet it names and
+    # witnesses its first row-major mismatch on its own legs
+    h = taft_twisted(QQ, 2)
+    rep = check_cosmash_tensor_gate(h, regular_coaction(h))
+    assert rep.render(witnesses=True).splitlines() == [
+        "== tensor-algebra cosmash gate",
+        "  central-coaction-leg  FAIL  [at g⊗y -> x⊗1: 4 != -4]",
+        "== RESULT FAIL",
+    ]
+
+
 def test_tensor_gate_cross_check_against_biproduct():
     # trivial coaction plus the gate certifies the tensor-coalgebra biproduct
     a = taft_twisted(QQ, 2)
