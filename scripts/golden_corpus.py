@@ -22,7 +22,12 @@ The runs are
     on seeded mutations of the taft-bundle and dual-number-bundle documents
     over Q and GF7 that each add 1 to two or three scalars of the COMULT
     rows and the COACTION MAP rows, so that a failing co-side check has
-    several mismatching entries to choose its witness from.
+    several mismatching entries to choose its witness from;
+  * zeroed Hopf rows: `check`, `construct tsmash`, `construct biproduct`,
+    `antipode`, `braiding-test` and `ybe-test` on the taft-bundle and
+    dual-number-bundle documents over Q with one TWIST or ANTIPODE row of
+    HOPF H set to zero, so that a singular twist or antipode meets every
+    subcommand that inverts one.
 
 Usage:  python3 scripts/golden_corpus.py [--out DIR]
 
@@ -64,6 +69,8 @@ COSIDE_RUNS = (
     ("check", ["check", "doc.hh", "--witness"]),
     ("cosmash", ["construct", "cosmash", "doc.hh", "--witness"]),
 )
+ZERO_DOCUMENTS = ("taft-bundle", "dual-number-bundle")
+ZERO_SUBCOMMANDS = ("check", "tsmash", "biproduct", "antipode", "braiding-test", "ybe-test")
 
 
 # the subcommand runs on each catalog document, as (case suffix, argv);
@@ -159,6 +166,27 @@ def _coside_mutations(text, rng):
     return out
 
 
+def _zero_hopf_rows(text):
+    """Every TWIST and ANTIPODE row of HOPF H set to zero, one at a time,
+    as (label, what, text)."""
+    lines = text.splitlines()
+    out = []
+    block = ""
+    for i, line in enumerate(lines):
+        if not line.startswith("  "):
+            block = line
+            continue
+        tokens = line.split()
+        if block != "HOPF H" or tokens[0] not in ("TWIST", "ANTIPODE"):
+            continue
+        at = tokens.index(":") + 1
+        mutated = list(lines)
+        mutated[i] = "  " + " ".join(tokens[:at] + ["0"] * (len(tokens) - at))
+        what = f"zero line {i + 1}: {line.strip()!r} -> {mutated[i].strip()!r}"
+        out.append((f"zero-{i + 1}", what, "\n".join(mutated) + "\n"))
+    return out
+
+
 def _slug(param):
     return param.replace("-", "m").replace("/", "_")
 
@@ -218,6 +246,13 @@ def cases():
                 for suffix, argv in COSIDE_RUNS:
                     name = f"mutations/{ident}-{field}-{label}-{suffix}"
                     out.append((name, argv, mutated, f"{source}, {what}"))
+    for ident in ZERO_DOCUMENTS:
+        text = catalog_document(ident, cli._parse_field("Q"))
+        source = f"catalog show {ident} --field Q"
+        for label, what, mutated in _zero_hopf_rows(text):
+            for suffix in ZERO_SUBCOMMANDS:
+                name = f"mutations/{ident}-Q-{label}-{suffix}"
+                out.append((name, runs[suffix], mutated, f"{source}, {what}"))
     return out
 
 
