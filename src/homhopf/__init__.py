@@ -32,12 +32,10 @@ from .matrices import (
 )
 from .report import CheckResult, Report, StructureError
 from .structures import (
-    ComultMap,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     HomHopf,
-    MultCube,
     check_antipode,
     check_hom_algebra,
     check_hom_bialgebra,

@@ -16,12 +16,10 @@ from .fields import ExactError
 from .matrices import Matrix
 from .report import StructureError
 from .structures import (
-    ComultMap,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     HomHopf,
-    MultCube,
     yau_twist,
 )
 from .actions import ActionMap, CoactionMap
@@ -71,18 +69,15 @@ TAFT_ACTION_VARIANTS = ("printed", "sign-corrected")
 
 
 def _cube(field, dim, table):
-    entries = {}
-    for (i, j), targets in table.items():
-        for k, v in targets.items():
-            entries[(i, j, k)] = field.coerce(v)
-    return MultCube(field, dim, entries)
+    """The n x n^2 multiplication matrix of e_i e_j = sum_k table[i, j][k] e_k."""
+    entries = {(k, i * dim + j): v for (i, j), targets in table.items() for k, v in targets.items()}
+    return Matrix(field, dim, dim * dim, entries)
 
 
 def _comult(field, dim, table):
-    rows = {}
-    for i, triples in table.items():
-        rows[i] = tuple((j, k, field.coerce(c)) for (j, k), c in sorted(triples.items()))
-    return ComultMap(field, dim, rows)
+    """The n^2 x n comultiplication matrix of Delta(e_i) = sum table[i][j, k] e_j (x) e_k."""
+    entries = {(j * dim + k, i): c for i, targets in table.items() for (j, k), c in targets.items()}
+    return Matrix(field, dim * dim, dim, entries)
 
 
 def group_algebra_z2(field, name="KZ2"):

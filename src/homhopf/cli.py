@@ -33,7 +33,7 @@ from .constructions import (
     t_smash_coproduct,
 )
 from .quasitriangular import check_cobraiding_equivalence, check_rmatrix_equivalence
-from .structures import twist_invertible_check
+from .structures import invertible_check, twist_invertible_check
 from . import catalog as cat
 from . import textfmt
 
@@ -153,22 +153,24 @@ def _yd_module(real, name):
     return YDModule(act, coact, name=name, check=False)
 
 
+def _piece(real, kind, given):
+    """The ACTION or COACTION block named `given`, or the document's only one."""
+    return real.structures[(kind, _pick(real, (kind,), kind.lower(), given))]
+
+
 def _bundle_from_args(real, args):
     carrier = _pick(real, ("ALGEBRA",), "carrier", args.carrier)
     alg, coalg = textfmt.carrier_pieces(real, carrier)
     if alg is None or coalg is None:
         raise UsageError(f"carrier {carrier!r} needs both an ALGEBRA and a COALGEBRA block")
-    hom_name = _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf)
-    hom = _get_hom(real, hom_name)
-    action_name = _pick(real, ("ACTION",), "action", args.action)
-    coaction_name = _pick(real, ("COACTION",), "coaction", args.coaction)
+    hom = _get_hom(real, _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf))
     s = real.antipodes.get(("ALGEBRA", carrier)) or real.antipodes.get(("COALGEBRA", carrier))
     return Bundle(
         algebra=alg,
         coalgebra=coalg,
         hom=hom,
-        action=real.structures[("ACTION", action_name)],
-        coaction=real.structures[("COACTION", coaction_name)],
+        action=_piece(real, "ACTION", args.action),
+        coaction=_piece(real, "COACTION", args.coaction),
         carrier_antipode=s,
     )
 
@@ -183,51 +185,30 @@ def _cmd_check(args):
 
 def _cmd_construct(args):
     real = _load(args.file)
-    field = real.field
     name = args.name
-    if args.what == "smash":
-        carrier = _pick(real, ("ALGEBRA",), "carrier", args.carrier)
-        alg = real.structures[("ALGEBRA", carrier)]
+    if args.what == "biproduct":
+        made = radford_biproduct(_bundle_from_args(real, args), name=name)
+        kind, result, reports = "BIALGEBRA", made.bialgebra, made.gates
+    else:
+        kind = "ALGEBRA" if args.what == "smash" else "COALGEBRA"
+        carrier = real.structures[(kind, _pick(real, (kind,), "carrier", args.carrier))]
         hom = _get_hom(real, _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf))
-        act = real.structures[("ACTION", _pick(real, ("ACTION",), "action", args.action))]
-        made = smash_product(alg, hom, act, name=name)
-        reports = [made.gate]
-        chunk = textfmt.algebra_lines(name, made.algebra)
-        summary = f"constructed ALGEBRA {name} (dim {made.algebra.dim})"
-    elif args.what == "cosmash":
-        carrier = _pick(real, ("COALGEBRA",), "carrier", args.carrier)
-        coalg = real.structures[("COALGEBRA", carrier)]
-        hom = _get_hom(real, _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf))
-        coact = real.structures[("COACTION", _pick(real, ("COACTION",), "coaction", args.coaction))]
-        made = smash_coproduct(coalg, hom, coact, name=name)
-        reports = [made.gate]
-        chunk = textfmt.coalgebra_lines(name, made.coalgebra)
-        summary = f"constructed COALGEBRA {name} (dim {made.coalgebra.dim})"
-    elif args.what == "tsmash":
-        carrier = _pick(real, ("COALGEBRA",), "carrier", args.carrier)
-        coalg = real.structures[("COALGEBRA", carrier)]
-        hom = _get_hom(real, _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf))
-        if args.t == "flip":
-            t_map = flip_twist_map(coalg, hom)
+        if args.what == "smash":
+            made = smash_product(carrier, hom, _piece(real, "ACTION", args.action), name=name)
+        elif args.what == "cosmash":
+            made = smash_coproduct(carrier, hom, _piece(real, "COACTION", args.coaction), name=name)
         else:
-            coact = real.structures[
-                ("COACTION", _pick(real, ("COACTION",), "coaction", args.coaction))
-            ]
-            t_map = coaction_twist_map(coalg, hom, coact)
-        made = t_smash_coproduct(coalg, hom, t_map, name=name)
-        reports = [made.gate]
-        chunk = textfmt.coalgebra_lines(name, made.coalgebra)
-        summary = f"constructed COALGEBRA {name} (dim {made.coalgebra.dim})"
-    else:  # biproduct
-        bundle = _bundle_from_args(real, args)
-        made = radford_biproduct(bundle, name=name)
-        reports = list(made.gates)
-        chunk = textfmt.bialgebra_lines(name, made.bialgebra)
-        summary = f"constructed BIALGEBRA {name} (dim {made.bialgebra.dim})"
+            if args.t == "flip":
+                t_map = flip_twist_map(carrier, hom)
+            else:
+                t_map = coaction_twist_map(carrier, hom, _piece(real, "COACTION", args.coaction))
+            made = t_smash_coproduct(carrier, hom, t_map, name=name)
+        result, reports = getattr(made, kind.lower()), [made.gate]
     code = _print_reports(reports, args.witness)
-    print(summary)
+    print(f"constructed {kind} {name} (dim {result.dim})")
     if args.emit:
-        _emit(args.emit, textfmt.render_document(field, [chunk]))
+        chunk = getattr(textfmt, f"{kind.lower()}_lines")(name, result)  # the kind's printer
+        _emit(args.emit, textfmt.render_document(real.field, [chunk]))
     return code
 
 
@@ -265,6 +246,9 @@ def _cmd_braiding_test(args):
     for name, module in dict(zip(args.modules, (m1, m2))).items():  # the braiding by alpha^-1
         check = twist_invertible_check(module)
         twists.append(CheckResult(f"{name}.{check.name}", check.passed, check.witness))
+    if all(check.passed for check in twists):  # the braiding inverse by S^-1
+        singular = "antipode matrix is singular"
+        twists.append(invertible_check("antipode.invertible", m1.hom.antipode.inverse, singular))
     if not all(check.passed for check in twists):
         return _print_reports([Report(title, tuple(twists))], args.witness)
     c = braiding(m1, m2, check=False)

@@ -690,10 +690,10 @@ class TwistCache:
         if k not in memo:
             if k > 1:
                 memo[k] = self.power(k - 1) * self.matrix
+            elif k == -1:
+                memo[k] = self.matrix.inverse()
             else:
-                if -1 not in memo:
-                    memo[-1] = self.matrix.inverse()
-                memo[k] = self.power(k + 1) * memo[-1]
+                memo[k] = self.power(k + 1) * self.power(-1)
         return memo[k]
 
     @property

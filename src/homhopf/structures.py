@@ -6,8 +6,6 @@ matrix columns enumerate basis tuples, so any failure decodes to an exact
 first counterexample.
 """
 
-from dataclasses import dataclass
-
 from .fields import ExactError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
@@ -21,8 +19,6 @@ from .matrices import (
 from .report import CheckResult, Report, StructureError, eq_check
 
 __all__ = [
-    "MultCube",
-    "ComultMap",
     "HomAlgebra",
     "HomCoalgebra",
     "HomBialgebra",
@@ -49,86 +45,6 @@ def default_basis(n):
 
 def tensor_basis(left, right):
     return tuple(f"{a}⊗{b}" for a in left for b in right)
-
-
-@dataclass(frozen=True)
-class MultCube:
-    """Structure constants mu[i][j][k] with e_i*e_j = sum_k mu[i][j][k] e_k."""
-
-    field: object
-    dim: int
-    entries: dict
-
-    def __post_init__(self):
-        zero = self.field.zero
-        for (i, j, k), v in self.entries.items():
-            if not all(0 <= t < self.dim for t in (i, j, k)):
-                raise ShapeError(f"cube index ({i},{j},{k}) outside dim {self.dim}")
-            if self.field.coerce(v) == zero:
-                raise ExactError(f"cube stores an explicit zero at ({i},{j},{k})")
-
-    def entry(self, i, j, k):
-        return self.field.coerce(self.entries.get((i, j, k), self.field.zero))
-
-    def to_matrix(self):
-        n = self.dim
-        ent = {
-            (k, i * n + j): self.field.coerce(v)
-            for (i, j, k), v in self.entries.items()
-        }
-        return Matrix(self.field, n, n * n, ent)
-
-    @classmethod
-    def from_matrix(cls, m, dim):
-        if m.rows != dim or m.cols != dim * dim:
-            raise ShapeError("multiplication matrix must be n x n^2")
-        entries = {}
-        for k in range(dim):
-            for col, v in m.row_items(k):
-                entries[(col // dim, col % dim, k)] = v
-        return cls(m.field, dim, entries)
-
-
-@dataclass(frozen=True)
-class ComultMap:
-    """For each i, Delta(e_i) = sum c * e_j (x) e_k given as (j, k, c) triples."""
-
-    field: object
-    dim: int
-    rows: dict
-
-    def __post_init__(self):
-        zero = self.field.zero
-        for i, triples in self.rows.items():
-            if not 0 <= i < self.dim:
-                raise ShapeError(f"comult index {i} outside dim {self.dim}")
-            seen = set()
-            for j, k, c in triples:
-                if not (0 <= j < self.dim and 0 <= k < self.dim):
-                    raise ShapeError(f"comult target ({j},{k}) outside dim {self.dim}")
-                if (j, k) in seen:
-                    raise ExactError(f"duplicate comult entry ({j},{k}) for basis {i}")
-                seen.add((j, k))
-                if self.field.coerce(c) == zero:
-                    raise ExactError(f"comult stores an explicit zero at {i}->({j},{k})")
-
-    def to_matrix(self):
-        n = self.dim
-        ent = {}
-        for i, triples in self.rows.items():
-            for j, k, c in triples:
-                ent[(j * n + k, i)] = self.field.coerce(c)
-        return Matrix(self.field, n * n, n, ent)
-
-    @classmethod
-    def from_matrix(cls, m, dim):
-        if m.rows != dim * dim or m.cols != dim:
-            raise ShapeError("comultiplication matrix must be n^2 x n")
-        rows = {i: [] for i in range(dim)}
-        for r in range(dim * dim):
-            for i, v in m.row_items(r):
-                rows[i].append((r // dim, r % dim, v))
-        return cls(m.field, dim, {i: tuple(sorted(t)) for i, t in rows.items() if t})
 
 
 def _coerce_column(field, unit, n):
@@ -176,47 +92,29 @@ class _Twisted:
 
 
 class HomAlgebra(_Twisted):
-    """(A, mu, 1, alpha): multiplication cube, unit and twist over a named basis."""
+    """(A, mu, 1, alpha): multiplication, unit and twist over a named basis."""
 
     def __init__(self, field, mult, unit, twist=None, basis=None, name=None, check=True):
-        if isinstance(mult, MultCube):
-            mult = mult.to_matrix()
-        elif mult.cols != mult.rows * mult.rows:
+        if mult.cols != mult.rows * mult.rows:
             raise ShapeError("multiplication matrix must be n x n^2")
         super().__init__(field, mult, mult.rows, twist, basis, name)
         self.mult = mult
         self.unit = _coerce_column(field, unit, self.dim)
-        self._cube = None
         if check:
             check_hom_algebra(self).require("Hom-algebra axioms fail")
-
-    @property
-    def cube(self):
-        if self._cube is None:
-            self._cube = MultCube.from_matrix(self.mult, self.dim)
-        return self._cube
 
 
 class HomCoalgebra(_Twisted):
     """(C, Delta, eps, beta): comultiplication, counit and twist over a named basis."""
 
     def __init__(self, field, comult, counit, twist=None, basis=None, name=None, check=True):
-        if isinstance(comult, ComultMap):
-            comult = comult.to_matrix()
-        elif comult.rows != comult.cols * comult.cols:
+        if comult.rows != comult.cols * comult.cols:
             raise ShapeError("comultiplication matrix must be n^2 x n")
         super().__init__(field, comult, comult.cols, twist, basis, name)
         self.comult = comult
         self.counit = _coerce_row(field, counit, self.dim)
-        self._comult_map = None
         if check:
             check_hom_coalgebra(self).require("Hom-coalgebra axioms fail")
-
-    @property
-    def comult_map(self):
-        if self._comult_map is None:
-            self._comult_map = ComultMap.from_matrix(self.comult, self.dim)
-        return self._comult_map
 
 
 class HomBialgebra(_Twisted):
@@ -301,8 +199,8 @@ class _Dual:
 
 
 def _acting_dual(hom):
-    """The dual of an acting structure, made once and kept on it as
-    HomAlgebra.cube is, so every (co)action over it reuses its transposes.
+    """The dual of an acting structure, made once and kept on it, so every
+    (co)action over it reuses its transposes.
     Carriers and (co)actions get a fresh dual per call: kept on each of
     them, duals would cost more memory than their reuse saves."""
     if "_dual" not in vars(hom):
@@ -321,12 +219,19 @@ def _co_check(name, lhs_t, rhs_t, in_legs=None, out_legs=None):
     return eq_check(name, lhs_t.transpose(), rhs_t.transpose(), out_legs, in_legs)
 
 
-def twist_invertible_check(structure):
+def invertible_check(name, invert, witness):
+    """A check that passes when `invert()` returns and fails with `witness`
+    when it meets a singular matrix."""
     try:
-        structure.twist_inv
-        return CheckResult("twist.invertible", True)
+        invert()
+        return CheckResult(name, True)
     except SingularMatrixError:
-        return CheckResult("twist.invertible", False, "twist matrix is singular")
+        return CheckResult(name, False, witness)
+
+
+def twist_invertible_check(structure):
+    singular = "twist matrix is singular"
+    return invertible_check("twist.invertible", lambda: structure.twist_inv, singular)
 
 
 def _hom_algebra_checks(alg, eq):
@@ -508,13 +413,8 @@ def yau_twist(h, gamma, name=None, check=True):
     antipode = getattr(h, "antipode", None)
     one = (b,)
     two = (b, b)
-    try:
-        gamma.inverse()
-        inv_check = CheckResult("automorphism.invertible", True)
-    except SingularMatrixError:
-        inv_check = CheckResult("automorphism.invertible", False, "candidate is singular")
     checks = [
-        inv_check,
+        invertible_check("automorphism.invertible", gamma.inverse, "candidate is singular"),
         eq_check("automorphism.mult", gamma * m, kron_apply_right(m, gamma, gamma), two, one),
         eq_check("automorphism.unit", gamma * u, u, None, one),
         eq_check("automorphism.comult", d * gamma, kron_apply(gamma, gamma, d), one, two),

@@ -21,21 +21,18 @@ def acc(field, store, key, value):
 
 
 def mul_basis(alg, i, j):
-    """e_i * e_j from the multiplication cube."""
-    out = {}
-    for (a, b, k), v in alg.cube.entries.items():
-        if a == i and b == j:
-            out[k] = v
-    return out
+    """e_i * e_j read off column i*n + j of the multiplication matrix."""
+    return matrix_image(alg.field, alg.mult, i * alg.dim + j)
 
 
 def delta_basis(coalg, i):
-    """Delta(e_i) as {(j, k): c} from the sparse comultiplication rows."""
-    return {(j, k): c for (j, k, c) in coalg.comult_map.rows.get(i, ())}
+    """Delta(e_i) as {(j, k): c} read off column i of the comultiplication."""
+    image = matrix_image(coalg.field, coalg.comult, i)
+    return {divmod(r, coalg.dim): c for r, c in image.items()}
 
 
 def matrix_image(field, mat, i):
-    """Image of basis vector e_i under a square matrix, as a dict."""
+    """Image of basis vector e_i under a matrix, as a dict."""
     out = {}
     for r in range(mat.rows):
         v = mat.entry(r, i)

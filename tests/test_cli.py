@@ -172,11 +172,11 @@ def test_catalog_rmatrix_refused_over_gf2(capsys):
 
 
 def _singular_twist_bundle(tmp_path, old):
-    """The dual-number bundle with every `old` twist row zeroed."""
+    """The dual-number bundle with every `old` row 1 zeroed."""
     text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
     assert old in text
     path = tmp_path / "singular.hh"
-    path.write_text(text.replace(old, "  TWIST 1 : 0 0\n"), encoding="utf-8")
+    path.write_text(text.replace(old, old.split(":")[0] + ": 0 0\n"), encoding="utf-8")
     return path
 
 
@@ -256,17 +256,23 @@ def test_singular_acting_twist_is_reported_by_the_equivalences(tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "old, verdict",
-    [("  TWIST 1 : 0 1\n", "twist.invertible"), ("  TWIST 1 : 0 2\n", "yd.twist.invertible")],
-    ids=["acting", "carrier"],
+    [
+        ("  TWIST 1 : 0 1\n", "twist.invertible"),
+        ("  TWIST 1 : 0 2\n", "yd.twist.invertible"),
+        ("  ANTIPODE 1 : 0 1\n", "antipode.invertible"),
+    ],
+    ids=["acting", "carrier", "antipode"],
 )
 def test_braiding_test_reports_a_singular_twist(tmp_path, capsys, old, verdict):
-    # the tensor coactions twist back by beta^-2 and the braiding by alpha^-1
+    # the tensor coactions twist back by beta^-2, the braiding by alpha^-1
+    # and its inverse by S^-1
     path = _singular_twist_bundle(tmp_path, old)
     code, out, err = run(capsys, "braiding-test", str(path), "--modules", "yd", "yd", "--witness")
     assert code == 2
     assert err == ""
     verdicts = [line.split(maxsplit=2) for line in out.splitlines()]
-    assert [verdict, "FAIL", "[twist matrix is singular]"] in verdicts
+    singular = f"[{old.split()[0].lower()} matrix is singular]"
+    assert [verdict, "FAIL", singular] in verdicts
     assert out.splitlines()[-1] == "OVERALL FAIL"
 
 
@@ -365,13 +371,19 @@ _FUZZ_DOCUMENTS = tuple(
 
 
 def _mutate(text, line, how, token):
-    """Drop or duplicate one line below the FORMAT/FIELD header, or put
-    `token` in place of the last scalar of one matrix row."""
+    """Drop or duplicate one line below the FORMAT/FIELD header, put `token`
+    in place of the last scalar of one matrix row, or set every scalar of one
+    matrix, UNIT or COUNIT row to zero."""
     lines = text.splitlines(keepends=True)
     if how == "perturb":
         rows = [i for i, row in enumerate(lines) if " : " in row]
         i = rows[line % len(rows)]
         lines[i] = lines[i].rstrip("\n").rsplit(" ", 1)[0] + f" {token}\n"
+    elif how == "zero":
+        rows = [i for i, row in enumerate(lines) if " : " in row or row.split()[0] in ("UNIT", "COUNIT")]
+        words = lines[rows[line % len(rows)]].split()
+        at = words.index(":") + 1 if ":" in words else 1
+        lines[rows[line % len(rows)]] = "  " + " ".join(words[:at] + ["0"] * (len(words) - at)) + "\n"
     else:
         i = 2 + line % (len(lines) - 2)
         lines[i:i + 1] = [] if how == "drop" else [lines[i]] * 2
@@ -391,31 +403,52 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Every subcommand that reads a document, with "{src}" for it; an emitting
+# one ends in its emit option.
+_FUZZ_COMMANDS = (
+    ("check", "{src}"),
+    ("construct", "smash", "{src}", "--emit"),
+    ("construct", "cosmash", "{src}", "--emit"),
+    ("construct", "tsmash", "{src}", "--emit"),
+    ("construct", "tsmash", "{src}", "--t", "flip", "--emit"),
+    ("construct", "biproduct", "{src}", "--emit"),
+    ("antipode", "{src}", "--emit"),
+    ("braiding-test", "{src}", "--modules", "yd", "yd", "--emit-matrix"),
+    ("ybe-test", "{src}", "--modules", "yd", "yd", "yd", "--emit-matrix"),
+    ("quasitriangular-check", "{src}"),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(
     doc=st.sampled_from(_FUZZ_DOCUMENTS),
     line=st.integers(min_value=0, max_value=10**4),
-    how=st.sampled_from(("drop", "duplicate", "perturb")),
+    how=st.sampled_from(("drop", "duplicate", "perturb", "zero")),
     token=st.sampled_from(("0", "1", "-1", "2", "1/2", "x")),
+    command=st.sampled_from(_FUZZ_COMMANDS),
 )
-def test_mutated_documents_exit_cleanly_and_emit_round_trips(fuzz_dir, doc, line, how, token):
+def test_mutated_documents_exit_cleanly_and_emit_round_trips(fuzz_dir, doc, line, how, token, command):
     # A new source file per example, since truncating an old one can wait on
     # the disk; one target for all, so an emit also lands on the previous
     # example's file, which may be longer or shorter.
     fd, src = tempfile.mkstemp(suffix=".hh", dir=fuzz_dir)
     with open(fd, "w", encoding="utf-8") as fh:
         fh.write(_mutate(doc, line, how, token))
-    target = fuzz_dir / "biproduct.hh"
-    code, _, err = _quiet_main("check", src)
-    assert code in (0, 1, 2) and "Traceback" not in err
-    argv = ("construct", "biproduct", src, "--emit", str(target))
+    target = fuzz_dir / "emitted.out"
+    argv = [src if word == "{src}" else word for word in command]
+    emits = argv[-1].startswith("--emit")
+    if emits:
+        argv.append(str(target))
     first = _quiet_main(*argv)
-    assert first[0] in (0, 1, 2) and "Traceback" not in first[2]
-    emitted = target.read_text(encoding="utf-8") if first[0] == 0 else None
+    code, err = first[0], first[2]
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert not (code == 1 and "singular" in err), err  # a singular map is a math refusal
+    emitted = target.read_text(encoding="utf-8") if emits and code == 0 else None
     assert _quiet_main(*argv) == first
     if emitted is not None:
         assert target.read_text(encoding="utf-8") == emitted
-        assert render_parsed(parse_document(emitted)) == emitted
+        if command[0] in ("construct", "antipode"):
+            assert render_parsed(parse_document(emitted)) == emitted
 
 
 @pytest.mark.parametrize("action", ["show", "check"])

@@ -268,6 +268,21 @@ def test_twist_cache_powers():
     assert cache.inverse * t == Matrix.identity(QQ, 2)
 
 
+def test_twist_cache_inverse_takes_no_product():
+    cache = TwistCache(Matrix.diagonal(QQ, [1, 2]))
+    products, mul = [], Matrix.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    with mock.patch.object(Matrix, "__mul__", counted):
+        inverse = cache.power(-1)
+    assert products == []
+    assert inverse == Matrix.diagonal(QQ, [1, Fraction(1, 2)])
+    assert cache.inverse is inverse
+
+
 def test_matrix_pow_negative():
     t = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert t.pow(-3) == t

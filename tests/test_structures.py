@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -30,7 +29,7 @@ from homhopf import (
 )
 from homhopf.matrices import kron_apply, leg_perm
 from homhopf.report import eq_check
-from homhopf.structures import ComultMap, MultCube, _compat_rhs
+from homhopf.structures import _compat_rhs
 from homhopf.catalog import (
     cyclic_group_hopf,
     dual_number_algebra,
@@ -257,23 +256,6 @@ def test_twisted_comult_two_routes_agree():
 
     brute = oracles.oracle_matrix(field, (4,), (4, 4), expand)
     assert maps_equal(h.comult, brute)
-
-
-def test_mult_cube_round_trip():
-    h = taft_twisted(QQ, 2)
-    cube = h.algebra.cube
-    assert cube.to_matrix() == h.mult
-    assert MultCube.from_matrix(h.mult, 4).entries == cube.entries
-    cm = h.coalgebra.comult_map
-    assert cm.to_matrix() == h.comult
-    assert ComultMap.from_matrix(h.comult, 4).rows == cm.rows
-
-
-def test_cube_validation():
-    with pytest.raises(ExactError):
-        MultCube(QQ, 2, {(0, 0, 0): Fraction(0)})
-    with pytest.raises(ExactError):
-        ComultMap(QQ, 2, {0: ((0, 0, Fraction(1)), (0, 0, Fraction(1)))})
 
 
 def test_bialgebra_requires_shared_twist():
