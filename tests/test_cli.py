@@ -380,10 +380,12 @@ def _mutate(text, line, how, token):
         i = rows[line % len(rows)]
         lines[i] = lines[i].rstrip("\n").rsplit(" ", 1)[0] + f" {token}\n"
     elif how == "zero":
-        rows = [i for i, row in enumerate(lines) if " : " in row or row.split()[0] in ("UNIT", "COUNIT")]
-        words = lines[rows[line % len(rows)]].split()
+        rows = [i for i, row in enumerate(lines)
+                if " : " in row or row.lstrip().startswith(("UNIT ", "COUNIT "))]
+        i = rows[line % len(rows)]
+        words = lines[i].split()
         at = words.index(":") + 1 if ":" in words else 1
-        lines[rows[line % len(rows)]] = "  " + " ".join(words[:at] + ["0"] * (len(words) - at)) + "\n"
+        lines[i] = "  " + " ".join(words[:at] + ["0"] * (len(words) - at)) + "\n"
     else:
         i = 2 + line % (len(lines) - 2)
         lines[i:i + 1] = [] if how == "drop" else [lines[i]] * 2
