@@ -343,10 +343,10 @@ def check_hyd_prime(module, title=None, hyd=None):
     return Report(title, checks)
 
 
-def trivial_yd_module(hom, label="1"):
+def trivial_yd_module(hom):
     """The base field as a Yetter-Drinfeld module: h |> k = eps(h)k, rho(k) = 1 (x) k."""
     field = hom.field
     unit_twist = Matrix.identity(field, 1)
-    action = ActionMap(hom, hom.counit, unit_twist, (label,))
-    coaction = CoactionMap(hom, hom.unit, unit_twist, (label,))
+    action = ActionMap(hom, hom.counit, unit_twist, ("1",))
+    coaction = CoactionMap(hom, hom.unit, unit_twist, ("1",))
     return YDModule(action, coaction, name="unit-module")

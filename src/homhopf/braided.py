@@ -6,7 +6,15 @@ checks, and the biproduct/category equivalence.
 from dataclasses import dataclass
 
 from .fields import ExactError
-from .matrices import Matrix, kron, kron_apply, kron_apply_right, kron_list, permute_row_legs
+from .matrices import (
+    Matrix,
+    kron,
+    kron_apply,
+    kron_apply_right,
+    kron_list,
+    permute_col_legs,
+    permute_row_legs,
+)
 from .report import CheckResult, Report, eq_check
 from .structures import tensor_basis
 from .actions import (
@@ -109,6 +117,11 @@ def associator_matrix(m1, m2, m3):
     return kron_list(m1.twist_inv, Matrix.identity(field, m2.dim), m3.twist)
 
 
+def _associator_inverse(m1, m2, m3):
+    """m (x) (n (x) p) |-> (alpha_M(m) (x) n) (x) alpha_P^-1(p), from the twist caches."""
+    return kron_list(m1.twist, Matrix.identity(m1.field, m2.dim), m3.twist_inv)
+
+
 def _morphism(what, src, tgt, matrix, check):
     """The morphism src -> tgt given by `matrix`, checked when `check` is set."""
     f = CategoryMorphism(src, tgt, matrix)
@@ -119,21 +132,25 @@ def _morphism(what, src, tgt, matrix, check):
     return f
 
 
-def associator(m1, m2, m3, check=True):
+def associator(m1, m2, m3):
     src = yd_tensor(yd_tensor(m1, m2, check=False), m3, check=False)
     tgt = yd_tensor(m1, yd_tensor(m2, m3, check=False), check=False)
-    return _morphism("associator", src, tgt, associator_matrix(m1, m2, m3), check)
+    return _morphism("associator", src, tgt, associator_matrix(m1, m2, m3), True)
+
+
+def _coact_then_act(m1, m2, h, f, g):
+    """(h(m_{-1}) |> f(n)) (x) g(m_0) on M (x) N: the one body of the
+    braiding, its inverse and the Yang-Baxter operator."""
+    hom = m1.hom
+    n, d1, d2 = hom.dim, m1.dim, m2.dim
+    step = kron(m1.coaction.matrix, Matrix.identity(hom.field, d2))  # (m-1, m0, n)
+    step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
+    return kron_apply(kron_apply_right(m2.action.matrix, h, f), g, step)
 
 
 def braiding_matrix(m1, m2):
     """c(m (x) n) = (beta^2(m_{-1}) |> alpha_N^-1(n)) (x) alpha_M^-1(m_0)."""
-    hom = m1.hom
-    field, n = hom.field, hom.dim
-    d1, d2 = m1.dim, m2.dim
-    step = kron(m1.coaction.matrix, Matrix.identity(field, d2))  # (m-1, m0, n)
-    step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
-    left = kron_apply_right(m2.action.matrix, hom.twist_power(2), m2.twist_inv)
-    return kron_apply(left, m1.twist_inv, step)
+    return _coact_then_act(m1, m2, m1.hom.twist_power(2), m2.twist_inv, m1.twist_inv)
 
 
 def braiding(m1, m2, check=True):
@@ -142,18 +159,15 @@ def braiding(m1, m2, check=True):
 
 
 def braiding_inverse_matrix(m1, m2):
-    """c^-1(n (x) m) = alpha_M^-1(m_0) (x) (S^-1(beta^2(m_{-1})) |> alpha_N^-1(n))."""
+    """c^-1(n (x) m) = alpha_M^-1(m_0) (x) (S^-1(beta^2(m_{-1})) |> alpha_N^-1(n)):
+    the braiding body with S^-1 beta^2 acting, between flips of both sides."""
     hom = m1.hom
     s = getattr(hom, "antipode", None)
     if s is None:
         raise ExactError("the braiding inverse needs an antipode")
-    s_inv = s.inverse()
-    field, n = hom.field, hom.dim
-    d1, d2 = m1.dim, m2.dim
-    step = kron(Matrix.identity(field, d2), m1.coaction.matrix)  # (n, m-1, m0)
-    step = permute_row_legs(step, (d2, n, d1), (2, 1, 0))  # (m0, m-1, n)
-    right = kron_apply_right(m2.action.matrix, s_inv * hom.twist_power(2), m2.twist_inv)
-    return kron_apply(m1.twist_inv, right, step)
+    body = _coact_then_act(m1, m2, s.inverse() * hom.twist_power(2), m2.twist_inv, m1.twist_inv)
+    flipped = permute_row_legs(body, (m2.dim, m1.dim), (1, 0))  # onto M (x) N
+    return permute_col_legs(flipped, (m2.dim, m1.dim), (1, 0))  # from N (x) M
 
 
 def braiding_inverse(m1, m2, check=True):
@@ -163,21 +177,17 @@ def braiding_inverse(m1, m2, check=True):
 
 def yang_baxter_operator(m1, m2):
     """tau(m (x) n) = (beta^3(m_{-1}) |> n) (x) m_0."""
-    hom = m1.hom
-    field, n = hom.field, hom.dim
-    d1, d2 = m1.dim, m2.dim
-    step = kron(m1.coaction.matrix, Matrix.identity(field, d2))  # (m-1, m0, n)
-    step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
-    left = kron_apply_right(m2.action.matrix, hom.twist_power(3), Matrix.identity(field, d2))
-    return kron_apply(left, Matrix.identity(field, d1), step)
+    field = m1.field
+    i1, i2 = Matrix.identity(field, m1.dim), Matrix.identity(field, m2.dim)
+    return _coact_then_act(m1, m2, m1.hom.twist_power(3), i2, i1)
 
 
-def _tau_twist_check(name, m1, m2):
-    tau = yang_baxter_operator(m1, m2)
+def _twist_naturality(name, op, m1, m2):
+    """op: M (x) N -> N (x) M commutes with the twists."""
     return eq_check(
         name,
-        kron_apply_right(tau, m1.twist, m2.twist),
-        kron_apply(m2.twist, m1.twist, tau),
+        kron_apply_right(op, m1.twist, m2.twist),
+        kron_apply(m2.twist, m1.twist, op),
         (m1.basis, m2.basis),
         (m2.basis, m1.basis),
     )
@@ -185,14 +195,14 @@ def _tau_twist_check(name, m1, m2):
 
 def check_yang_baxter(m1, m2, m3, title=None):
     """Twist compatibility of tau plus the Yang-Baxter relation on M (x) N (x) P."""
-    checks = [
-        _tau_twist_check("tau.twist(M,N)", m1, m2),
-        _tau_twist_check("tau.twist(M,P)", m1, m3),
-        _tau_twist_check("tau.twist(N,P)", m2, m3),
-    ]
     t12 = yang_baxter_operator(m1, m2)
     t13 = yang_baxter_operator(m1, m3)
     t23 = yang_baxter_operator(m2, m3)
+    checks = [
+        _twist_naturality("tau.twist(M,N)", t12, m1, m2),
+        _twist_naturality("tau.twist(M,P)", t13, m1, m3),
+        _twist_naturality("tau.twist(N,P)", t23, m2, m3),
+    ]
     lhs = kron_apply(m3.twist, t12, kron_apply(t13, m2.twist, kron(m1.twist, t23)))
     rhs = kron_apply(t23, m1.twist, kron_apply(m2.twist, t13, kron(t12, m3.twist)))
     in_legs = (m1.basis, m2.basis, m3.basis)
@@ -239,25 +249,17 @@ def check_hexagons(m1, m2, m3, title=None):
         * braiding_matrix(m1, t23)
         * associator_matrix(m1, m2, m3)
     )
-    hex2_lhs = kron_apply_right(
-        kron_apply(c13, i2, associator_matrix(m1, m3, m2).inverse()), i1, c23
-    )
+    hex2_lhs = kron_apply_right(kron_apply(c13, i2, _associator_inverse(m1, m3, m2)), i1, c23)
     hex2_rhs = (
-        associator_matrix(m3, m1, m2).inverse()
+        _associator_inverse(m3, m1, m2)
         * braiding_matrix(t12, m3)
-        * associator_matrix(m1, m2, m3).inverse()
+        * _associator_inverse(m1, m2, m3)
     )
     in_legs = (m1.basis, m2.basis, m3.basis)
     checks = (
         eq_check("hexagon1", hex1_lhs, hex1_rhs, in_legs, (m2.basis, m3.basis, m1.basis)),
         eq_check("hexagon2", hex2_lhs, hex2_rhs, in_legs, (m3.basis, m1.basis, m2.basis)),
-        eq_check(
-            "naturality.twist",
-            kron_apply_right(c12, m1.twist, m2.twist),
-            kron_apply(m2.twist, m1.twist, c12),
-            (m1.basis, m2.basis),
-            (m2.basis, m1.basis),
-        ),
+        _twist_naturality("naturality.twist", c12, m1, m2),
     )
     return Report(title or "hexagon identities", checks)
 

@@ -11,13 +11,12 @@ import os
 import stat
 import sys
 
-from .fields import ExactError, GF, QQ
-from .matrices import Matrix
+from .fields import ExactError, GF, QQ, SingularMatrixError
 from .report import CheckResult, Report, StructureError
 from .actions import YDModule
 from .braided import (
     braiding,
-    braiding_inverse,
+    braiding_inverse_matrix,
     check_yang_baxter,
     check_yd_morphism,
     yang_baxter_operator,
@@ -33,7 +32,7 @@ from .constructions import (
     t_smash_coproduct,
 )
 from .quasitriangular import check_cobraiding_equivalence, check_rmatrix_equivalence
-from .structures import invertible_check, twist_invertible_check
+from .structures import twist_invertible_check
 from . import catalog as cat
 from . import textfmt
 
@@ -145,12 +144,12 @@ def _linear_combo(field, basis, coeffs):
     return " + ".join(terms) if terms else "0"
 
 
-def _yd_module(real, name):
+def _yd_module(real, name, check):
     act = real.structures.get(("ACTION", name))
     coact = real.structures.get(("COACTION", name))
     if act is None or coact is None:
         raise UsageError(f"module {name!r} needs both an ACTION and a COACTION block")
-    return YDModule(act, coact, name=name, check=False)
+    return YDModule(act, coact, name=name, check=check)
 
 
 def _piece(real, kind, given):
@@ -237,8 +236,8 @@ def _cmd_braiding_test(args):
     real = _load(args.file)
     if len(args.modules) != 2:
         raise UsageError("braiding-test needs exactly two module names")
-    m1 = _yd_module(real, args.modules[0])
-    m2 = _yd_module(real, args.modules[1])
+    m1 = _yd_module(real, args.modules[0], check=False)
+    m2 = _yd_module(real, args.modules[1], check=False)
     if getattr(m1.hom, "antipode", None) is None:
         raise UsageError("braiding-test needs a HOPF acting block (antipode required)")
     title = f"braiding c({args.modules[0]},{args.modules[1]})"
@@ -247,18 +246,19 @@ def _cmd_braiding_test(args):
         check = twist_invertible_check(module)
         twists.append(CheckResult(f"{name}.{check.name}", check.passed, check.witness))
     if all(check.passed for check in twists):  # the braiding inverse by S^-1
-        singular = "antipode matrix is singular"
-        twists.append(invertible_check("antipode.invertible", m1.hom.antipode.inverse, singular))
+        try:
+            ci = braiding_inverse_matrix(m1, m2)
+        except SingularMatrixError:
+            twists.append(CheckResult("antipode.invertible", False, "antipode matrix is singular"))
+        else:
+            twists.append(CheckResult("antipode.invertible", True))
     if not all(check.passed for check in twists):
         return _print_reports([Report(title, tuple(twists))], args.witness)
     c = braiding(m1, m2, check=False)
-    ci = braiding_inverse(m1, m2, check=False)
     reports = [check_yd_morphism(c, title=title)]
-    ident_src = Matrix.identity(real.field, c.source.dim)
-    ident_tgt = Matrix.identity(real.field, c.target.dim)
     inverse_checks = (
-        CheckResult("inverse.left", ci.matrix * c.matrix == ident_src),
-        CheckResult("inverse.right", c.matrix * ci.matrix == ident_tgt),
+        CheckResult("inverse.left", (ci * c.matrix).is_identity()),
+        CheckResult("inverse.right", (c.matrix * ci).is_identity()),
     )
     reports.append(Report("braiding invertibility", inverse_checks))
     code = _print_reports(reports, args.witness)
@@ -271,7 +271,9 @@ def _cmd_ybe_test(args):
     real = _load(args.file)
     if len(args.modules) != 3:
         raise UsageError("ybe-test needs exactly three module names")
-    mods = [_yd_module(real, name) for name in args.modules]
+    # each distinct module built once, and refused unless it is Yetter-Drinfeld
+    built = {name: _yd_module(real, name, check=True) for name in dict.fromkeys(args.modules)}
+    mods = [built[name] for name in args.modules]
     report = check_yang_baxter(*mods, title="Yang-Baxter operator checks")
     code = _print_reports([report], args.witness)
     if args.emit_matrix:
@@ -315,12 +317,9 @@ def _cmd_catalog(args):
         entry = cat.catalog_entry(args.id)
     except KeyError as exc:
         raise UsageError(f"unknown catalog entry {args.id!r}") from exc
-    param = None
     if entry.param is None and args.param is not None:
         raise UsageError(f"catalog entry {entry.identifier!r} takes no --param")
-    if entry.param is not None:
-        token = args.param if args.param is not None else str(entry.default_param)
-        param = field.parse(token)
+    param = None if args.param is None else field.parse(args.param)  # else the entry's default
     text = textfmt.catalog_document(entry.identifier, field, param)
     if args.action == "show":
         sys.stdout.write(text)

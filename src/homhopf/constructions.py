@@ -86,14 +86,14 @@ class TwistMapT:
         return Report(f"twist map compatibility [{self.name or 'T'}]", (check,))
 
 
-def coaction_twist_map(coalgebra, hom, coaction, check=True):
+def coaction_twist_map(coalgebra, hom, coaction):
     """T(c (x) h) = c_{-1} h (x) c_0, the twist map carried by a coaction."""
     field, n, m = hom.field, hom.dim, coalgebra.dim
     i_n = Matrix.identity(field, n)
     step = kron(coaction.matrix, i_n)  # (c-1, c0, h)
     step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (c-1, h, c0)
     matrix = kron_apply(hom.mult, Matrix.identity(field, m), step)
-    return TwistMapT(coalgebra, hom, matrix, name="coaction-twist", check=check)
+    return TwistMapT(coalgebra, hom, matrix, name="coaction-twist")
 
 
 def flip_twist_map(coalgebra, hom):
@@ -233,7 +233,7 @@ def check_t_smash_conditions(t_map, title=None):
     return Report(title or f"twist-map coproduct gate [{t_map.name or 'T'}]", tuple(checks))
 
 
-def t_smash_coproduct(carrier, hom, t_map, name=None, check=True):
+def t_smash_coproduct(carrier, hom, t_map, name=None):
     """Coproduct Delta(c (x) h) = c1 (x) beta^-1(h1)_T (x) alpha^-1(c2_T) (x) h2,
     admitted iff the C1-C3 gate passes."""
     gate = check_t_smash_conditions(t_map).require("twist-map coproduct gate fails")
@@ -252,7 +252,6 @@ def t_smash_coproduct(carrier, hom, t_map, name=None, check=True):
         kron(carrier.twist, hom.twist),
         basis=tensor_basis(carrier.basis, hom.basis),
         name=name or "t-cosmash",
-        check=check,
     )
     return TSmashCoproduct(coalgebra, gate)
 
@@ -392,13 +391,12 @@ def biproduct_antipode(bundle, s_carrier=None, check=True, biproduct=None):
     return BiproductAntipode(matrix, gate)
 
 
-def smash_product_antipode(carrier, hom, action, s_carrier, s_hom=None):
+def smash_product_antipode(carrier, hom, action, s_carrier):
     """Trivial-coaction degeneration: S(a (x) h) = (S_H(h)_1 |> alpha^-1 S_A(a))
     (x) beta^-1(S_H(h)_2)."""
     field, m, n = hom.field, carrier.dim, hom.dim
-    s_h = s_hom if s_hom is not None else hom.antipode
     i_m = Matrix.identity(field, m)
-    step = kron(i_m, hom.comult * s_h)  # (a, s1, s2)
+    step = kron(i_m, hom.comult * hom.antipode)  # (a, s1, s2)
     step = permute_row_legs(step, (m, n, n), (1, 0, 2))  # (s1, a, s2)
     left = kron_apply_right(
         action.matrix, Matrix.identity(field, n), carrier.twist_inv * s_carrier
@@ -406,13 +404,12 @@ def smash_product_antipode(carrier, hom, action, s_carrier, s_hom=None):
     return kron_apply(left, hom.twist_inv, step)
 
 
-def smash_coproduct_antipode(carrier, hom, coaction, s_carrier, s_hom=None):
+def smash_coproduct_antipode(carrier, hom, coaction, s_carrier):
     """Trivial-action degeneration: S(c (x) h) = S_C(alpha^-1(c_0))
     (x) S_H(c_{-1} beta^-1(h)), the transpose of the smash product antipode
     of the duals."""
-    s_hom = None if s_hom is None else s_hom.transpose()
     duals = (_Dual(carrier), _acting_dual(hom), _Dual(coaction))
-    return smash_product_antipode(*duals, s_carrier.transpose(), s_hom).transpose()
+    return smash_product_antipode(*duals, s_carrier.transpose()).transpose()
 
 
 def _tensor_gate_check(hom, action, eq):

@@ -267,11 +267,7 @@ class Matrix:
         """Integer power; negative exponents go through the exact inverse."""
         if self.rows != self.cols:
             raise ShapeError("only square matrices take powers")
-        base = self if k >= 0 else self.inverse()
-        result = Matrix.identity(self.field, self.rows)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+        return TwistCache(self).power(k)
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -687,13 +683,12 @@ class TwistCache:
 
     def power(self, k):
         memo = self._memo
-        if k not in memo:
-            if k > 1:
-                memo[k] = self.power(k - 1) * self.matrix
-            elif k == -1:
-                memo[k] = self.matrix.inverse()
-            else:
-                memo[k] = self.power(k + 1) * self.power(-1)
+        if k < 0 and -1 not in memo:
+            memo[-1] = self.matrix.inverse()
+        step = 1 if k > 0 else -1
+        for j in range(step, k, step):  # a loop, not recursion, so no exponent is too large
+            if j + step not in memo:
+                memo[j + step] = memo[j] * memo[step]
         return memo[k]
 
     @property

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -27,6 +28,7 @@ from homhopf import (
     yang_baxter_operator,
     yd_tensor,
 )
+from homhopf import matrices
 from homhopf.braided import CategoryMorphism, associator_matrix, braiding_matrix
 from homhopf.catalog import (
     CoactionMap,
@@ -178,6 +180,16 @@ def test_hexagons_on_catalog_triples(field):
     for triple in ((a, a, a), (a, h, k), (h, a, a)):
         rep = check_hexagons(*triple)
         assert rep.passed, rep.render(True)
+
+
+def test_hexagons_reuse_the_twist_inverses():
+    # each inverse associator comes from the twist caches, so with those
+    # warm only the two fresh tensor modules invert their twists
+    m = taft_bundle(QQ, 2).yd_module()
+    check_hexagons(m, m, m)
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        assert check_hexagons(m, m, m).passed
+    assert solve.call_count == 2
 
 
 def test_hexagon_breaks_under_mutation():

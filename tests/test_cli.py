@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homhopf import cli
+from homhopf import cli, matrices
 from homhopf.cli import main
 from homhopf.fields import PRIME_BOUND
 from homhopf.textfmt import catalog_document, parse_document, realize, render_parsed
-from homhopf import GF, QQ
+from homhopf import GF, Matrix, QQ
 
 
 def run(capsys, *argv):
@@ -274,6 +274,46 @@ def test_braiding_test_reports_a_singular_twist(tmp_path, capsys, old, verdict):
     singular = f"[{old.split()[0].lower()} matrix is singular]"
     assert [verdict, "FAIL", singular] in verdicts
     assert out.splitlines()[-1] == "OVERALL FAIL"
+
+
+def test_braiding_test_inverts_the_antipode_once(tmp_path, capsys):
+    # the antipode pre-check is the braiding inverse's own S^-1
+    path = tmp_path / "bundle.hh"
+    path.write_text(catalog_document("taft-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    loaded, inverted, load, inverse = [], [], cli._load, Matrix.inverse
+
+    def recorded_load(name):
+        loaded.append(load(name))
+        return loaded[-1]
+
+    def recorded_inverse(m):
+        inverted.append(m)
+        return inverse(m)
+
+    with (
+        mock.patch.object(cli, "_load", recorded_load),
+        mock.patch.object(Matrix, "inverse", recorded_inverse),
+        mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve,
+    ):
+        code, out, _ = run(capsys, "braiding-test", str(path), "--modules", "yd", "yd")
+    assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
+    antipode = loaded[0].structures[("HOPF", "H")].antipode
+    assert [m is antipode for m in inverted].count(True) == 1
+    assert solve.call_count == 3  # the acting twist, the module twist and S
+
+
+def test_ybe_test_refuses_a_module_that_is_not_yetter_drinfeld(tmp_path, capsys):
+    # with a singular acting twist, HM1 fails for every module
+    path = _singular_twist_bundle(tmp_path, "  TWIST 1 : 0 1\n")  # the HOPF block's
+    emitted = tmp_path / "tau.mat"
+    argv = ["ybe-test", str(path), "--modules", "yd", "yd", "yd", "--emit-matrix", str(emitted)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[:2] == [
+        "refused: Yetter-Drinfeld module invalid: HM1",
+        "== module axioms [yd]",
+    ]
+    assert not emitted.exists()
 
 
 def test_emit_to_unwritable_path_is_an_error(tmp_path, capsys):

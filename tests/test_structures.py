@@ -27,9 +27,11 @@ from homhopf import (
     tensor_hom_coalgebra,
     yau_twist,
 )
+from homhopf import matrices
 from homhopf.matrices import kron_apply, leg_perm
 from homhopf.report import eq_check
 from homhopf.structures import _compat_rhs
+from homhopf.textfmt import catalog_document, parse_document, realize
 from homhopf.catalog import (
     cyclic_group_hopf,
     dual_number_algebra,
@@ -149,7 +151,14 @@ def test_convolution_of_counit_projectors():
 
 
 def test_convolution_inverse_recovers_antipodes():
-    for h in (group_algebra_z2(QQ), taft_twisted(QQ, 2), taft_twisted(GF(7), 3)):
+    for h in (
+        group_algebra_z2(QQ),
+        taft_twisted(QQ, 2),
+        taft_twisted(GF(7), 3),
+        cyclic_group_hopf(GF(7), 6),
+        dual_number_biproduct(QQ, 2),
+        taft_biproduct(GF(7), 3),
+    ):
         assert convolution_inverse(h.algebra, h.coalgebra) == h.antipode
     s = convolution_inverse(dual_number_algebra(QQ, 2), dual_number_coalgebra(QQ, 2))
     assert s == dual_number_antipode(QQ)
@@ -213,6 +222,24 @@ def test_yau_twist_matches_catalog():
     assert t.mult == ref.mult
     assert t.comult == ref.comult
     assert t.twist == ref.twist
+
+
+def test_yau_twist_inverts_gamma_once():
+    # the automorphism check reads the twisted algebra's twist cache, which
+    # the bialgebra check then reuses for both of its sides
+    h = taft_hopf(QQ)
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        yau_twist(h, Matrix.diagonal(QQ, [1, 1, 2, 2]))
+    assert solve.call_count == 1
+
+
+def test_bialgebra_check_inverts_the_twist_once():
+    # the coalgebra axioms run on the bialgebra, which shares its algebra's twist cache
+    text = catalog_document("taft-twisted", QQ, QQ.coerce(2))
+    h = realize(parse_document(text)).structures[("HOPF", "taft")]
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        assert check_hom_bialgebra(h).passed
+    assert solve.call_count == 1
 
 
 def test_yau_twist_composite():
