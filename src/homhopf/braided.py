@@ -86,7 +86,7 @@ def check_yd_morphism(f, title=None):
     return Report(title or "Yetter-Drinfeld morphism conditions", checks)
 
 
-def yd_tensor(m1, m2, check=True, name=None):
+def yd_tensor(m1, m2, check=True):
     """Tensor module: action (h1 |> m) (x) (h2 |> n), coaction
     beta^-2(m_{-1} n_{-1}) (x) m_0 (x) n_0, twist alpha_M (x) alpha_N."""
     if not same_bialgebra(m1.hom, m2.hom):
@@ -106,7 +106,7 @@ def yd_tensor(m1, m2, check=True, name=None):
     return YDModule(
         ActionMap(hom, act, twist, basis),
         CoactionMap(hom, coact, twist, basis),
-        name=name or "tensor-module",
+        name="tensor-module",
         check=check,
     )
 

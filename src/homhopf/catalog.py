@@ -80,17 +80,17 @@ def _comult(field, dim, table):
     return Matrix(field, dim * dim, dim, entries)
 
 
-def group_algebra_z2(field, name="KZ2"):
+def group_algebra_z2(field):
     """The two-element group algebra: a^2 = 1, a group-like, identity twist."""
     cube = _cube(field, 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}})
     comult = _comult(field, 2, {0: {(0, 0): 1}, 1: {(1, 1): 1}})
     basis = ("1", "a")
     alg = HomAlgebra(field, cube, [1, 0], basis=basis, check=False)
     coalg = HomCoalgebra(field, comult, [1, 1], basis=basis, check=False)
-    return HomHopf(HomBialgebra(alg, coalg, name=name), Matrix.identity(field, 2), name=name)
+    return HomHopf(HomBialgebra(alg, coalg, name="KZ2"), Matrix.identity(field, 2))
 
 
-def cyclic_group_hopf(field, order, name=None):
+def cyclic_group_hopf(field, order):
     """The group algebra of Z_n with group-like basis and inversion antipode."""
     n = order
     cube = _cube(field, n, {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)})
@@ -99,13 +99,13 @@ def cyclic_group_hopf(field, order, name=None):
     alg = HomAlgebra(field, cube, [1] + [0] * (n - 1), basis=basis, check=False)
     coalg = HomCoalgebra(field, comult, [1] * n, basis=basis, check=False)
     antipode = Matrix(field, n, n, {((n - i) % n, i): field.one for i in range(n)})
-    return HomHopf(HomBialgebra(alg, coalg, name=name or f"KZ{n}"), antipode)
+    return HomHopf(HomBialgebra(alg, coalg, name=f"KZ{n}"), antipode)
 
 
 _T = {"1": 0, "g": 1, "x": 2, "y": 3}
 
 
-def taft_hopf(field, name="Taft"):
+def taft_hopf(field):
     """The classical four-dimensional Taft algebra on basis (1, g, x, y)."""
     one, g, x, y = 0, 1, 2, 3
     table = {
@@ -136,16 +136,16 @@ def taft_hopf(field, name="Taft"):
     alg = HomAlgebra(field, _cube(field, 4, table), [1, 0, 0, 0], basis=basis, check=False)
     coalg = HomCoalgebra(field, comult, [1, 1, 0, 0], basis=basis, check=False)
     antipode = Matrix(field, 4, 4, {(0, 0): 1, (1, 1): 1, (3, 2): 1, (2, 3): -1})
-    return HomHopf(HomBialgebra(alg, coalg, name=name), antipode, name=name)
+    return HomHopf(HomBialgebra(alg, coalg, name="Taft"), antipode)
 
 
-def taft_twisted(field, k, name=None):
+def taft_twisted(field, k):
     """Twist the Taft algebra along gamma = diag(1, 1, k, k), k invertible."""
     k = field.coerce(k)
     if k == field.zero:
         raise StructureError("the twisting parameter k must be nonzero")
     gamma = Matrix.diagonal(field, [field.one, field.one, k, k])
-    return yau_twist(taft_hopf(field), gamma, name=name or "H_twisted")
+    return yau_twist(taft_hopf(field), gamma, name="H_twisted")
 
 
 def taft_bundle(field, k, variant="printed"):
@@ -182,24 +182,24 @@ def taft_bundle(field, k, variant="printed"):
     )
 
 
-def dual_number_algebra(field, l, name="A"):
+def dual_number_algebra(field, l):
     """Two-dimensional algebra on (1, z): 1z = z1 = l z, z^2 = 0, twist diag(1, l)."""
     l = field.coerce(l)
     if l == field.zero:
         raise StructureError("the twisting parameter l must be nonzero")
     cube = _cube(field, 2, {(0, 0): {0: 1}, (0, 1): {1: l}, (1, 0): {1: l}})
     twist = Matrix.diagonal(field, [field.one, l])
-    return HomAlgebra(field, cube, [1, 0], twist, basis=("1", "z"), name=name)
+    return HomAlgebra(field, cube, [1, 0], twist, basis=("1", "z"), name="A")
 
 
-def dual_number_coalgebra(field, l, name="A"):
+def dual_number_coalgebra(field, l):
     """Coproduct Delta(z) = l z(x)1 + l 1(x)z, counit eps(z) = 0, twist diag(1, l)."""
     l = field.coerce(l)
     if l == field.zero:
         raise StructureError("the twisting parameter l must be nonzero")
     comult = _comult(field, 2, {0: {(0, 0): 1}, 1: {(1, 0): l, (0, 1): l}})
     twist = Matrix.diagonal(field, [field.one, l])
-    return HomCoalgebra(field, comult, [1, 0], twist, basis=("1", "z"), name=name)
+    return HomCoalgebra(field, comult, [1, 0], twist, basis=("1", "z"), name="A")
 
 
 def dual_number_antipode(field):
@@ -239,9 +239,9 @@ def _dual_number_carrier(field, l):
     )
 
 
-def taft_biproduct(field, k, variant="printed"):
+def taft_biproduct(field, k):
     """The eight-dimensional biproduct Hom-Hopf algebra of the Taft bundle."""
-    bundle = taft_bundle(field, k, variant)
+    bundle = taft_bundle(field, k)
     assembled = radford_biproduct(bundle, name="taft-biproduct")
     antipode = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
     # the antipode was just checked against this bialgebra

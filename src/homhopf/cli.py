@@ -32,7 +32,7 @@ from .constructions import (
     t_smash_coproduct,
 )
 from .quasitriangular import check_cobraiding_equivalence, check_rmatrix_equivalence
-from .structures import twist_invertible_check
+from .structures import HomHopf, twist_invertible_check
 from . import catalog as cat
 from . import textfmt
 
@@ -102,30 +102,40 @@ def _print_reports(reports, witnesses):
     return 0 if ok else MATH_EXIT
 
 
-def _block_names(real, kinds):
-    seen = []
-    for block in real.document.blocks:
-        if block.kind in kinds and block.name not in seen:
-            seen.append(block.name)
-    return seen
-
-
-def _pick(real, kinds, option, given):
+def _pick(real, kinds, option, args):
+    """The structure of one of `kinds` that --option names, or the document's only one."""
+    given = getattr(args, option)
     if given is not None:
-        for kind in kinds:
-            if (kind, given) in real.structures:
-                return given
-        raise UsageError(f"no {'/'.join(kinds)} block named {given!r}")
-    names = _block_names(real, kinds)
+        found = real.find(kinds, given)
+        if found is None:
+            raise UsageError(f"no {'/'.join(kinds)} block named {given!r}")
+        return found
+    # in document order: realize keeps it within each kind family
+    names = list(dict.fromkeys(name for kind, name in real.structures if kind in kinds))
     if len(names) == 1:
-        return names[0]
-    raise UsageError(
-        f"--{option} required: found {len(names)} candidate blocks {names}"
-    )
+        return real.find(kinds, names[0])
+    raise UsageError(f"--{option} required: found {len(names)} candidate blocks {names}")
 
 
-def _get_hom(real, name):
-    return real.structures.get(("HOPF", name)) or real.structures[("BIALGEBRA", name)]
+# the options each command leaves unread, and so refuses
+_UNREAD = {
+    "construct smash": ("coaction", "t"),
+    "construct cosmash": ("action", "t"),
+    "construct tsmash": ("action",),
+    "construct tsmash --t flip": ("action", "coaction"),
+    "construct biproduct": ("t",),
+    "catalog list": ("id", "param", "field", "emit", "witness"),
+    "catalog show": ("witness",),
+}
+
+
+def _refuse_unread(args, command):
+    for option in _UNREAD.get(command, ()):
+        value = getattr(args, option)
+        if value is not None and value is not False:
+            name = "entry id" if option == "id" else f"--{option}"
+            got = "" if value is True else f" (got {value!r})"
+            raise UsageError(f"{command} takes no {name}{got}")
 
 
 def _linear_combo(field, basis, coeffs):
@@ -145,33 +155,20 @@ def _linear_combo(field, basis, coeffs):
 
 
 def _yd_module(real, name, check):
-    act = real.structures.get(("ACTION", name))
-    coact = real.structures.get(("COACTION", name))
+    act, coact = (real.find((kind,), name) for kind in textfmt.MAP_KINDS)
     if act is None or coact is None:
         raise UsageError(f"module {name!r} needs both an ACTION and a COACTION block")
     return YDModule(act, coact, name=name, check=check)
 
 
-def _piece(real, kind, given):
-    """The ACTION or COACTION block named `given`, or the document's only one."""
-    return real.structures[(kind, _pick(real, (kind,), kind.lower(), given))]
-
-
 def _bundle_from_args(real, args):
-    carrier = _pick(real, ("ALGEBRA",), "carrier", args.carrier)
-    alg, coalg = textfmt.carrier_pieces(real, carrier)
-    if alg is None or coalg is None:
+    carrier = _pick(real, ("ALGEBRA",), "carrier", args).name
+    alg, coalg, s = real.carrier(carrier)
+    if coalg is None:
         raise UsageError(f"carrier {carrier!r} needs both an ALGEBRA and a COALGEBRA block")
-    hom = _get_hom(real, _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf))
-    s = real.antipodes.get(("ALGEBRA", carrier)) or real.antipodes.get(("COALGEBRA", carrier))
-    return Bundle(
-        algebra=alg,
-        coalgebra=coalg,
-        hom=hom,
-        action=_piece(real, "ACTION", args.action),
-        coaction=_piece(real, "COACTION", args.coaction),
-        carrier_antipode=s,
-    )
+    hom = _pick(real, textfmt.ACTING_KINDS, "hopf", args)
+    act, coact = (_pick(real, (kind,), kind.lower(), args) for kind in textfmt.MAP_KINDS)
+    return Bundle(alg, coalg, hom, act, coact, carrier_antipode=s)
 
 
 def _cmd_check(args):
@@ -183,25 +180,26 @@ def _cmd_check(args):
 
 
 def _cmd_construct(args):
+    what, name = args.what, args.name
+    flip = what == "tsmash" and args.t == "flip"
+    _refuse_unread(args, f"construct {what}{' --t flip' if flip else ''}")
     real = _load(args.file)
-    name = args.name
-    if args.what == "biproduct":
+    if what == "biproduct":
         made = radford_biproduct(_bundle_from_args(real, args), name=name)
         kind, result, reports = "BIALGEBRA", made.bialgebra, made.gates
     else:
-        kind = "ALGEBRA" if args.what == "smash" else "COALGEBRA"
-        carrier = real.structures[(kind, _pick(real, (kind,), "carrier", args.carrier))]
-        hom = _get_hom(real, _pick(real, ("HOPF", "BIALGEBRA"), "hopf", args.hopf))
-        if args.what == "smash":
-            made = smash_product(carrier, hom, _piece(real, "ACTION", args.action), name=name)
-        elif args.what == "cosmash":
-            made = smash_coproduct(carrier, hom, _piece(real, "COACTION", args.coaction), name=name)
+        kind = "ALGEBRA" if what == "smash" else "COALGEBRA"
+        carrier = _pick(real, (kind,), "carrier", args)
+        hom = _pick(real, textfmt.ACTING_KINDS, "hopf", args)
+        option = None if flip else "action" if what == "smash" else "coaction"  # the map it reads
+        piece = option and _pick(real, (option.upper(),), option, args)
+        if what == "smash":
+            made = smash_product(carrier, hom, piece, name=name)
+        elif what == "cosmash":
+            made = smash_coproduct(carrier, hom, piece, name=name)
         else:
-            if args.t == "flip":
-                t_map = flip_twist_map(carrier, hom)
-            else:
-                t_map = coaction_twist_map(carrier, hom, _piece(real, "COACTION", args.coaction))
-            made = t_smash_coproduct(carrier, hom, t_map, name=name)
+            t = flip_twist_map(carrier, hom) if flip else coaction_twist_map(carrier, hom, piece)
+            made = t_smash_coproduct(carrier, hom, t, name=name)
         result, reports = getattr(made, kind.lower()), [made.gate]
     code = _print_reports(reports, args.witness)
     print(f"constructed {kind} {name} (dim {result.dim})")
@@ -227,7 +225,7 @@ def _cmd_antipode(args):
         col = [anti.matrix.entry(i, j) for i in range(n)]
         print(f"S({label}) = {_linear_combo(field, basis, col)}")
     if args.emit:
-        chunk = textfmt.bialgebra_lines(args.name, made.bialgebra, antipode=anti.matrix, kind="HOPF")
+        chunk = textfmt.hopf_lines(args.name, HomHopf(made.bialgebra, anti.matrix, check=False))
         _emit(args.emit, textfmt.render_document(field, [chunk]))
     return code
 
@@ -298,14 +296,8 @@ def _cmd_qt_check(args):
 
 
 def _cmd_catalog(args):
+    _refuse_unread(args, f"catalog {args.action}")
     if args.action == "list":
-        for option in ("id", "param", "field", "emit"):
-            value = getattr(args, option)
-            if value is not None:
-                name = "entry id" if option == "id" else f"--{option}"
-                raise UsageError(f"catalog list takes no {name} (got {value!r})")
-        if args.witness:
-            raise UsageError("catalog list takes no --witness")
         for entry in cat.CATALOG:
             param = entry.param or "-"
             print(f"{entry.identifier:24} param={param:2} {entry.summary}")
@@ -357,27 +349,18 @@ def build_parser():
 
     p_con = sub.add_parser("construct", help="gate-checked constructions")
     p_con.add_argument("what", choices=["smash", "cosmash", "tsmash", "biproduct"])
-    p_con.add_argument("file")
-    p_con.add_argument("--carrier")
-    p_con.add_argument("--hopf")
-    p_con.add_argument("--action")
-    p_con.add_argument("--coaction")
-    p_con.add_argument("--t", choices=["coaction", "flip"], default="coaction",
-                       help="twist-map source for tsmash")
-    p_con.add_argument("--name", default="constructed")
-    p_con.add_argument("--emit", help="write the constructed structure to this path")
-    p_con.add_argument("--witness", action="store_true")
-    p_con.set_defaults(func=_cmd_construct)
-
     p_anti = sub.add_parser("antipode", help="biproduct antipode from a bundle file")
-    p_anti.add_argument("file")
-    p_anti.add_argument("--carrier")
-    p_anti.add_argument("--hopf")
-    p_anti.add_argument("--action")
-    p_anti.add_argument("--coaction")
+    for p in (p_con, p_anti):
+        p.add_argument("file")
+        for selector in ("--carrier", "--hopf", "--action", "--coaction"):
+            p.add_argument(selector)
+        p.add_argument("--emit", help="write the constructed structure to this path")
+        p.add_argument("--witness", action="store_true")
+    p_con.add_argument("--t", choices=["coaction", "flip"],
+                       help="twist-map source for tsmash (default coaction)")
+    p_con.add_argument("--name", default="constructed")
+    p_con.set_defaults(func=_cmd_construct)
     p_anti.add_argument("--name", default="biproduct")
-    p_anti.add_argument("--emit")
-    p_anti.add_argument("--witness", action="store_true")
     p_anti.set_defaults(func=_cmd_antipode)
 
     p_braid = sub.add_parser("braiding-test", help="braiding morphism and invertibility checks")

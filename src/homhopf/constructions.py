@@ -280,8 +280,8 @@ class Bundle:
             if not same_bialgebra(piece.hom, self.hom):
                 raise ExactError("action/coaction act through a different Hom-bialgebra")
 
-    def yd_module(self, check=False, name=None):
-        return YDModule(self.action, self.coaction, name=name, check=check)
+    def yd_module(self, check=False):
+        return YDModule(self.action, self.coaction, check=check)
 
 
 def radford_r4_rhs(bundle):

@@ -71,6 +71,7 @@ STRUCTURAL_KINDS = ("ALGEBRA", "COALGEBRA", "BIALGEBRA", "HOPF")
 MAP_KINDS = ("ACTION", "COACTION")
 ELEMENT_KINDS = ("RMATRIX", "FORM")
 BLOCK_KINDS = STRUCTURAL_KINDS + MAP_KINDS + ELEMENT_KINDS
+ACTING_KINDS = ("HOPF", "BIALGEBRA")  # what an ACTING stanza, or --hopf, names
 MULTIPLYING = ("ALGEBRA", "BIALGEBRA", "HOPF")
 COMULTIPLYING = ("COALGEBRA", "BIALGEBRA", "HOPF")
 CARRYING = STRUCTURAL_KINDS + MAP_KINDS
@@ -367,6 +368,20 @@ class Realization:
     structures: dict
     antipodes: dict
 
+    def find(self, kinds, name):
+        """The structure registered under `name` by the first of `kinds` that has one, or None."""
+        return next((self.structures[k, name] for k in kinds if (k, name) in self.structures), None)
+
+    def carrier(self, name):
+        """(algebra, coalgebra, antipode) of a carrier: its ALGEBRA and COALGEBRA
+        blocks, else its BIALGEBRA's or HOPF's parts, and either block's ANTIPODE."""
+        both = self.find(("BIALGEBRA", "HOPF"), name)
+        return (
+            self.find(("ALGEBRA",), name) or getattr(both, "algebra", None),
+            self.find(("COALGEBRA",), name) or getattr(both, "coalgebra", None),
+            self.antipodes.get(("ALGEBRA", name)) or self.antipodes.get(("COALGEBRA", name)),
+        )
+
 
 def _matrices(field, block, n, h=None):
     """The realized matrix of every row stanza the block gives, and the zero
@@ -433,9 +448,9 @@ def _realize_structure(real, block):
 
 def _realize_map(real, block):
     field = real.field
-    hom = _referenced(real, block, "ACTING", ("HOPF", "BIALGEBRA"))
+    hom = _referenced(real, block, "ACTING", ACTING_KINDS)
     if block.carrier is not None:
-        alg, coalg = carrier_pieces(real, block.carrier)
+        alg, coalg, _ = real.carrier(block.carrier)
         ref = alg or coalg
         if ref is None:
             raise ExactError(f"CARRIER {block.carrier!r} names no structural block")
@@ -461,28 +476,26 @@ def _referenced(real, block, keyword, kinds):
     name = getattr(block, keyword.lower())
     if name is None:
         raise ExactError(f"{block.kind} {block.name} is missing {keyword}")
-    for kind in kinds:
-        obj = real.structures.get((kind, name))
-        if obj is not None:
-            return obj
-    raise ExactError(f"no block of kind {'/'.join(kinds)} named {name!r}")
-
-
-def carrier_pieces(real, name):
-    """The (algebra, coalgebra) structures registered under a carrier name:
-    its ALGEBRA/COALGEBRA block, or else the parts of its BIALGEBRA or HOPF."""
-    pieces = []
-    for own, part in (("ALGEBRA", "algebra"), ("COALGEBRA", "coalgebra")):
-        found = real.structures.get((own, name))
-        for kind in ("BIALGEBRA", "HOPF"):
-            if found is None and (kind, name) in real.structures:
-                found = getattr(real.structures[(kind, name)], part)
-        pieces.append(found)
-    return tuple(pieces)
+    found = real.find(kinds, name)
+    if found is None:
+        raise ExactError(f"no block of kind {'/'.join(kinds)} named {name!r}")
+    return found
 
 
 # ---------------------------------------------------------------------------
 # checking driver
+
+
+# kind -> (checker, title) of each block checked on its own; the checker is
+# looked up when called, so that wrappers installed on the module names apply
+_CHECKS = {
+    "ALGEBRA": ("check_hom_algebra", "Hom-algebra axioms"),
+    "COALGEBRA": ("check_hom_coalgebra", "Hom-coalgebra axioms"),
+    "BIALGEBRA": ("check_hom_bialgebra", "Hom-bialgebra axioms"),
+    "HOPF": ("check_hom_bialgebra", "Hom-bialgebra axioms"),
+    "RMATRIX": ("check_quasitriangular", "quasitriangular axioms"),
+    "FORM": ("check_cobraiding_equivalence", "cobraiding contract"),
+}
 
 
 def run_checks(real):
@@ -491,68 +504,45 @@ def run_checks(real):
     doc = real.document
     for block in doc.blocks:
         key = (block.kind, block.name)
-        obj = real.structures.get(key)
+        obj = real.structures[key]
         title = f"{block.kind} {block.name}"
-        if block.kind == "ALGEBRA":
-            reports.append(check_hom_algebra(obj, title=f"{title}: Hom-algebra axioms"))
-        elif block.kind == "COALGEBRA":
-            reports.append(check_hom_coalgebra(obj, title=f"{title}: Hom-coalgebra axioms"))
-        elif block.kind in ("BIALGEBRA", "HOPF"):
-            reports.append(check_hom_bialgebra(obj, title=f"{title}: Hom-bialgebra axioms"))
-            if key in real.antipodes:  # always, for a HOPF block
-                reports.append(
-                    check_antipode(obj, real.antipodes[key], title=f"{title}: antipode axioms")
-                )
-        elif block.kind in MAP_KINDS:
+        if block.kind in MAP_KINDS:
             checker, flavor = (
                 (check_action_axioms, "module")
                 if block.kind == "ACTION"
                 else (check_coaction_axioms, "comodule")
             )
             reports.append(checker(obj, flavor, title=f"{title}: {flavor} axioms"))
-            pieces = (None, None) if block.carrier is None else carrier_pieces(real, block.carrier)
+            pieces = (None, None, None) if block.carrier is None else real.carrier(block.carrier)
             for part, carrier in zip(("algebra", "coalgebra"), pieces):
                 if carrier is not None:
-                    reports.append(
-                        checker(
-                            obj, f"{flavor}-{part}", carrier=carrier,
-                            title=f"{title}: {flavor} Hom-{part} axioms",
-                        )
-                    )
-        elif block.kind == "RMATRIX":
-            reports.append(
-                check_quasitriangular(obj.hom, obj, title=f"{title}: quasitriangular axioms")
-            )
-        elif block.kind == "FORM":
-            reports.append(
-                check_cobraiding_equivalence(obj.hom, obj, title=f"{title}: cobraiding contract")
-            )
+                    on = f"{title}: {flavor} Hom-{part} axioms"
+                    reports.append(checker(obj, f"{flavor}-{part}", carrier=carrier, title=on))
+            continue
+        checker, noun = _CHECKS[block.kind]
+        args = (obj.hom, obj) if block.kind in ELEMENT_KINDS else (obj,)
+        reports.append(globals()[checker](*args, title=f"{title}: {noun}"))
+        if block.kind in ("BIALGEBRA", "HOPF") and key in real.antipodes:  # always, for HOPF
+            s = real.antipodes[key]
+            reports.append(check_antipode(obj, s, title=f"{title}: antipode axioms"))
     # paired antipodes on same-name ALGEBRA/COALGEBRA blocks
-    for name in (block.name for block in doc.blocks if block.kind == "ALGEBRA"):
-        alg = real.structures.get(("ALGEBRA", name))
-        coalg = real.structures.get(("COALGEBRA", name))
-        s = real.antipodes.get(("ALGEBRA", name)) or real.antipodes.get(("COALGEBRA", name))
-        if alg is not None and coalg is not None and s is not None:
-            reports.append(
-                carrier_antipode_report(alg, coalg, s, title=f"PAIR {name}: antipode identities")
-            )
+    for block in doc.blocks:
+        if block.kind == "ALGEBRA" and real.find(("COALGEBRA",), block.name) is not None:
+            alg, coalg, s = real.carrier(block.name)
+            if s is not None:
+                title = f"PAIR {block.name}: antipode identities"
+                reports.append(carrier_antipode_report(alg, coalg, s, title=title))
     # Yetter-Drinfeld pairs: same-name ACTION and COACTION
     for block in doc.blocks:
-        if block.kind != "ACTION":
+        act, coact = (real.find((kind,), block.name) for kind in MAP_KINDS)
+        if block.kind != "ACTION" or coact is None:
             continue
-        coact = real.structures.get(("COACTION", block.name))
-        if coact is None:
-            continue
-        act = real.structures[("ACTION", block.name)]
         module = YDModule(act, coact, name=block.name, check=False)
         hyd = check_hyd(module, title=f"PAIR {block.name}: Yetter-Drinfeld compatibility")
         reports.append(hyd)
         if getattr(act.hom, "antipode", None) is not None:
-            reports.append(
-                check_hyd_prime(
-                    module, title=f"PAIR {block.name}: antipode-form compatibility", hyd=hyd
-                )
-            )
+            title = f"PAIR {block.name}: antipode-form compatibility"
+            reports.append(check_hyd_prime(module, title=title, hyd=hyd))
     return reports
 
 
@@ -626,16 +616,16 @@ def algebra_lines(name, alg, antipode=None):
     return _structure_lines("ALGEBRA", name, alg, antipode)
 
 
-def coalgebra_lines(name, coalg, antipode=None):
-    return _structure_lines("COALGEBRA", name, coalg, antipode)
+def coalgebra_lines(name, coalg):
+    return _structure_lines("COALGEBRA", name, coalg, None)
 
 
-def bialgebra_lines(name, h, antipode=None, kind="BIALGEBRA"):
-    return _structure_lines(kind, name, h, antipode)
+def bialgebra_lines(name, h):
+    return _structure_lines("BIALGEBRA", name, h, None)
 
 
 def hopf_lines(name, hopf):
-    return bialgebra_lines(name, hopf, antipode=hopf.antipode, kind="HOPF")
+    return _structure_lines("HOPF", name, hopf, hopf.antipode)
 
 
 def _map_lines(kind, name, piece, acting_name, carrier_name):
@@ -692,16 +682,6 @@ def render_parsed(doc):
 
 def catalog_document(identifier, field, param=None):
     """Render a catalog entry in the document format."""
-    # the printer of each block kind the catalog's documents hold, looked up
-    # when called so that wrappers installed on the module names apply
-    printers = {
-        "ALGEBRA": algebra_lines,
-        "COALGEBRA": coalgebra_lines,
-        "HOPF": hopf_lines,
-        "ACTION": action_lines,
-        "COACTION": coaction_lines,
-        "RMATRIX": rmatrix_lines,
-    }
     entry = catalog_entry(identifier)
     args = (field,)
     if entry.param is not None:
@@ -710,5 +690,6 @@ def catalog_document(identifier, field, param=None):
     chunks = []
     for kind, name, attributes, references in entry.blocks:
         parts = [getattr(built, a) for a in attributes] or [built]
-        chunks.append(printers[kind](name, *parts, *references))
+        # the kind's printer, looked up by name so that wrappers on module names apply
+        chunks.append(globals()[f"{kind.lower()}_lines"](name, *parts, *references))
     return render_document(field, chunks)

@@ -617,3 +617,144 @@ def test_catalog_field_defaults_to_q(capsys, action):
     assert run(capsys, "catalog", action, "dual-number") == run(
         capsys, "catalog", action, "dual-number", "--field", "Q"
     )
+
+
+_BUNDLE = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
+
+
+def _bundle_file(tmp_path, text=_BUNDLE):
+    path = tmp_path / "bundle.hh"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _edit_blocks(text, edit):
+    """The document with each block, a list of lines, replaced by the list of
+    blocks `edit(block)` returns."""
+    lines = text.splitlines(keepends=True)
+    out, block = lines[:2], []
+    for line in lines[2:]:
+        block.append(line)
+        if line == "END\n":
+            out += [new_line for new in edit(block) for new_line in new]
+            block = []
+    return "".join(out)
+
+
+_SELECTING = [
+    (("construct", "smash"), ("--carrier", "A", "--hopf", "H", "--action", "yd")),
+    (("construct", "cosmash"), ("--carrier", "A", "--hopf", "H", "--coaction", "yd")),
+    (("construct", "tsmash"), ("--carrier", "A", "--hopf", "H", "--coaction", "yd")),
+    (("construct", "biproduct"), ("--carrier", "A", "--hopf", "H", "--action", "yd",
+                                  "--coaction", "yd")),
+    (("antipode",), ("--carrier", "A", "--hopf", "H", "--action", "yd", "--coaction", "yd")),
+]
+
+
+@pytest.mark.parametrize("command, selectors", _SELECTING, ids=[" ".join(c) for c, _ in _SELECTING])
+def test_named_selectors_pick_the_blocks_found_alone(tmp_path, capsys, command, selectors):
+    src = _bundle_file(tmp_path)
+    plain = run(capsys, *command, src, "--emit", str(tmp_path / "plain.hh"))
+    named = run(capsys, *command, src, *selectors, "--emit", str(tmp_path / "named.hh"))
+    assert plain[0] == 0 and plain[2] == ""
+    assert named == plain
+    assert (tmp_path / "named.hh").read_bytes() == (tmp_path / "plain.hh").read_bytes()
+
+
+_MISSELECTED = [
+    (("construct", "smash"), ("--carrier", "H"), "no ALGEBRA block named 'H'"),
+    (("construct", "cosmash"), ("--carrier", "yd"), "no COALGEBRA block named 'yd'"),
+    (("construct", "smash"), ("--hopf", "A"), "no HOPF/BIALGEBRA block named 'A'"),
+    (("construct", "smash"), ("--action", "A"), "no ACTION block named 'A'"),
+    (("construct", "cosmash"), ("--coaction", "H"), "no COACTION block named 'H'"),
+    (("construct", "biproduct"), ("--carrier", "nope"), "no ALGEBRA block named 'nope'"),
+    (("construct", "biproduct"), ("--hopf", "nope"), "no HOPF/BIALGEBRA block named 'nope'"),
+    (("antipode",), ("--action", "nope"), "no ACTION block named 'nope'"),
+    (("antipode",), ("--coaction", "nope"), "no COACTION block named 'nope'"),
+]
+
+
+@pytest.mark.parametrize("command, selectors, message", _MISSELECTED)
+def test_a_selector_naming_no_block_of_its_kind_is_a_usage_error(
+    tmp_path, capsys, command, selectors, message
+):
+    src = _bundle_file(tmp_path)
+    assert run(capsys, *command, src, *selectors) == (1, "", f"error: {message}\n")
+
+
+def _with_copies(block):
+    """Each block, and after ACTION yd a second action yd2 and after HOPF H
+    a BIALGEBRA B with the same maps."""
+    if block[0] == "ACTION yd\n":
+        return [block, ["ACTION yd2\n", *block[1:]]]
+    if block[0] == "HOPF H\n":
+        return [block, ["BIALGEBRA B\n", *block[1:]]]
+    return [block]
+
+
+@pytest.mark.parametrize(
+    "command, selectors, message",
+    [
+        (("construct", "smash"), ("--hopf", "H"),
+         "--action required: found 2 candidate blocks ['yd', 'yd2']"),
+        (("construct", "smash"), ("--action", "yd2"),
+         "--hopf required: found 2 candidate blocks ['H', 'B']"),
+        (("antipode",), ("--hopf", "B"),
+         "--action required: found 2 candidate blocks ['yd', 'yd2']"),
+    ],
+)
+def test_two_candidate_blocks_need_a_selector(tmp_path, capsys, command, selectors, message):
+    src = _bundle_file(tmp_path, _edit_blocks(_BUNDLE, _with_copies))
+    assert run(capsys, *command, src, *selectors) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, *command, src, "--hopf", "H", "--action", "yd2")
+    assert (code, err) == (0, "")
+
+
+def test_the_carrier_needs_both_blocks_and_the_antipode_either(tmp_path, capsys):
+    no_coalgebra = _edit_blocks(_BUNDLE, lambda b: [] if b[0] == "COALGEBRA A\n" else [b])
+    src = _bundle_file(tmp_path, no_coalgebra)
+    message = "error: carrier 'A' needs both an ALGEBRA and a COALGEBRA block\n"
+    assert run(capsys, "construct", "biproduct", src) == (1, "", message)
+
+    def move_antipode(block):  # from ALGEBRA A to COALGEBRA A
+        if block[0] == "ALGEBRA A\n":
+            return [[line for line in block if "ANTIPODE" not in line]]
+        if block[0] == "COALGEBRA A\n":
+            return [block[:-1] + ["  ANTIPODE 0 : 1 0\n", "  ANTIPODE 1 : 0 -1\n", "END\n"]]
+        return [block]
+
+    expected = run(capsys, "antipode", _bundle_file(tmp_path))
+    assert expected[0] == 0
+    moved = _bundle_file(tmp_path, _edit_blocks(_BUNDLE, move_antipode))
+    assert run(capsys, "antipode", moved) == expected
+
+    def drop_antipode(block):
+        return [[line for line in block if "ANTIPODE" not in line or block[0] == "HOPF H\n"]]
+
+    src = _bundle_file(tmp_path, _edit_blocks(_BUNDLE, drop_antipode))
+    message = "error: the carrier blocks carry no ANTIPODE stanza\n"
+    assert run(capsys, "antipode", src) == (1, "", message)
+
+
+_UNREAD = [
+    # (argv, with {src} for the bundle document, and what it names as unread)
+    (("construct", "smash", "{src}", "--coaction", "yd"), "construct smash takes no --coaction"),
+    (("construct", "cosmash", "{src}", "--action", "yd"), "construct cosmash takes no --action"),
+    (("construct", "tsmash", "{src}", "--action", "yd"), "construct tsmash takes no --action"),
+    (("construct", "smash", "{src}", "--t", "flip"), "construct smash takes no --t"),
+    (("construct", "cosmash", "{src}", "--t", "flip"), "construct cosmash takes no --t"),
+    (("construct", "biproduct", "{src}", "--t", "coaction"), "construct biproduct takes no --t"),
+    (("construct", "tsmash", "{src}", "--t", "flip", "--coaction", "nosuch"),
+     "construct tsmash --t flip takes no --coaction"),
+    (("catalog", "show", "kz2", "--witness"), "catalog show takes no --witness"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNREAD, ids=[m for _, m in _UNREAD])
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv, message):
+    src = _bundle_file(tmp_path)
+    target = tmp_path / "out.hh"
+    argv = [src if word == "{src}" else word for word in argv]
+    got = "" if argv[-1] == "--witness" else f" (got {argv[-1]!r})"
+    assert run(capsys, *argv, "--emit", str(target)) == (1, "", f"error: {message}{got}\n")
+    assert not target.exists()

@@ -1,11 +1,12 @@
 import pytest
 
-from homhopf import GF, QQ
-from homhopf.catalog import group_algebra_z2, taft_twisted
+from homhopf import GF, Matrix, QQ
+from homhopf.catalog import group_algebra_z2, taft_twisted, z2_cobraiding_form
 from homhopf.textfmt import (
     ParseError,
     algebra_lines,
     catalog_document,
+    form_lines,
     hopf_lines,
     parse_document,
     realize,
@@ -252,3 +253,121 @@ def test_carrier_description_beside_carrier_is_refused_at_the_first_such_stanza(
     assert main(["check", str(path)]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: line {lineno}: DIM not allowed in ACTION with a CARRIER\n")
+
+
+_KZ2 = catalog_document("kz2", QQ)
+
+
+def _check(tmp_path, capsys, text):
+    path = tmp_path / "doc.hh"
+    path.write_text(text, encoding="utf-8")
+    from homhopf.cli import main
+
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_UNREACHED_REFUSALS = [
+    # (document, first line replaced, its replacement, the error it gives)
+    (_BUNDLE, "  DIM 2", "  DIM x", "line 4: malformed DIM"),
+    (_BUNDLE, "  DIM 2", "  DIM 0", "line 4: DIM must be positive"),
+    (_BUNDLE, "  ACTING H", "  ACTING H A", "line 41: ACTING needs exactly one name"),
+    (_BUNDLE, "  TWIST 0 : 1 0", "  TWIST 0 1 : 1 0", "line 8: expected 1 indices, got 2"),
+    (_BUNDLE, "  TWIST 0 : 1 0", "  TWIST x : 1 0", "line 8: malformed index in ['x']"),
+    (_BUNDLE, "  TWIST 0 : 1 0", "  TWIST 0 1 0", "line 8: missing ':' separator"),
+    (_BUNDLE, "FIELD Q", "HOPF H", "line 2: expected a FIELD declaration"),
+    (_BUNDLE, "FIELD Q", "FIELD GF x", "line 2: malformed modulus 'x'"),
+    (_BUNDLE, "FIELD Q", "FIELD R", "line 2: unknown field declaration 'FIELD R'"),
+    (_BUNDLE, "HOPF H", "HOPF H K", "line 3: HOPF header needs exactly one name"),
+    (_BUNDLE, "  BASIS 1 a", "  BASIS 1 a b", "line 3: BASIS lists 3 labels for DIM 2"),
+    ("# nothing but a comment\n", "", "", "line 1: document must start with 'FORMAT 1'"),
+    ("FORMAT 1\n", "", "", "line 1: missing FIELD declaration"),
+    (_BUNDLE, "  CARRIER A", "  CARRIER nope", "CARRIER 'nope' names no structural block"),
+    (_BUNDLE, "  ACTING H", "  ACTING nope", "no block of kind HOPF/BIALGEBRA named 'nope'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, old, new, message", _UNREACHED_REFUSALS, ids=[m for *_, m in _UNREACHED_REFUSALS]
+)
+def test_parse_and_realize_refusals_exit_1(tmp_path, capsys, text, old, new, message):
+    assert old in text
+    mutated = text.replace(old, new, 1)
+    assert _check(tmp_path, capsys, mutated) == (1, "", f"error: {message}\n")
+
+
+_TRIVIAL_MAP = """  MAP 0 0 : 1 0
+  MAP 0 1 : 0 {q}
+  MAP 1 0 : 1 0
+  MAP 1 1 : 0 {q}
+"""
+
+
+_KZ2_REPORTS = """== HOPF kz2: Hom-bialgebra axioms
+  algebra.twist.invertible    PASS
+  algebra.HA1.mult            PASS
+  algebra.HA1.unit            PASS
+  algebra.HA2.assoc           PASS
+  algebra.HA2.unit-left       PASS
+  algebra.HA2.unit-right      PASS
+  coalgebra.twist.invertible  PASS
+  coalgebra.HC1.comult        PASS
+  coalgebra.HC1.counit        PASS
+  coalgebra.HC2.coassoc       PASS
+  coalgebra.HC2.counit-left   PASS
+  coalgebra.HC2.counit-right  PASS
+  compat.comult-mult          PASS
+  compat.comult-unit          PASS
+  compat.counit-mult          PASS
+  compat.counit-unit          PASS
+== RESULT PASS
+== HOPF kz2: antipode axioms
+  antipode.left   PASS
+  antipode.right  PASS
+  antipode.twist  PASS
+== RESULT PASS
+"""
+
+_MODULE_AXIOMS = """  HM1        PASS
+  HM2.assoc  PASS
+  HM2.unit   PASS
+"""
+
+
+def test_action_with_its_own_carrier_description(tmp_path, capsys):
+    # h |> m = eps(h) alpha(m) on K^2 with basis (p, q) and alpha = diag(1, -1)
+    text = _KZ2 + (
+        "ACTION tw\n  DIM 2\n  BASIS p q\n  ACTING kz2\n  TWIST 0 : 1 0\n  TWIST 1 : 0 -1\n"
+        + _TRIVIAL_MAP.format(q=-1) + "END\n"
+    )
+    act = realize(parse_document(text)).structures[("ACTION", "tw")]
+    assert act.carrier_basis == ("p", "q")
+    assert act.carrier_twist == Matrix(QQ, 2, 2, {(0, 0): 1, (1, 1): -1})
+    assert _check(tmp_path, capsys, text) == (0, (
+        _KZ2_REPORTS
+        + "== ACTION tw: module axioms\n" + _MODULE_AXIOMS + "== RESULT PASS\n"
+        + "OVERALL PASS\n"
+    ), "")
+
+
+def test_action_on_a_hopf_carrier_reads_its_parts(tmp_path, capsys):
+    # the trivial action of KZ2 on itself: a module algebra and a module coalgebra
+    text = _KZ2 + "ACTION triv\n  ACTING kz2\n  CARRIER kz2\n" + _TRIVIAL_MAP.format(q=1) + "END\n"
+    assert _check(tmp_path, capsys, text) == (0, (
+        _KZ2_REPORTS
+        + "== ACTION triv: module axioms\n" + _MODULE_AXIOMS + "== RESULT PASS\n"
+        + "== ACTION triv: module Hom-algebra axioms\n" + _MODULE_AXIOMS
+        + "  HMA1       PASS\n  HMA2       PASS\n== RESULT PASS\n"
+        + "== ACTION triv: module Hom-coalgebra axioms\n" + _MODULE_AXIOMS
+        + "  HMC1       PASS\n  HMC2       PASS\n== RESULT PASS\n"
+        + "OVERALL PASS\n"
+    ), "")
+
+
+def test_form_block_prints_through_form_lines():
+    form = realize(parse_document(_FORM)).structures[("FORM", "R")]
+    assert form_lines("R", form, "H") == render_parsed(parse_document(_FORM)).splitlines()[-5:]
+    reference = z2_cobraiding_form(QQ)
+    text = render_document(QQ, [hopf_lines("H", reference.hom), form_lines("S", reference, "H")])
+    assert realize(parse_document(text)).structures[("FORM", "S")].matrix == reference.matrix

@@ -46,3 +46,30 @@ def test_every_trace_point_installs_and_uninstalls():
     after = _bindings()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
+
+
+def test_the_tracer_sees_each_call_through_a_module_name(tmp_path, capsys):
+    """A checker or printer held in a table of function objects would escape
+    the wrappers on the module names, and these counts would fall."""
+    from homhopf import QQ, cli
+    from homhopf.textfmt import catalog_document
+
+    path = tmp_path / "taft.hh"
+    path.write_text(catalog_document("taft-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    checkers = ("check_hom_algebra", "check_hom_coalgebra", "check_hom_bialgebra", "check_antipode")
+    counted = [f"structures.{name}" for name in checkers] + ["textfmt.render"]
+    seen = []
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layers(tracer)
+        for argv in (["check", str(path)], ["catalog", "show", "taft-bundle"]):
+            tracer.reset()
+            assert cli.main(argv) == 0
+            seen.append([tracer.calls[name] for name in counted])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    # `check` runs every checker from run_checks; `catalog show` builds the
+    # bundle's checked structures, then prints its five blocks and the
+    # document with one printer call each
+    assert seen == [[2, 2, 1, 1, 0], [3, 3, 3, 3, 6]]
