@@ -27,7 +27,6 @@ from .matrices import (
     leg_perm,
     maps_equal,
     solve,
-    swap_matrix,
     unflatten_index,
 )
 from .report import CheckResult, Report, StructureError

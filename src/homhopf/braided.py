@@ -1,6 +1,7 @@
 """The Yetter-Drinfeld category machinery: tensor modules, associator,
 pre-braiding and its inverse, the Yang-Baxter operator, pentagon/hexagon
-checks, and the biproduct/category equivalence.
+checks, and the biproduct/category equivalence.  Only the associator checks
+what it builds; check_yd_morphism and check_hyd check the rest.
 """
 
 from dataclasses import dataclass
@@ -86,8 +87,8 @@ def check_yd_morphism(f, title=None):
     return Report(title or "Yetter-Drinfeld morphism conditions", checks)
 
 
-def yd_tensor(m1, m2, check=True):
-    """Tensor module: action (h1 |> m) (x) (h2 |> n), coaction
+def yd_tensor(m1, m2):
+    """Tensor module, unchecked: action (h1 |> m) (x) (h2 |> n), coaction
     beta^-2(m_{-1} n_{-1}) (x) m_0 (x) n_0, twist alpha_M (x) alpha_N."""
     if not same_bialgebra(m1.hom, m2.hom):
         raise ExactError("tensor modules need one common acting structure")
@@ -107,7 +108,7 @@ def yd_tensor(m1, m2, check=True):
         ActionMap(hom, act, twist, basis),
         CoactionMap(hom, coact, twist, basis),
         name="tensor-module",
-        check=check,
+        check=False,
     )
 
 
@@ -122,20 +123,14 @@ def _associator_inverse(m1, m2, m3):
     return kron_list(m1.twist, Matrix.identity(m1.field, m2.dim), m3.twist_inv)
 
 
-def _morphism(what, src, tgt, matrix, check):
-    """The morphism src -> tgt given by `matrix`, checked when `check` is set."""
-    f = CategoryMorphism(src, tgt, matrix)
-    if check:
-        fail = check_yd_morphism(f).first_failure()
-        if fail is not None:
-            raise ExactError(f"{what} is not a morphism: {fail.name}")
-    return f
-
-
 def associator(m1, m2, m3):
-    src = yd_tensor(yd_tensor(m1, m2, check=False), m3, check=False)
-    tgt = yd_tensor(m1, yd_tensor(m2, m3, check=False), check=False)
-    return _morphism("associator", src, tgt, associator_matrix(m1, m2, m3), True)
+    src = yd_tensor(yd_tensor(m1, m2), m3)
+    tgt = yd_tensor(m1, yd_tensor(m2, m3))
+    f = CategoryMorphism(src, tgt, associator_matrix(m1, m2, m3))
+    fail = check_yd_morphism(f).first_failure()
+    if fail is not None:
+        raise ExactError(f"associator is not a morphism: {fail.name}")
+    return f
 
 
 def _coact_then_act(m1, m2, h, f, g):
@@ -153,9 +148,8 @@ def braiding_matrix(m1, m2):
     return _coact_then_act(m1, m2, m1.hom.twist_power(2), m2.twist_inv, m1.twist_inv)
 
 
-def braiding(m1, m2, check=True):
-    src, tgt = yd_tensor(m1, m2, check=False), yd_tensor(m2, m1, check=False)
-    return _morphism("braiding", src, tgt, braiding_matrix(m1, m2), check)
+def braiding(m1, m2):
+    return CategoryMorphism(yd_tensor(m1, m2), yd_tensor(m2, m1), braiding_matrix(m1, m2))
 
 
 def braiding_inverse_matrix(m1, m2):
@@ -170,9 +164,9 @@ def braiding_inverse_matrix(m1, m2):
     return permute_col_legs(flipped, (m2.dim, m1.dim), (1, 0))  # from N (x) M
 
 
-def braiding_inverse(m1, m2, check=True):
-    src, tgt = yd_tensor(m2, m1, check=False), yd_tensor(m1, m2, check=False)
-    return _morphism("braiding inverse", src, tgt, braiding_inverse_matrix(m1, m2), check)
+def braiding_inverse(m1, m2):
+    src, tgt = yd_tensor(m2, m1), yd_tensor(m1, m2)
+    return CategoryMorphism(src, tgt, braiding_inverse_matrix(m1, m2))
 
 
 def yang_baxter_operator(m1, m2):
@@ -213,9 +207,9 @@ def check_yang_baxter(m1, m2, m3, title=None):
 
 def check_pentagon(m1, m2, m3, m4, title=None):
     """The two composite reassociations of a fourfold tensor agree."""
-    t12 = yd_tensor(m1, m2, check=False)
-    t23 = yd_tensor(m2, m3, check=False)
-    t34 = yd_tensor(m3, m4, check=False)
+    t12 = yd_tensor(m1, m2)
+    t23 = yd_tensor(m2, m3)
+    t34 = yd_tensor(m3, m4)
     lhs = associator_matrix(m1, m2, t34) * associator_matrix(t12, m3, m4)
     rhs = kron_apply_right(
         kron_apply(
@@ -241,8 +235,8 @@ def check_hexagons(m1, m2, m3, title=None):
     c12 = braiding_matrix(m1, m2)
     c13 = braiding_matrix(m1, m3)
     c23 = braiding_matrix(m2, m3)
-    t12 = yd_tensor(m1, m2, check=False)
-    t23 = yd_tensor(m2, m3, check=False)
+    t12 = yd_tensor(m1, m2)
+    t23 = yd_tensor(m2, m3)
     hex1_lhs = kron_apply_right(kron_apply(i2, c13, associator_matrix(m2, m1, m3)), c12, i3)
     hex1_rhs = (
         associator_matrix(m2, m3, m1)
@@ -276,7 +270,7 @@ def _in_category_report(bundle, gate, title=None):
     """check_bialgebra_in_hyd from an already evaluated R1-R5 gate: R1-R3 are
     its verdicts, and HYD and R4-realization compare the matrices it built."""
     radford, r4_rhs, hyd_lhs, hyd_rhs = gate
-    module = bundle.yd_module(check=False)
+    module = bundle.yd_module()
     a, c, action = bundle.algebra, bundle.coalgebra, bundle.action
     field, m = a.field, a.dim
     i_m = Matrix.identity(field, m)

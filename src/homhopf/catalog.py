@@ -87,7 +87,8 @@ def group_algebra_z2(field):
     basis = ("1", "a")
     alg = HomAlgebra(field, cube, [1, 0], basis=basis, check=False)
     coalg = HomCoalgebra(field, comult, [1, 1], basis=basis, check=False)
-    return HomHopf(HomBialgebra(alg, coalg, name="KZ2"), Matrix.identity(field, 2))
+    bialgebra = HomBialgebra(alg, coalg, name="KZ2", check=False)
+    return HomHopf(bialgebra, Matrix.identity(field, 2), check=False)
 
 
 def cyclic_group_hopf(field, order):
@@ -136,7 +137,7 @@ def taft_hopf(field):
     alg = HomAlgebra(field, _cube(field, 4, table), [1, 0, 0, 0], basis=basis, check=False)
     coalg = HomCoalgebra(field, comult, [1, 1, 0, 0], basis=basis, check=False)
     antipode = Matrix(field, 4, 4, {(0, 0): 1, (1, 1): 1, (3, 2): 1, (2, 3): -1})
-    return HomHopf(HomBialgebra(alg, coalg, name="Taft"), antipode)
+    return HomHopf(HomBialgebra(alg, coalg, name="Taft", check=False), antipode, check=False)
 
 
 def taft_twisted(field, k):
@@ -189,7 +190,7 @@ def dual_number_algebra(field, l):
         raise StructureError("the twisting parameter l must be nonzero")
     cube = _cube(field, 2, {(0, 0): {0: 1}, (0, 1): {1: l}, (1, 0): {1: l}})
     twist = Matrix.diagonal(field, [field.one, l])
-    return HomAlgebra(field, cube, [1, 0], twist, basis=("1", "z"), name="A")
+    return HomAlgebra(field, cube, [1, 0], twist, basis=("1", "z"), name="A", check=False)
 
 
 def dual_number_coalgebra(field, l):
@@ -199,7 +200,7 @@ def dual_number_coalgebra(field, l):
         raise StructureError("the twisting parameter l must be nonzero")
     comult = _comult(field, 2, {0: {(0, 0): 1}, 1: {(1, 0): l, (0, 1): l}})
     twist = Matrix.diagonal(field, [field.one, l])
-    return HomCoalgebra(field, comult, [1, 0], twist, basis=("1", "z"), name="A")
+    return HomCoalgebra(field, comult, [1, 0], twist, basis=("1", "z"), name="A", check=False)
 
 
 def dual_number_antipode(field):
@@ -239,22 +240,20 @@ def _dual_number_carrier(field, l):
     )
 
 
+def _biproduct(bundle, name):
+    """The biproduct Hom-Hopf algebra of a bundle, assembled past its gates."""
+    bialgebra = radford_biproduct(bundle, name=name, check=False).bialgebra
+    return HomHopf(bialgebra, biproduct_antipode(bundle).matrix, name=name, check=False)
+
+
 def taft_biproduct(field, k):
     """The eight-dimensional biproduct Hom-Hopf algebra of the Taft bundle."""
-    bundle = taft_bundle(field, k)
-    assembled = radford_biproduct(bundle, name="taft-biproduct")
-    antipode = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
-    # the antipode was just checked against this bialgebra
-    return HomHopf(assembled.bialgebra, antipode.matrix, name="taft-biproduct", check=False)
+    return _biproduct(taft_bundle(field, k), "taft-biproduct")
 
 
 def dual_number_biproduct(field, l):
     """The four-dimensional biproduct Hom-Hopf algebra of the dual-number bundle."""
-    bundle = dual_number_bundle(field, l)
-    assembled = radford_biproduct(bundle, name="dual-biproduct")
-    antipode = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
-    # the antipode was just checked against this bialgebra
-    return HomHopf(assembled.bialgebra, antipode.matrix, name="dual-biproduct", check=False)
+    return _biproduct(dual_number_bundle(field, l), "dual-biproduct")
 
 
 def z2_r_matrix(field):
@@ -365,11 +364,11 @@ def comult_table_of(coalgebra_like):
 @dataclass(frozen=True)
 class CatalogEntry:
     """A catalog example.  `builder(field)`, or `builder(field, param)` when
-    the entry takes a parameter, builds it; `blocks` lays out its document,
-    one (kind, block name, attributes, references) per block: the block
-    prints the listed attributes of the built object (the object itself
-    when none are listed), and names the blocks in `references` by its
-    ACTING/CARRIER or ON stanzas."""
+    the entry takes a parameter, builds it unchecked; `blocks` lays out its
+    document, one (kind, block name, attributes, references) per block: the
+    block prints the listed attributes of the built object (the object
+    itself when none are listed), and names the blocks in `references` by
+    its ACTING/CARRIER or ON stanzas."""
 
     identifier: str
     summary: str

@@ -32,7 +32,7 @@ from .constructions import (
     t_smash_coproduct,
 )
 from .quasitriangular import check_cobraiding_equivalence, check_rmatrix_equivalence
-from .structures import HomHopf, twist_invertible_check
+from .structures import HomHopf, check_antipode, twist_invertible_check
 from . import catalog as cat
 from . import textfmt
 
@@ -59,13 +59,16 @@ def _parse_field(token):
     raise UsageError(f"unknown field {token!r} (use Q or GF<p>)")
 
 
-def _load(path):
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return textfmt.realize(textfmt.parse_document(text))
+
+
+def _load(path):
+    return textfmt.realize(textfmt.parse_document(_read(path)))
 
 
 def _emit(path, text):
@@ -102,6 +105,14 @@ def _print_reports(reports, witnesses):
     return 0 if ok else MATH_EXIT
 
 
+def _check_text(text, witnesses):
+    """Parse, realize and check a document and print its reports: `check` and `catalog check`."""
+    reports = textfmt.run_checks(textfmt.realize(textfmt.parse_document(text)))
+    if not reports:
+        raise UsageError("the document contains no checkable blocks")
+    return _print_reports(reports, witnesses)
+
+
 def _pick(real, kinds, option, args):
     """The structure of one of `kinds` that --option names, or the document's only one."""
     given = getattr(args, option)
@@ -115,6 +126,18 @@ def _pick(real, kinds, option, args):
     if len(names) == 1:
         return real.find(kinds, names[0])
     raise UsageError(f"--{option} required: found {len(names)} candidate blocks {names}")
+
+
+def _carrier(real, kind, args):
+    """(algebra, coalgebra, antipode) of the carrier --carrier names, read as a
+    CARRIER stanza is, else of the only `kind` block; refused without a `kind` part."""
+    name = args.carrier
+    if name is None:
+        name = _pick(real, (kind,), "carrier", args).name
+    parts = real.carrier(name)
+    if parts[("ALGEBRA", "COALGEBRA").index(kind)] is None:
+        raise UsageError(f"no {kind} block named {name!r}")
+    return parts
 
 
 # the options each command leaves unread, and so refuses
@@ -162,21 +185,16 @@ def _yd_module(real, name, check):
 
 
 def _bundle_from_args(real, args):
-    carrier = _pick(real, ("ALGEBRA",), "carrier", args).name
-    alg, coalg, s = real.carrier(carrier)
+    alg, coalg, s = _carrier(real, "ALGEBRA", args)
     if coalg is None:
-        raise UsageError(f"carrier {carrier!r} needs both an ALGEBRA and a COALGEBRA block")
+        raise UsageError(f"carrier {alg.name!r} needs both an ALGEBRA and a COALGEBRA block")
     hom = _pick(real, textfmt.ACTING_KINDS, "hopf", args)
     act, coact = (_pick(real, (kind,), kind.lower(), args) for kind in textfmt.MAP_KINDS)
     return Bundle(alg, coalg, hom, act, coact, carrier_antipode=s)
 
 
 def _cmd_check(args):
-    real = _load(args.file)
-    reports = textfmt.run_checks(real)
-    if not reports:
-        raise UsageError("the document contains no checkable blocks")
-    return _print_reports(reports, args.witness)
+    return _check_text(_read(args.file), args.witness)
 
 
 def _cmd_construct(args):
@@ -189,7 +207,8 @@ def _cmd_construct(args):
         kind, result, reports = "BIALGEBRA", made.bialgebra, made.gates
     else:
         kind = "ALGEBRA" if what == "smash" else "COALGEBRA"
-        carrier = _pick(real, (kind,), "carrier", args)
+        alg, coalg, _ = _carrier(real, kind, args)
+        carrier = alg if what == "smash" else coalg
         hom = _pick(real, textfmt.ACTING_KINDS, "hopf", args)
         option = None if flip else "action" if what == "smash" else "coaction"  # the map it reads
         piece = option and _pick(real, (option.upper(),), option, args)
@@ -215,7 +234,11 @@ def _cmd_antipode(args):
     if bundle.carrier_antipode is None:
         raise UsageError("the carrier blocks carry no ANTIPODE stanza")
     made = radford_biproduct(bundle, name=args.name)
-    anti = biproduct_antipode(bundle, biproduct=made.bialgebra)
+    anti = biproduct_antipode(bundle)
+    # one title, whatever name the bialgebra was given
+    check_antipode(made.bialgebra, anti.matrix, title="antipode axioms [biproduct]").require(
+        "biproduct antipode fails its axioms"
+    )
     reports = list(made.gates) + [anti.gate]
     code = _print_reports(reports, args.witness)
     basis = made.bialgebra.basis
@@ -252,7 +275,7 @@ def _cmd_braiding_test(args):
             twists.append(CheckResult("antipode.invertible", True))
     if not all(check.passed for check in twists):
         return _print_reports([Report(title, tuple(twists))], args.witness)
-    c = braiding(m1, m2, check=False)
+    c = braiding(m1, m2)
     reports = [check_yd_morphism(c, title=title)]
     inverse_checks = (
         CheckResult("inverse.left", (ci * c.matrix).is_identity()),
@@ -318,9 +341,7 @@ def _cmd_catalog(args):
         if args.emit:
             _emit(args.emit, text)
         return 0
-    real = textfmt.realize(textfmt.parse_document(text))
-    reports = textfmt.run_checks(real)
-    code = _print_reports(reports, args.witness)
+    code = _check_text(text, args.witness)
     if args.emit:
         _emit(args.emit, text)
     return code

@@ -26,7 +26,6 @@ __all__ = [
     "flatten_index",
     "unflatten_index",
     "leg_perm",
-    "swap_matrix",
     "permute_row_legs",
     "permute_col_legs",
     "solve",
@@ -580,11 +579,6 @@ def _leg_perm_cached(field, dims, perm):
             idx[pos] = 0
             row -= stride_of_input[pos] * dims[pos]
     return Matrix._make(field, total, total, out)
-
-
-def swap_matrix(field, n, m):
-    """The flip V(x)W -> W(x)V on flattened coordinates."""
-    return leg_perm(field, (n, m), (1, 0))
 
 
 def solve(a, b):

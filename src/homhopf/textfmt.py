@@ -374,12 +374,14 @@ class Realization:
 
     def carrier(self, name):
         """(algebra, coalgebra, antipode) of a carrier: its ALGEBRA and COALGEBRA
-        blocks, else its BIALGEBRA's or HOPF's parts, and either block's ANTIPODE."""
+        blocks, else its BIALGEBRA's or HOPF's parts, and the first ANTIPODE
+        among its blocks, in that order."""
         both = self.find(("BIALGEBRA", "HOPF"), name)
+        antipodes = (self.antipodes.get((kind, name)) for kind in STRUCTURAL_KINDS)
         return (
             self.find(("ALGEBRA",), name) or getattr(both, "algebra", None),
             self.find(("COALGEBRA",), name) or getattr(both, "coalgebra", None),
-            self.antipodes.get(("ALGEBRA", name)) or self.antipodes.get(("COALGEBRA", name)),
+            next(filter(None, antipodes), None),
         )
 
 

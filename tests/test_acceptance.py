@@ -180,7 +180,7 @@ def test_criterion_5_antipode_degenerations():
                     coaction=trivial_coaction(h, a.twist, a.basis),
                     carrier_antipode=bundle.carrier_antipode,
                 )
-                general = biproduct_antipode(no_coaction, check=False).matrix
+                general = biproduct_antipode(no_coaction).matrix
                 assert maps_equal(
                     general,
                     smash_product_antipode(a, h, bundle.action, bundle.carrier_antipode),
@@ -191,7 +191,7 @@ def test_criterion_5_antipode_degenerations():
                     coaction=bundle.coaction,
                     carrier_antipode=bundle.carrier_antipode,
                 )
-                general = biproduct_antipode(no_action, check=False).matrix
+                general = biproduct_antipode(no_action).matrix
                 assert maps_equal(
                     general,
                     smash_coproduct_antipode(
@@ -206,8 +206,8 @@ def _catalog_modules(field):
     hom = r.hom
     return {
         "K": trivial_yd_module(hom),
-        "A": dual_number_bundle(field, 2).yd_module(check=False),
-        "T": taft_bundle(field, 2).yd_module(check=False),
+        "A": dual_number_bundle(field, 2).yd_module(),
+        "T": taft_bundle(field, 2).yd_module(),
         "H": YDModule(regular_action(hom), induced_coaction(hom, r), check=False),
     }
 
@@ -222,11 +222,11 @@ def test_criterion_6_hyd_machinery():
         names = sorted(mods)
         for x, y in itertools.product(names, repeat=2):
             m1, m2 = mods[x], mods[y]
-            t = yd_tensor(m1, m2, check=False)
+            t = yd_tensor(m1, m2)
             assert check_hyd(t).passed  # tensor modules stay Yetter-Drinfeld
-            assert check_yd_morphism(braiding(m1, m2, check=False)).passed
+            assert check_yd_morphism(braiding(m1, m2)).passed
             c = braiding_matrix(m1, m2)
-            ci = braiding_inverse(m1, m2, check=False).matrix
+            ci = braiding_inverse(m1, m2).matrix
             assert (ci * c).is_identity() and (c * ci).is_identity()
         for x, y, z in itertools.product(names, repeat=3):
             triple = (mods[x], mods[y], mods[z])
@@ -234,7 +234,7 @@ def test_criterion_6_hyd_machinery():
             assert check_hexagons(*triple).passed
             assert check_pentagon(*triple, triple[0]).passed
     for tag, bundle in grid():
-        prime = check_hyd_prime(bundle.yd_module(check=False))
+        prime = check_hyd_prime(bundle.yd_module())
         assert prime.check("equivalence-with-HYD").passed, tag
     _announce(6, "HYD<->HYD', tensor modules, braiding morphisms and inverses, "
                  "Yang-Baxter, pentagon and hexagons all pass")
@@ -348,7 +348,7 @@ def test_criterion_9_classical_degeneration():
                 check_coaction_axioms(bundle.coaction, "comodule-coalgebra",
                                       carrier=bundle.coalgebra).passed,
                 classical.classical_comodule_coalgebra_ok(bundle.coaction, bundle.coalgebra))
-        compare("yd", check_hyd(bundle.yd_module(check=False)).passed,
+        compare("yd", check_hyd(bundle.yd_module()).passed,
                 classical.classical_yd_ok(bundle.action, bundle.coaction))
         compare("r4", check_radford_conditions(bundle).check("R4").passed,
                 classical.classical_r4_ok(bundle))

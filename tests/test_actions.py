@@ -113,7 +113,7 @@ def test_taft_bundle_hyd_matches_oracle():
         QQ, (2, 4), (2, 4), lambda idx: oracles.hyd_lhs_oracle(b.action, b.coaction, idx)
     )
     assert maps_equal(hyd_lhs_matrix(b.action, b.coaction), lhs)
-    assert check_hyd(b.yd_module(check=False)).passed
+    assert check_hyd(b.yd_module()).passed
 
 
 def test_hyd_ignores_action_sign_over_commutative_base():
@@ -148,7 +148,7 @@ def test_hyd_genuine_failure_regular_action_trivial_coaction():
 
 def test_hyd_prime_equivalence_on_catalog(field):
     for bundle in (taft_bundle(field, 2), dual_number_bundle(field, 3)):
-        m = bundle.yd_module(check=False)
+        m = bundle.yd_module()
         rep = check_hyd_prime(m)
         assert rep.check("HYD-prime").passed
         assert rep.check("equivalence-with-HYD").passed

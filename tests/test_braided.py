@@ -13,8 +13,10 @@ from homhopf import (
     associator,
     braiding,
     braiding_inverse,
+    check_action_axioms,
     check_bialgebra_in_hyd,
     check_bosonization_equivalence,
+    check_coaction_axioms,
     check_hexagons,
     check_hom_bialgebra,
     check_hyd,
@@ -41,8 +43,19 @@ from homhopf.quasitriangular import induced_coaction
 from homhopf.structures import HomBialgebra
 
 
+def checked_module(bundle):
+    """The bundle's carrier as a Yetter-Drinfeld module, refused unless it is one."""
+    return YDModule(bundle.action, bundle.coaction)
+
+
 def dual_module(field, l=2):
-    return dual_number_bundle(field, l).yd_module(check=True)
+    return checked_module(dual_number_bundle(field, l))
+
+
+def is_yd(module):
+    """The axioms a checked YDModule verifies at construction."""
+    reports = (check_action_axioms(module.action), check_coaction_axioms(module.coaction))
+    return all(rep.passed for rep in reports) and check_hyd(module).passed
 
 
 def qt_self_module(field):
@@ -57,19 +70,19 @@ def catalog_modules(field):
     return {
         "K": trivial_yd_module(hom),
         "A": dual_module(field),
-        "T": taft_bundle(field, 2).yd_module(check=True),
+        "T": checked_module(taft_bundle(field, 2)),
         "H": qt_self_module(field),
     }
 
 
 def test_yd_tensor_passes_hyd(field):
     a = dual_module(field)
-    t = yd_tensor(a, a)  # validated at construction
+    t = yd_tensor(a, a)
     assert t.dim == 4
-    assert check_hyd(t).passed
+    assert is_yd(t)
     h = qt_self_module(field)
     k = trivial_yd_module(a.hom)
-    assert check_hyd(yd_tensor(h, k)).passed
+    assert is_yd(yd_tensor(h, k))
 
 
 def test_unit_module_tensor_structure():
@@ -78,6 +91,7 @@ def test_unit_module_tensor_structure():
     a = dual_module(QQ)
     k = trivial_yd_module(a.hom)
     t = yd_tensor(k, a)
+    assert is_yd(t)
     hom = a.hom
     i2 = Matrix.identity(QQ, 2)
     assert t.action.matrix == a.action.matrix * kron(hom.twist, i2)
@@ -138,7 +152,7 @@ def test_braiding_inverse_composites(field):
         for y in names:
             m1, m2 = mods[x], mods[y]
             c = braiding_matrix(m1, m2)
-            ci = braiding_inverse(m1, m2, check=False).matrix
+            ci = braiding_inverse(m1, m2).matrix
             assert (ci * c).is_identity()
             assert (c * ci).is_identity()
 
@@ -147,7 +161,7 @@ def test_braiding_is_h_linear_and_colinear(field):
     mods = catalog_modules(field)
     for x in ("A", "H", "T"):
         for y in ("A", "K"):
-            rep = check_yd_morphism(braiding(mods[x], mods[y], check=False))
+            rep = check_yd_morphism(braiding(mods[x], mods[y]))
             assert rep.passed, (x, y, rep.render(True))
 
 
@@ -202,7 +216,7 @@ def test_hexagon_breaks_under_mutation():
     lhs_bad = kron(i2, braiding_matrix(a, a)) * associator_matrix(a, a, a) * kron(mutated, i2)
     rhs = (
         associator_matrix(a, a, a)
-        * braiding_matrix(a, yd_tensor(a, a, check=False))
+        * braiding_matrix(a, yd_tensor(a, a))
         * associator_matrix(a, a, a)
     )
     assert maps_equal(lhs_good, rhs)
@@ -240,9 +254,9 @@ def test_full_machinery_over_twisted_noncommutative_base():
     from homhopf import check_hyd_prime
 
     assert check_hyd_prime(m).passed
-    assert check_hyd(yd_tensor(m, m, check=False)).passed
+    assert check_hyd(yd_tensor(m, m)).passed
     c = braiding(m, m)
-    ci = braiding_inverse(m, m, check=False)
+    ci = braiding_inverse(m, m)
     assert check_yd_morphism(c).passed
     assert (ci.matrix * c.matrix).is_identity()
     assert (c.matrix * ci.matrix).is_identity()
@@ -254,14 +268,13 @@ def test_full_machinery_over_twisted_noncommutative_base():
 
 
 def test_yd_tensor_valid_on_fuzzed_instances():
-    # tensor modules of fuzz-grid instances stay Yetter-Drinfeld; the
-    # constructor validates, so a violation would raise
+    # tensor modules of fuzz-grid instances stay Yetter-Drinfeld
     from fuzz_grid import grid
 
     instances = grid()
     for tag, bundle in instances[::16]:
-        module = bundle.yd_module(check=False)
-        yd_tensor(module, module, check=True)
+        module = bundle.yd_module()
+        assert is_yd(yd_tensor(module, module)), tag
 
 
 def test_bialgebra_in_category_on_catalog(field):

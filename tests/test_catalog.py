@@ -7,6 +7,7 @@ from homhopf import (
     GF,
     QQ,
     StructureError,
+    check_antipode,
     check_hom_bialgebra,
     check_radford_conditions,
     structures,
@@ -160,17 +161,19 @@ def test_r_matrix_entry_values():
 
 
 @pytest.mark.parametrize(
-    "build, args",
-    [(group_algebra_z2, ()), (cyclic_group_hopf, (5,)), (taft_hopf, ())],
+    "build, args, checks",
+    [(group_algebra_z2, (), 0), (cyclic_group_hopf, (5,), 1), (taft_hopf, (), 0)],
     ids=["kz2", "kz5", "taft"],
 )
-def test_builders_check_each_axiom_once(field, build, args):
-    # the parts are built unchecked; the one Hom-bialgebra check covers HA and HC
+def test_builders_check_each_axiom_once(field, build, args, checks):
+    # catalog entries assemble unchecked, and `catalog check` checks the
+    # printed document; cyclic_group_hopf, no entry, builds its parts
+    # unchecked and checks the Hom-bialgebra once, which covers HA and HC
     with mock.patch.object(
         structures, "check_hom_algebra", wraps=structures.check_hom_algebra
     ) as algebra, mock.patch.object(
         structures, "check_hom_coalgebra", wraps=structures.check_hom_coalgebra
     ) as coalgebra:
-        build(field, *args)
-    assert algebra.call_count == 1
-    assert coalgebra.call_count == 1
+        hopf = build(field, *args)
+    assert algebra.call_count == coalgebra.call_count == checks
+    assert check_hom_bialgebra(hopf).passed and check_antipode(hopf).passed

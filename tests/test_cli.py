@@ -662,7 +662,7 @@ def test_named_selectors_pick_the_blocks_found_alone(tmp_path, capsys, command, 
 
 
 _MISSELECTED = [
-    (("construct", "smash"), ("--carrier", "H"), "no ALGEBRA block named 'H'"),
+    (("construct", "smash"), ("--carrier", "yd"), "no ALGEBRA block named 'yd'"),
     (("construct", "cosmash"), ("--carrier", "yd"), "no COALGEBRA block named 'yd'"),
     (("construct", "smash"), ("--hopf", "A"), "no HOPF/BIALGEBRA block named 'A'"),
     (("construct", "smash"), ("--action", "A"), "no ACTION block named 'A'"),
@@ -680,6 +680,27 @@ def test_a_selector_naming_no_block_of_its_kind_is_a_usage_error(
 ):
     src = _bundle_file(tmp_path)
     assert run(capsys, *command, src, *selectors) == (1, "", f"error: {message}\n")
+
+
+def test_a_named_hopf_carrier_gives_its_parts(tmp_path, capsys):
+    # resolved as a CARRIER stanza is, H offers its algebra, whose twist is
+    # not the carrier twist of the action yd
+    src = _bundle_file(tmp_path)
+    message = "error: carrier structure twist differs from the action's carrier twist\n"
+    assert run(capsys, "construct", "smash", src, "--carrier", "H") == (1, "", message)
+
+
+def test_antipode_checks_the_biproduct_antipode_against_its_bialgebra(tmp_path, capsys):
+    # a zero row in the acting antipode passes every gate, and the computed
+    # biproduct antipode then fails its axioms
+    text = _BUNDLE.replace("  ANTIPODE 0 : 1 0\n", "  ANTIPODE 0 : 0 0\n", 1)
+    code, out, err = run(capsys, "antipode", _bundle_file(tmp_path, text))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[:3] == [
+        "refused: biproduct antipode fails its axioms: antipode.left",
+        "== antipode axioms [biproduct]",
+        "  antipode.left   FAIL  [at 1⊗1 -> 1⊗1: 0 != 1]",
+    ]
 
 
 def _with_copies(block):

@@ -41,7 +41,7 @@ from homhopf import (
     trivial_coaction,
     biproduct_antipode,
 )
-from homhopf import actions, braided, constructions, structures
+from homhopf import actions, braided, cli, constructions, structures, textfmt
 from homhopf.braided import check_bialgebra_in_hyd, check_bosonization_equivalence
 from homhopf.constructions import TwistMapT, smash_comult_matrix, smash_mult_matrix
 from homhopf.structures import tensor_comult_matrix, tensor_mult_matrix, yau_twist
@@ -56,7 +56,6 @@ from homhopf.catalog import (
     taft_twisted,
 )
 from homhopf.cli import main
-from homhopf.structures import tensor_hom_algebra, tensor_hom_coalgebra
 from homhopf.textfmt import catalog_document
 
 F7 = GF(7)
@@ -285,8 +284,9 @@ def test_biproduct_antipode_satisfies_axioms(field):
 
 def test_biproduct_antipode_rejects_bad_carrier_antipode():
     bundle = dual_number_bundle(QQ, 2)
+    bundle = dataclasses.replace(bundle, carrier_antipode=Matrix.identity(QQ, 2))
     with pytest.raises(StructureError):
-        biproduct_antipode(bundle, s_carrier=Matrix.identity(QQ, 2))
+        biproduct_antipode(bundle)
 
 
 def test_degeneration_trivial_coaction_equals_smash_antipode(field):
@@ -301,7 +301,7 @@ def test_degeneration_trivial_coaction_equals_smash_antipode(field):
             coaction=trivial_coaction(h, a.twist, a.basis),
             carrier_antipode=bundle.carrier_antipode,
         )
-        general = biproduct_antipode(degenerate, check=False)
+        general = biproduct_antipode(degenerate)
         direct = smash_product_antipode(a, h, bundle.action, bundle.carrier_antipode)
         assert maps_equal(general.matrix, direct)
 
@@ -318,7 +318,7 @@ def test_degeneration_trivial_action_equals_cosmash_antipode(field):
             coaction=bundle.coaction,
             carrier_antipode=bundle.carrier_antipode,
         )
-        general = biproduct_antipode(degenerate, check=False)
+        general = biproduct_antipode(degenerate)
         direct = smash_coproduct_antipode(
             bundle.coalgebra, h, bundle.coaction, bundle.carrier_antipode
         )
@@ -407,7 +407,7 @@ def test_biproduct_gate_biconditional_sampled(seed):
 
 # A gate is evaluated once per call chain: the composites it compares are
 # built once, and constructors do not re-run the axioms of their parts.
-_LIBRARY = (actions, braided, constructions, structures)
+_LIBRARY = (actions, braided, cli, constructions, structures, textfmt)
 
 
 @contextlib.contextmanager
@@ -478,41 +478,30 @@ def test_constructors_check_the_axioms_once(field):
 
 
 def test_antipode_command_runs_the_gate_once(tmp_path, capsys):
+    # and checks the antipode it computed once, against the bialgebra it assembled
     path = tmp_path / "bundle.hh"
     path.write_text(catalog_document("taft-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
-    with _call_counts("check_radford_conditions") as calls:
+    names = ("check_radford_conditions", "check_antipode")
+    with _call_counts(*names) as calls:
         assert main(["antipode", str(path)]) == 0
-    assert calls("check_radford_conditions") == 1
+    assert [calls(name) for name in names] == [1, 1]
     capsys.readouterr()
 
 
-def test_catalog_biproduct_checks_gate_and_antipode_once(field):
-    # past the checks of building its bundle, which checks the parts
+def test_catalog_biproduct_checks_gate_and_antipode_once(field, capsys):
+    # past yau_twist's checks in building its bundle, the builder runs the
+    # gates and checks nothing; `catalog check` then checks the printed
+    # antipode, once
     names = ("check_radford_conditions", "check_antipode")
     with _call_counts(*names) as calls:
         taft_bundle(field, 2)
     bundle_calls = [calls(name) for name in names]
     with _call_counts(*names) as calls:
         hopf = taft_biproduct(field, 2)
+    assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 0]
+    assert check_hom_bialgebra(hopf).passed and check_antipode(hopf).passed
+    token = "Q" if field is QQ else f"GF{field.characteristic}"
+    with _call_counts(*names) as calls:
+        assert main(["catalog", "check", "taft-biproduct", "--field", token]) == 0
     assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 1]
-    assert check_antipode(hopf).passed
-
-
-def test_biproduct_antipode_checks_against_the_given_bialgebra():
-    bundle = dual_number_bundle(QQ, 2)
-    assembled = radford_biproduct(bundle, name="named")
-    given_one = biproduct_antipode(bundle, biproduct=assembled.bialgebra)
-    assert given_one == biproduct_antipode(bundle)
-    tensor = HomBialgebra(
-        tensor_hom_algebra(bundle.algebra, bundle.hom.algebra, check=False),
-        tensor_hom_coalgebra(bundle.coalgebra, bundle.hom.coalgebra, check=False),
-        name="tensor",
-        check=False,
-    )
-    with pytest.raises(StructureError) as info:
-        biproduct_antipode(bundle, biproduct=tensor)
-    assert str(info.value) == "biproduct antipode fails its axioms: antipode.left"
-    assert info.value.report.lines(True)[:2] == [
-        "== antipode axioms [biproduct]",
-        "  antipode.left   FAIL  [at z⊗1 -> z⊗1: 4 != 0]",
-    ]
+    capsys.readouterr()

@@ -20,7 +20,6 @@ from homhopf import (
     leg_perm,
     maps_equal,
     solve,
-    swap_matrix,
     unflatten_index,
 )
 from homhopf.catalog import cyclic_group_hopf
@@ -152,8 +151,8 @@ def test_leg_perm_inverse_and_swap():
     p = leg_perm(QQ, dims, (2, 0, 1))
     q = leg_perm(QQ, (2, 2, 3), (1, 2, 0))
     assert q * p == Matrix.identity(QQ, 12)
-    s = swap_matrix(QQ, 2, 3)
-    assert swap_matrix(QQ, 3, 2) * s == Matrix.identity(QQ, 6)
+    s = leg_perm(QQ, (2, 3), (1, 0))
+    assert leg_perm(QQ, (3, 2), (1, 0)) * s == Matrix.identity(QQ, 6)
 
 
 def test_leg_perm_moves_basis_vectors():

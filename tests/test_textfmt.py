@@ -365,6 +365,31 @@ def test_action_on_a_hopf_carrier_reads_its_parts(tmp_path, capsys):
     ), "")
 
 
+def test_a_named_carrier_reads_a_hopf_blocks_parts_as_check_does(tmp_path, capsys):
+    # --carrier resolves as the CARRIER stanza does: construct reads kz2's
+    # algebra, and antipode its algebra, coalgebra and antipode
+    from homhopf.cli import main
+
+    action = "ACTION triv\n  ACTING kz2\n  CARRIER kz2\n" + _TRIVIAL_MAP.format(q=1) + "END\n"
+    coaction = "COACTION triv\n  ACTING kz2\n  CARRIER kz2\n  MAP 0 : 1 0 0 0\n"
+    coaction += "  MAP 1 : 0 1 0 0\nEND\n"
+    path = tmp_path / "doc.hh"
+    path.write_text(_KZ2 + action, encoding="utf-8")
+    assert main(["construct", "smash", str(path), "--carrier", "kz2"]) == 0
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[-2:], err) == (
+        ["OVERALL PASS", "constructed ALGEBRA constructed (dim 4)"], ""
+    )
+    assert main(["construct", "smash", str(path), "--carrier", "nope"]) == 1
+    assert capsys.readouterr() == ("", "error: no ALGEBRA block named 'nope'\n")
+    path.write_text(_KZ2 + action + coaction, encoding="utf-8")
+    assert main(["antipode", str(path), "--carrier", "kz2"]) == 0
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[-5:], err) == (
+        ["OVERALL PASS", *(f"S({e}) = {e}" for e in ("1⊗1", "1⊗a", "a⊗1", "a⊗a"))], ""
+    )
+
+
 def test_form_block_prints_through_form_lines():
     form = realize(parse_document(_FORM)).structures[("FORM", "R")]
     assert form_lines("R", form, "H") == render_parsed(parse_document(_FORM)).splitlines()[-5:]
