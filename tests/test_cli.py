@@ -690,19 +690,6 @@ def test_a_named_hopf_carrier_gives_its_parts(tmp_path, capsys):
     assert run(capsys, "construct", "smash", src, "--carrier", "H") == (1, "", message)
 
 
-def test_antipode_checks_the_biproduct_antipode_against_its_bialgebra(tmp_path, capsys):
-    # a zero row in the acting antipode passes every gate, and the computed
-    # biproduct antipode then fails its axioms
-    text = _BUNDLE.replace("  ANTIPODE 0 : 1 0\n", "  ANTIPODE 0 : 0 0\n", 1)
-    code, out, err = run(capsys, "antipode", _bundle_file(tmp_path, text))
-    assert (code, out) == (2, "")
-    assert err.splitlines()[:3] == [
-        "refused: biproduct antipode fails its axioms: antipode.left",
-        "== antipode axioms [biproduct]",
-        "  antipode.left   FAIL  [at 1⊗1 -> 1⊗1: 0 != 1]",
-    ]
-
-
 def _with_copies(block):
     """Each block, and after ACTION yd a second action yd2 and after HOPF H
     a BIALGEBRA B with the same maps."""

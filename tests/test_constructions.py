@@ -505,3 +505,24 @@ def test_catalog_biproduct_checks_gate_and_antipode_once(field, capsys):
         assert main(["catalog", "check", "taft-biproduct", "--field", token]) == 0
     assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 1]
     capsys.readouterr()
+
+
+def test_biproduct_antipode_checks_against_the_given_bialgebra(tmp_path, capsys):
+    # the antipode command checks the computed antipode against the biproduct
+    # bialgebra it assembled; a zero row in the acting antipode passes every
+    # gate, and the biproduct antipode then fails its axioms
+    text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
+    path = tmp_path / "bundle.hh"
+    path.write_text(text, encoding="utf-8")
+    assert main(["antipode", str(path)]) == 0
+    capsys.readouterr()
+    zeroed = text.replace("  ANTIPODE 0 : 1 0\n", "  ANTIPODE 0 : 0 0\n", 1)
+    path.write_text(zeroed, encoding="utf-8")
+    assert main(["antipode", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[:3] == [
+        "refused: biproduct antipode fails its axioms: antipode.left",
+        "== antipode axioms [biproduct]",
+        "  antipode.left   FAIL  [at 1⊗1 -> 1⊗1: 0 != 1]",
+    ]

@@ -7,6 +7,8 @@ are built unchecked.
 """
 
 import dataclasses
+import os
+import tempfile
 
 import pytest
 
@@ -58,8 +60,10 @@ from homhopf.catalog import (
     taft_twisted,
     z2_r_matrix,
 )
+from homhopf.cli import build_parser
 from homhopf.constructions import TwistMapT, carrier_antipode_report
 from homhopf.report import CheckResult, Report
+from homhopf.textfmt import catalog_document
 
 
 def _diag_1_2():
@@ -159,6 +163,34 @@ def _carrier_antipode():
     )
 
 
+def _biproduct_antipode():
+    # a zero row in the acting antipode passes every gate; the antipode
+    # command refuses the biproduct antipode it computed, checked against the
+    # bialgebra it assembled
+    d = dual_number_bundle(QQ, 2)
+    zeroed = Matrix(QQ, 2, 2, {(1, 1): 1})
+    bundle = dataclasses.replace(d, hom=HomHopf(d.hom.bialgebra, zeroed, check=False))
+    text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
+    text = text.replace("  ANTIPODE 0 : 1 0\n", "  ANTIPODE 0 : 0 0\n", 1)
+
+    def run_command():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bundle.hh")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            args = build_parser().parse_args(["antipode", path])
+            args.func(args)
+
+    return (
+        run_command,
+        lambda: check_antipode(
+            radford_biproduct(bundle).bialgebra,
+            biproduct_antipode(bundle).matrix,
+            title="antipode axioms [biproduct]",
+        ),
+    )
+
+
 def _induced_coaction():
     r = z2_r_matrix(QQ)
     doubled = RMatrix(r.hom, r.coeffs.scale(QQ.coerce(2)))
@@ -192,6 +224,11 @@ REFUSALS = [
         _carrier_antipode,
         "carrier antipode preconditions fail: carrier-antipode.left",
         id="biproduct_antipode-carrier",
+    ),
+    pytest.param(
+        _biproduct_antipode,
+        "biproduct antipode fails its axioms: antipode.left",
+        id="biproduct_antipode-axioms",
     ),
     pytest.param(
         _induced_coaction,
