@@ -189,6 +189,11 @@ def _twist_naturality(name, op, m1, m2):
 
 def check_yang_baxter(m1, m2, m3, title=None):
     """Twist compatibility of tau plus the Yang-Baxter relation on M (x) N (x) P."""
+    return _yang_baxter(m1, m2, m3, title)[0]
+
+
+def _yang_baxter(m1, m2, m3, title):
+    """check_yang_baxter's report, with the tau_{M,N} it built."""
     t12 = yang_baxter_operator(m1, m2)
     t13 = yang_baxter_operator(m1, m3)
     t23 = yang_baxter_operator(m2, m3)
@@ -202,7 +207,7 @@ def check_yang_baxter(m1, m2, m3, title=None):
     in_legs = (m1.basis, m2.basis, m3.basis)
     out_legs = (m3.basis, m2.basis, m1.basis)
     checks.append(eq_check("HYBE", lhs, rhs, in_legs, out_legs))
-    return Report(title or "Yang-Baxter operator checks", tuple(checks))
+    return Report(title or "Yang-Baxter operator checks", tuple(checks)), t12
 
 
 def check_pentagon(m1, m2, m3, m4, title=None):

@@ -15,11 +15,11 @@ from .fields import ExactError, GF, QQ, SingularMatrixError
 from .report import CheckResult, Report, StructureError
 from .actions import YDModule
 from .braided import (
+    _yang_baxter,
     braiding,
     braiding_inverse_matrix,
     check_yang_baxter,
     check_yd_morphism,
-    yang_baxter_operator,
 )
 from .constructions import (
     Bundle,
@@ -295,10 +295,14 @@ def _cmd_ybe_test(args):
     # each distinct module built once, and refused unless it is Yetter-Drinfeld
     built = {name: _yd_module(real, name, check=True) for name in dict.fromkeys(args.modules)}
     mods = [built[name] for name in args.modules]
-    report = check_yang_baxter(*mods, title="Yang-Baxter operator checks")
+    title = "Yang-Baxter operator checks"
+    if args.emit_matrix:  # the check, keeping the tau_{M,N} it built to emit
+        report, tau = _yang_baxter(*mods, title)
+    else:
+        report = check_yang_baxter(*mods, title=title)
     code = _print_reports([report], args.witness)
     if args.emit_matrix:
-        _emit(args.emit_matrix, textfmt.render_matrix_rows(yang_baxter_operator(mods[0], mods[1])))
+        _emit(args.emit_matrix, textfmt.render_matrix_rows(tau))
     return code
 
 

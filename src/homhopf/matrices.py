@@ -24,6 +24,7 @@ __all__ = [
     "maps_equal",
     "first_mismatch",
     "flatten_index",
+    "generating_indices",
     "unflatten_index",
     "leg_perm",
     "permute_row_legs",
@@ -666,6 +667,61 @@ def _eliminate_fraction_free(rows, n):
                 rows[r] = [pk * v // prev for v in row]
         prev = pk
     return prev
+
+
+def generating_indices(mult, start, maps, most):
+    """Basis indices G, picked greedily in basis order, such that the least
+    subspace holding the column `start` and every e_g (g in G), and closed
+    under each of `maps` and under x |-> mult(e_g (x) x) for g in G, is the
+    whole space; None once G would need more than `most` indices.
+
+    The span grows as an echelon basis of stored integer vectors, residues
+    over GF(p) and numerators over Q, each divided by its content: a span
+    ignores scale, so no Fraction is formed.
+    """
+    n, p = mult.rows, mult.field.characteristic
+    left = mult.transpose()._rowdicts  # left[g * n + j] holds e_g e_j
+    ops = [(m.transpose()._rowdicts, 0) for m in maps]
+    basis, fresh, gens = {}, [], []
+
+    def add(v):
+        """Put v into the span; True if it was not there."""
+        for k in sorted(basis):  # a lead is its vector's least index, so no earlier lead returns
+            if c := v.get(k):
+                b = basis[k]
+                acc = {j: x * b[k] for j, x in v.items()}
+                for j, y in b.items():
+                    acc[j] = acc.get(j, 0) - c * y
+                v = _reduced(acc, p)
+        if v:
+            g = gcd(*v.values())
+            v = basis[min(v)] = {j: x // g for j, x in v.items()}
+            fresh.append(v)
+        return bool(v)
+
+    def image(cols, at, v):
+        acc = {}
+        for j, x in v.items():
+            for i, y in cols[at + j].items():
+                acc[i] = acc.get(i, 0) + x * y
+        return _reduced(acc, p)
+
+    add(start.transpose()._rowdicts[0])
+    for i in range(n):
+        while fresh:
+            v = fresh.pop()
+            for cols, at in ops:
+                add(image(cols, at, v))
+        if len(basis) == n:
+            break
+        if add({i: 1}):
+            if len(gens) == most:
+                return None
+            gens.append(i)
+            ops.append((left, i * n))
+            for v in list(basis.values()):
+                add(image(left, i * n, v))
+    return tuple(gens)
 
 
 class TwistCache:

@@ -14,12 +14,18 @@ from homhopf import (
     Bundle,
     CoactionMap,
     GF,
+    HomAlgebra,
+    HomBialgebra,
+    HomCoalgebra,
     Matrix,
     check_action_axioms,
     check_coaction_axioms,
+    kron,
     yau_twist,
 )
 from homhopf.catalog import cyclic_group_hopf, group_algebra_z2
+from homhopf.constructions import smash_comult_matrix, smash_mult_matrix
+from homhopf.structures import tensor_basis
 
 F7 = GF(7)
 
@@ -118,3 +124,16 @@ def grid_bundles():
 @lru_cache(maxsize=1)
 def grid():
     return tuple(grid_bundles())
+
+
+def assembled_biproduct(bundle):
+    """The biproduct Hom-bialgebra of a bundle, assembled unchecked from the
+    smash product and coproduct formulas, whatever its gate says."""
+    a, c, hom = bundle.algebra, bundle.coalgebra, bundle.hom
+    labels = tensor_basis(a.basis, hom.basis)
+    twist = kron(a.twist, hom.twist)
+    alg = HomAlgebra(hom.field, smash_mult_matrix(a, hom, bundle.action), kron(a.unit, hom.unit),
+                     twist, basis=labels, check=False)
+    coalg = HomCoalgebra(hom.field, smash_comult_matrix(c, hom, bundle.coaction),
+                         kron(c.counit, hom.counit), twist, basis=labels, check=False)
+    return HomBialgebra(alg, coalg, check=False)

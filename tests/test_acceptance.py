@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 import classical_oracle as classical
-from fuzz_grid import grid
+from fuzz_grid import assembled_biproduct, grid
 from homhopf import (
     Bundle,
     GF,
@@ -39,7 +39,6 @@ from homhopf import (
     check_yd_morphism,
     convolution,
     induced_coaction,
-    kron,
     maps_equal,
     regular_action,
     smash_coproduct_antipode,
@@ -67,8 +66,6 @@ from homhopf.catalog import (
     z2_cobraiding_form,
     z2_r_matrix,
 )
-from homhopf.constructions import smash_comult_matrix, smash_mult_matrix
-from homhopf.structures import HomAlgebra, HomCoalgebra, tensor_basis
 from homhopf.textfmt import catalog_document, parse_document, realize, run_checks
 from homhopf.cli import main as cli_main
 
@@ -135,24 +132,7 @@ def test_criterion_3_antipode_table_reproduction():
 
 
 def _assembled_bialgebra_verdict(b):
-    labels = tensor_basis(b.algebra.basis, b.hom.basis)
-    alg = HomAlgebra(
-        b.hom.field,
-        smash_mult_matrix(b.algebra, b.hom, b.action),
-        kron(b.algebra.unit, b.hom.unit),
-        kron(b.algebra.twist, b.hom.twist),
-        basis=labels,
-        check=False,
-    )
-    coalg = HomCoalgebra(
-        b.hom.field,
-        smash_comult_matrix(b.coalgebra, b.hom, b.coaction),
-        kron(b.coalgebra.counit, b.hom.counit),
-        kron(b.algebra.twist, b.hom.twist),
-        basis=labels,
-        check=False,
-    )
-    return check_hom_bialgebra(HomBialgebra(alg, coalg, check=False)).passed
+    return check_hom_bialgebra(assembled_biproduct(b)).passed
 
 
 def test_criterion_4_gate_biconditional_fuzzed():

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from homhopf import cli, matrices
 from homhopf.cli import main
 from homhopf.fields import PRIME_BOUND
-from homhopf.textfmt import catalog_document, parse_document, realize, render_parsed
+from homhopf.textfmt import (
+    catalog_document,
+    parse_document,
+    realize,
+    render_matrix_rows,
+    render_parsed,
+)
 from homhopf import GF, Matrix, QQ
 
 
@@ -314,6 +320,29 @@ def test_ybe_test_refuses_a_module_that_is_not_yetter_drinfeld(tmp_path, capsys)
         "== module axioms [yd]",
     ]
     assert not emitted.exists()
+
+
+def test_ybe_test_emits_the_tau_its_check_built(tmp_path, capsys):
+    # the three operators of the check, and no fourth for --emit-matrix
+    from homhopf import braided
+
+    path = tmp_path / "bundle.hh"
+    path.write_text(catalog_document("dual-number-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    emitted = tmp_path / "tau.mat"
+    argv = ["ybe-test", str(path), "--modules", "yd", "yd", "yd", "--emit-matrix", str(emitted)]
+    original = braided.yang_baxter_operator
+    with contextlib.ExitStack() as stack:
+        spies = [  # wherever the library binds it
+            stack.enter_context(mock.patch.object(module, "yang_baxter_operator", wraps=original))
+            for module in (braided, cli) if getattr(module, "yang_baxter_operator", None) is original
+        ]
+        code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
+    assert sum(spy.call_count for spy in spies) == 3
+    module = realize(parse_document(path.read_text(encoding="utf-8"))).structures
+    yd = braided.YDModule(module[("ACTION", "yd")], module[("COACTION", "yd")], check=False)
+    tau = braided.yang_baxter_operator(yd, yd)
+    assert emitted.read_text(encoding="utf-8") == render_matrix_rows(tau)
 
 
 def test_emit_to_unwritable_path_is_an_error(tmp_path, capsys):

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hom_oracles as oracles
-from fuzz_grid import grid
+from fuzz_grid import assembled_biproduct, grid
 from homhopf import (
     ActionMap,
     Bundle,
     GF,
-    HomBialgebra,
     Matrix,
     QQ,
     StructureError,
@@ -376,25 +375,7 @@ def test_tensor_gate_cross_check_against_biproduct():
 
 
 def _assembled_verdict(b):
-    from homhopf.structures import HomAlgebra, HomCoalgebra, tensor_basis
-
-    alg = HomAlgebra(
-        b.hom.field,
-        smash_mult_matrix(b.algebra, b.hom, b.action),
-        kron(b.algebra.unit, b.hom.unit),
-        kron(b.algebra.twist, b.hom.twist),
-        basis=tensor_basis(b.algebra.basis, b.hom.basis),
-        check=False,
-    )
-    coalg = HomCoalgebra(
-        b.hom.field,
-        smash_comult_matrix(b.coalgebra, b.hom, b.coaction),
-        kron(b.coalgebra.counit, b.hom.counit),
-        kron(b.algebra.twist, b.hom.twist),
-        basis=tensor_basis(b.algebra.basis, b.hom.basis),
-        check=False,
-    )
-    return check_hom_bialgebra(HomBialgebra(alg, coalg, check=False)).passed
+    return check_hom_bialgebra(assembled_biproduct(b)).passed
 
 
 @settings(max_examples=25, deadline=None)
