@@ -1,11 +1,17 @@
 """Exact matrices with sparse row storage, Kronecker products, and tensor-leg permutations.
 
+The product kernels move entries where their operands allow it: a left
+row with one entry copies the row it selects, and Kronecker factors with at
+most one entry in each row relabel and scale rows or entries of the other
+operand, where the general loops would sum products and reduce each row.
+
 Flattening convention, fixed globally: the basis of V (x) W is indexed by
 (i, j) |-> i*dim(W) + j, zero-based, left factor most significant.  Every
 composite in the package cites this convention.  Linear maps act on column
 coordinate vectors, so compose(g, f) applies f first.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -42,7 +48,9 @@ class Matrix:
     canonical: `den >= 1`, gcd(den, every numerator) == 1, `den == 1` over
     GF(p), and no zero is stored, so equal matrices store equal data.
     Scalars read back (`entry`, `row_items`, `dense`, mismatches) are field
-    values: Fractions over Q.
+    values: Fractions over Q.  A stored row is never written once its matrix
+    is made, so matrices share rows: every empty row, and each row that a
+    product or `kron_apply` takes over unscaled.
     """
 
     __slots__ = ("field", "rows", "cols", "_rowdicts", "den")
@@ -217,6 +225,10 @@ class Matrix:
         orows = other._rowdicts
         out = []
         for arow in self._rowdicts:
+            if len(arow) == 1:  # one entry selects one row of other, scaled
+                ((k, a),) = arow.items()
+                out.append(_scaled(orows[k], a, p))
+                continue
             acc = {}
             for k, a in arow.items():
                 for j, b in orows[k].items():
@@ -320,7 +332,7 @@ def maps_equal(f, g):
     return first_mismatch(f, g) is None
 
 
-_EMPTY_ROW = {}  # rows are never mutated once a matrix is made, so empty ones can share
+_EMPTY_ROW = {}  # the shared empty row (see Matrix)
 
 
 def _reduced(acc, p):
@@ -329,6 +341,36 @@ def _reduced(acc, p):
     if p:
         return {j: r for j, v in acc.items() if (r := v % p)}
     return {j: v for j, v in acc.items() if v}
+
+
+def _scaled(row, c, p):
+    """A stored row times the product c of nonzero stored scalars, reduced as
+    stored; the row itself, shared, when c is 1."""
+    if p:
+        c %= p
+    if c == 1:
+        return row
+    if p:
+        return {j: c * v % p for j, v in row.items()}
+    return {j: c * v for j, v in row.items()}
+
+
+def _monomial(m, stride, distinct):
+    """Per row of m, (j * stride, v) for its one stored entry v at column j,
+    or None for an empty row; None instead when a row holds two entries, or,
+    if `distinct`, when two rows hold their entries in one column."""
+    table, seen = [None] * m.rows, set()
+    for r, row in enumerate(m._rowdicts):
+        if row:
+            if len(row) > 1:
+                return None
+            ((j, v),) = row.items()
+            if j in seen:
+                return None
+            if distinct:
+                seen.add(j)
+            table[r] = (j * stride, v)
+    return table
 
 
 def _numerators(rowdicts):
@@ -379,7 +421,8 @@ def kron_apply(a, b, y):
 
     Output row (i, i2) sums a[i, ja] * b[i2, jb] * y[(ja, jb)], one row at a
     time; cost is proportional to the matching nonzeros, which matters when
-    a (x) b would be large but y is thin.
+    a (x) b would be large but y is thin.  When every row of a and of b holds
+    at most one entry, each output row is one row of y, scaled.
     """
     field = a.field
     if (b.field is not field and b.field != field) or (y.field is not field and y.field != field):
@@ -390,26 +433,35 @@ def kron_apply(a, b, y):
     br, bc = b.rows, b.cols
     brows, yrows = b._rowdicts, y._rowdicts
     out = [_EMPTY_ROW] * (a.rows * br)
-    for i, arow in enumerate(a._rowdicts):
-        if not arow:
-            continue
-        for i2, brow in enumerate(brows):
-            if not brow:
+    ta = _monomial(a, bc, False)
+    tb = ta and _monomial(b, 1, False)
+    if tb:
+        for i, ea in enumerate(ta):
+            if ea:
+                for i2, eb in enumerate(tb):
+                    if eb and (yrow := yrows[ea[0] + eb[0]]):
+                        out[i * br + i2] = _scaled(yrow, ea[1] * eb[1], p)
+    else:
+        for i, arow in enumerate(a._rowdicts):
+            if not arow:
                 continue
-            acc = {}
-            for ja, va in arow.items():
-                base = ja * bc
-                for jb, vb in brow.items():
-                    yrow = yrows[base + jb]
-                    if not yrow:
-                        continue
-                    w = va * vb
-                    for c, vy in yrow.items():
-                        v = w * vy
-                        cur = acc.get(c)
-                        acc[c] = v if cur is None else cur + v
-            if acc:
-                out[i * br + i2] = _reduced(acc, p)
+            for i2, brow in enumerate(brows):
+                if not brow:
+                    continue
+                acc = {}
+                for ja, va in arow.items():
+                    base = ja * bc
+                    for jb, vb in brow.items():
+                        yrow = yrows[base + jb]
+                        if not yrow:
+                            continue
+                        w = va * vb
+                        for c, vy in yrow.items():
+                            v = w * vy
+                            cur = acc.get(c)
+                            acc[c] = v if cur is None else cur + v
+                if acc:
+                    out[i * br + i2] = _reduced(acc, p)
     if p:
         return Matrix._make(field, a.rows * br, y.cols, out)
     return _canonical(field, a.rows * br, y.cols, out, a.den * b.den * y.den)
@@ -419,7 +471,11 @@ def kron_apply_right(y, a, b):
     """Compute y * (a (x) b) without materializing the Kronecker product.
 
     The mirror of kron_apply: cost is proportional to the matching nonzeros,
-    which matters when a (x) b would be tall but y has few rows.
+    which matters when a (x) b would be tall but y has few rows.  When every
+    row of a and of b holds at most one entry, and no two rows of one factor
+    share a column, a (x) b sends each column of y to its own column: each
+    entry of y is moved and scaled, with no sum to form and none to reduce,
+    as a product of nonzero stored scalars is never zero.
     """
     field = a.field
     if (b.field is not field and b.field != field) or (y.field is not field and y.field != field):
@@ -430,29 +486,41 @@ def kron_apply_right(y, a, b):
     arows, brows = a._rowdicts, b._rowdicts
     br, bc = b.rows, b.cols
     out = []
-    for yrow in y._rowdicts:
-        acc = {}
-        for c, vy in yrow.items():
-            arow, brow = arows[c // br], brows[c % br]
-            if not arow or not brow:
-                continue
-            if len(arow) <= len(brow):  # the longer factor row runs innermost
-                for ja, va in arow.items():
-                    w = vy * va
-                    base = ja * bc
-                    for jb, vb in brow.items():
-                        v = w * vb
-                        cur = acc.get(base + jb)
-                        acc[base + jb] = v if cur is None else cur + v
-            else:
-                for jb, vb in brow.items():
-                    w = vy * vb
+    ta = _monomial(a, bc, True)
+    tb = ta and _monomial(b, 1, True)
+    if tb:
+        for yrow in y._rowdicts:
+            row = {}
+            for c, vy in yrow.items():
+                ea, eb = ta[c // br], tb[c % br]
+                if ea and eb:
+                    v = vy * ea[1] * eb[1]
+                    row[ea[0] + eb[0]] = v % p if p else v
+            out.append(row or _EMPTY_ROW)
+    else:
+        for yrow in y._rowdicts:
+            acc = {}
+            for c, vy in yrow.items():
+                arow, brow = arows[c // br], brows[c % br]
+                if not arow or not brow:
+                    continue
+                if len(arow) <= len(brow):  # the longer factor row runs innermost
                     for ja, va in arow.items():
-                        k = ja * bc + jb
-                        v = w * va
-                        cur = acc.get(k)
-                        acc[k] = v if cur is None else cur + v
-        out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
+                        w = vy * va
+                        base = ja * bc
+                        for jb, vb in brow.items():
+                            v = w * vb
+                            cur = acc.get(base + jb)
+                            acc[base + jb] = v if cur is None else cur + v
+                else:
+                    for jb, vb in brow.items():
+                        w = vy * vb
+                        for ja, va in arow.items():
+                            k = ja * bc + jb
+                            v = w * va
+                            cur = acc.get(k)
+                            acc[k] = v if cur is None else cur + v
+            out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
     if p:
         return Matrix._make(field, y.rows, a.cols * bc, out)
     return _canonical(field, y.rows, a.cols * bc, out, y.den * a.den * b.den)
@@ -677,16 +745,16 @@ def generating_indices(mult, start, maps, most):
 
     The span grows as an echelon basis of stored integer vectors, residues
     over GF(p) and numerators over Q, each divided by its content: a span
-    ignores scale, so no Fraction is formed.
+    ignores scale, so no Fraction is formed.  Of mult, only the column
+    block of each picked generator is read.
     """
     n, p = mult.rows, mult.field.characteristic
-    left = mult.transpose()._rowdicts  # left[g * n + j] holds e_g e_j
-    ops = [(m.transpose()._rowdicts, 0) for m in maps]
-    basis, fresh, gens = {}, [], []
+    ops = [m.transpose()._rowdicts for m in maps]
+    basis, leads, fresh, gens = {}, [], [], []
 
     def add(v):
         """Put v into the span; True if it was not there."""
-        for k in sorted(basis):  # a lead is its vector's least index, so no earlier lead returns
+        for k in leads:  # a lead is its vector's least index, so no earlier lead returns
             if c := v.get(k):
                 b = basis[k]
                 acc = {j: x * b[k] for j, x in v.items()}
@@ -695,32 +763,39 @@ def generating_indices(mult, start, maps, most):
                 v = _reduced(acc, p)
         if v:
             g = gcd(*v.values())
-            v = basis[min(v)] = {j: x // g for j, x in v.items()}
+            lead = min(v)
+            v = basis[lead] = {j: x // g for j, x in v.items()}
+            insort(leads, lead)
             fresh.append(v)
         return bool(v)
 
-    def image(cols, at, v):
+    def image(cols, v):
         acc = {}
         for j, x in v.items():
-            for i, y in cols[at + j].items():
+            for i, y in cols[j].items():
                 acc[i] = acc.get(i, 0) + x * y
         return _reduced(acc, p)
+
+    def left(g):
+        """Column j holds e_g e_j: column g*n + j of mult, read alone."""
+        rows = mult._rowdicts
+        return [{i: x for i, row in enumerate(rows) if (x := row.get(k))} for k in range(g * n, g * n + n)]
 
     add(start.transpose()._rowdicts[0])
     for i in range(n):
         while fresh:
             v = fresh.pop()
-            for cols, at in ops:
-                add(image(cols, at, v))
+            for cols in ops:
+                add(image(cols, v))
         if len(basis) == n:
             break
         if add({i: 1}):
             if len(gens) == most:
                 return None
             gens.append(i)
-            ops.append((left, i * n))
+            ops.append(left(i))
             for v in list(basis.values()):
-                add(image(left, i * n, v))
+                add(image(ops[-1], v))
     return tuple(gens)
 
 

@@ -1,11 +1,15 @@
+import contextlib
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzz_grid
 from homhopf import (
     ExactError,
     FieldMismatchError,
@@ -21,8 +25,12 @@ from homhopf import (
     maps_equal,
     solve,
     unflatten_index,
+    yau_twist,
 )
-from homhopf.catalog import cyclic_group_hopf
+from homhopf import matrices
+from homhopf.braided import check_bosonization_equivalence
+from homhopf.catalog import CATALOG, cyclic_group_hopf
+from homhopf.constructions import check_radford_conditions, radford_biproduct
 from homhopf.matrices import (
     TwistCache,
     _relabel_tables,
@@ -31,7 +39,8 @@ from homhopf.matrices import (
     permute_col_legs,
     permute_row_legs,
 )
-from homhopf.structures import check_hom_bialgebra
+from homhopf.structures import check_antipode, check_hom_bialgebra
+from homhopf.textfmt import catalog_document, parse_document, realize, run_checks
 
 F7 = GF(7)
 
@@ -613,3 +622,161 @@ def test_q_bialgebra_check_makes_no_fraction_products():
         report = check_hom_bialgebra(hopf)
     assert report.passed
     assert spy.call_count == 0
+
+
+# Monomial factors, at most one entry in each row, take the kernels' moving
+# paths: kron_apply always, kron_apply_right when no two rows of one factor
+# share a column, and Matrix.__mul__ row by row.  Each path is compared with
+# the materialized product and the dense reference.
+def _factors(field):
+    """One factor of every kind the kernels tell apart; over Q the scaled
+    permutation, the twist and the pick have den 2."""
+    s = Fraction(-1, 2) if field == QQ else 3
+    return {
+        "identity": Matrix.identity(field, 2),
+        "permutation": Matrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        "scaled permutation": Matrix.from_rows(field, [[0, s], [-1, 0]]),
+        "diagonal twist": Matrix.diagonal(field, [1, s]),
+        "unit": Matrix.column(field, [1, 0, 0]),
+        "counit": Matrix.row_vector(field, [0, 1]),
+        "zero": Matrix.zero(field, 2, 3),
+        "empty": Matrix.zero(field, 0, 2),
+        "pick with two rows in one column": Matrix.from_rows(field, [[1], [s], [0]]),
+        "group counit": Matrix.row_vector(field, [1, 1, 1]),
+        "general": Matrix.from_rows(field, [[1, -1], [0, s]]),
+    }
+
+
+def _probe(field, rows, cols):
+    """Entries 1, -1, 0 and a scalar of den 2 over Q, both signs in most rows."""
+    values = (1, -1, 0, Fraction(-1, 2) if field == QQ else 3, 1, 0, -1)
+    entries = {(i, j): values[(2 * i + 3 * j + i * j) % 7] for i in range(rows) for j in range(cols)}
+    return Matrix(field, rows, cols, entries)
+
+
+def _assert_product(got, left, right):
+    """Equal to the materialized product left * right and, unless a
+    dimension is zero, to the dense reference."""
+    assert got == left * right
+    if got.rows and got.cols and left.cols:
+        _assert_exact(got, _dense_product(got.field, left.dense(), right.dense()))
+
+
+@pytest.mark.parametrize("field", (GF(2), F7, QQ), ids=str)
+def test_kernels_on_monomial_and_general_factors(field):
+    factors = _factors(field)
+    for a in factors.values():
+        if a.rows:
+            w = _probe(field, a.cols, 3)
+            _assert_exact(a * w, _dense_product(field, a.dense(), w.dense()))
+        for b in factors.values():
+            ab = kron(a, b)
+            y = _probe(field, 3, ab.rows)
+            _assert_product(kron_apply_right(y, a, b), y, ab)
+            z = _probe(field, ab.cols, 2)
+            _assert_product(kron_apply(a, b, z), ab, z)
+    # the pick sends rows 0 and 1 to one column, so kron_apply_right sums them
+    pick, i_1 = factors["pick with two rows in one column"], Matrix.identity(field, 1)
+    s = pick.entry(1, 0)
+    summed = kron_apply_right(Matrix.from_rows(field, [[1, 1, 1]]), pick, i_1)
+    _assert_exact(summed, [[field.add(field.one, s)]])
+
+
+@pytest.mark.parametrize("field", (GF(2), F7, QQ), ids=str)
+def test_rows_taken_over_unscaled_are_shared(field):
+    w = _probe(field, 3, 4)
+    swap = Matrix.from_rows(field, [[0, 0, 1], [1, 0, 0], [0, 0, 0]])
+    for got in (swap * w, kron_apply(swap, Matrix.identity(field, 1), w)):
+        assert got._rowdicts[0] is w._rowdicts[2] and got._rowdicts[1] is w._rowdicts[0]
+        assert got == Matrix.from_rows(field, [w.dense()[2], w.dense()[0], [0] * 4])
+
+
+def _monomial_matrix(field, rows, cols):
+    """At most one entry in each row, in a column drawn freely, so two rows
+    sometimes share one."""
+    values = [1, -1, 2, -2] + ([Fraction(1, 2), Fraction(-1, 2)] if field == QQ else [])
+    cell = st.one_of(st.none(), st.tuples(st.integers(0, cols - 1), st.sampled_from(values)))
+    return st.lists(cell, min_size=rows, max_size=rows).map(
+        lambda cells: Matrix(field, rows, cols, {(i, c[0]): c[1] for i, c in enumerate(cells) if c})
+    )
+
+
+def _mixed_matrix(field, rows, cols):
+    return st.one_of(_monomial_matrix(field, rows, cols), _cancelling_matrix(field, rows, cols))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(KERNEL_FIELDS), st.lists(st.integers(1, 3), min_size=5, max_size=5), st.data())
+def test_kernels_on_mixed_monomial_and_general_operands(field, dims, data):
+    ar, ac, br, bc, k = dims
+    a, b = data.draw(_mixed_matrix(field, ar, ac)), data.draw(_mixed_matrix(field, br, bc))
+    ab = _dense_kron(field, a.dense(), b.dense())
+    y = data.draw(_mixed_matrix(field, k, ar * br))
+    _assert_exact(kron_apply_right(y, a, b), _dense_product(field, y.dense(), ab))
+    z = data.draw(_mixed_matrix(field, ac * bc, k))
+    _assert_exact(kron_apply(a, b, z), _dense_product(field, ab, z.dense()))
+    w = data.draw(_mixed_matrix(field, ac, k))
+    _assert_exact(a * w, _dense_product(field, a.dense(), w.dense()))
+
+
+@contextlib.contextmanager
+def _read_only_rows():
+    """Store every row of a matrix made inside the block as a read-only view,
+    so that writing into a stored row, which other matrices may share, raises."""
+    make, init = Matrix._make.__func__, Matrix.__init__
+
+    def freeze(m):
+        m._rowdicts = tuple(MappingProxyType(r) if type(r) is dict else r for r in m._rowdicts)
+        return m
+
+    def made(cls, *args):
+        return freeze(make(cls, *args))
+
+    def built(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        freeze(self)
+
+    cached = (matrices._identity_cached, matrices._leg_perm_cached)
+    for cache in cached:
+        cache.cache_clear()
+    try:
+        with mock.patch.object(Matrix, "_make", classmethod(made)), mock.patch.object(
+            Matrix, "__init__", built
+        ), mock.patch.object(fuzz_grid, "twisted_cyclic", fuzz_grid.twisted_cyclic.__wrapped__):
+            yield
+    finally:
+        for cache in cached:
+            cache.cache_clear()
+
+
+def _grid_outputs(bundles):
+    out = []
+    for bundle in bundles:
+        gate = check_radford_conditions(bundle)
+        made = radford_biproduct(bundle).bialgebra if gate.passed else None
+        out.append((gate.render(witnesses=True), made and (made.mult.dense(), made.comult.dense()),
+                    check_bosonization_equivalence(bundle).render(witnesses=True)))
+    return out
+
+
+def test_no_kernel_or_checker_writes_a_stored_row():
+    step = 17
+    with _read_only_rows():
+        assert type(Matrix.identity(F7, 2)._rowdicts[0]) is MappingProxyType
+        for field in (QQ, F7):
+            for entry in CATALOG:
+                for param in (None, "-1/2" if field == QQ else "5") if entry.param else (None,):
+                    text = catalog_document(entry.identifier, field, param and field.parse(param))
+                    assert all(r.passed for r in run_checks(realize(parse_document(text))))
+            for n in range(2, 13):
+                base = cyclic_group_hopf(field, n)
+                for s in fuzz_grid.involutions(n):
+                    sigma = Matrix(field, n, n, {((s * i) % n, i): field.one for i in range(n)})
+                    hopf = yau_twist(base, sigma)
+                    assert check_hom_bialgebra(hopf.bialgebra).passed
+                    assert check_antipode(hopf.bialgebra, hopf.antipode).passed
+        sliced = list(islice(fuzz_grid.grid_bundles(), 0, None, step))
+        frozen = _grid_outputs(b for _, b in sliced)
+    plain = fuzz_grid.grid()[::step]
+    assert [tag for tag, _ in sliced] == [tag for tag, _ in plain]
+    assert frozen == _grid_outputs(b for _, b in plain)
