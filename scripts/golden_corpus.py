@@ -27,7 +27,12 @@ The runs are
     `antipode`, `braiding-test` and `ybe-test` on the taft-bundle and
     dual-number-bundle documents over Q with one TWIST or ANTIPODE row of
     HOPF H set to zero, so that a singular twist or antipode meets every
-    subcommand that inverts one.
+    subcommand that inverts one;
+  * a zeroed carrier twist row: `check --witness`, `construct smash`,
+    `construct biproduct`, `antipode` and `braiding-test` on the
+    dual-number-bundle document over Q with `TWIST 1` zeroed in both
+    ALGEBRA A and COALGEBRA A, so that the two blocks realize one singular
+    twist object that every request must find singular again.
 
 Usage:  python3 scripts/golden_corpus.py [--out DIR]
 
@@ -71,6 +76,8 @@ COSIDE_RUNS = (
 )
 ZERO_DOCUMENTS = ("taft-bundle", "dual-number-bundle")
 ZERO_SUBCOMMANDS = ("check", "tsmash", "biproduct", "antipode", "braiding-test", "ybe-test")
+CARRIER_ZERO_DOCUMENT, CARRIER_ZERO_ROW = "dual-number-bundle", "1"
+CARRIER_ZERO_SUBCOMMANDS = ("check", "smash", "biproduct", "antipode", "braiding-test")
 
 
 # the subcommand runs on each catalog document, as (case suffix, argv);
@@ -187,6 +194,26 @@ def _zero_hopf_rows(text):
     return out
 
 
+def _zero_carrier_twist_row(text, row):
+    """TWIST `row` set to zero in both the ALGEBRA A and the COALGEBRA A
+    block, as (label, what, text)."""
+    lines = text.splitlines()
+    mutated = list(lines)
+    block = ""
+    changed = []
+    for i, line in enumerate(lines):
+        if not line.startswith("  "):
+            block = line
+            continue
+        tokens = line.split()
+        if block in ("ALGEBRA A", "COALGEBRA A") and tokens[:2] == ["TWIST", row]:
+            at = tokens.index(":") + 1
+            mutated[i] = "  " + " ".join(tokens[:at] + ["0"] * (len(tokens) - at))
+            changed.append(i)
+    what = "; ".join(f"zero line {i + 1}: {lines[i].strip()!r} -> {mutated[i].strip()!r}" for i in changed)
+    return f"carrier-twist-{row}-zero", what, "\n".join(mutated) + "\n"
+
+
 def _slug(param):
     return param.replace("-", "m").replace("/", "_")
 
@@ -253,6 +280,12 @@ def cases():
             for suffix in ZERO_SUBCOMMANDS:
                 name = f"mutations/{ident}-Q-{label}-{suffix}"
                 out.append((name, runs[suffix], mutated, f"{source}, {what}"))
+    ident = CARRIER_ZERO_DOCUMENT
+    text = catalog_document(ident, cli._parse_field("Q"))
+    label, what, mutated = _zero_carrier_twist_row(text, CARRIER_ZERO_ROW)
+    for suffix in CARRIER_ZERO_SUBCOMMANDS:
+        name = f"mutations/{ident}-Q-{label}-{suffix}"
+        out.append((name, runs[suffix], mutated, f"catalog show {ident} --field Q, {what}"))
     return out
 
 

@@ -8,7 +8,6 @@ over basis pairs and any failure carries an exact witness.
 from .fields import ExactError, ShapeError
 from .matrices import (
     Matrix,
-    TwistCache,
     kron,
     kron_apply,
     kron_apply_right,
@@ -61,7 +60,8 @@ def same_bialgebra(h1, h2):
 
 class _CarrierMap:
     """A (co)action matrix of `hom` on a carrier with its own twist; the
-    subclasses fix the matrix shape and the noun of the messages."""
+    subclasses fix the matrix shape and the noun of the messages.  A
+    YDModule holds its action's carrier twist, with the inverse it keeps."""
 
     def __init__(self, hom, matrix, carrier_twist, carrier_basis=None, name=None):
         m = carrier_twist.rows
@@ -82,7 +82,6 @@ class _CarrierMap:
         if len(self.carrier_basis) != m:
             raise ShapeError("carrier basis label count must equal the carrier dimension")
         self.name = name
-        self._twists = TwistCache(carrier_twist)  # shared by a YDModule on this action
 
     @property
     def field(self):
@@ -276,7 +275,6 @@ class YDModule(_Twisted):
         self.twist = action.carrier_twist
         self.basis = action.carrier_basis
         self.name = name
-        self._twists = action._twists
         if check:
             reports = (check_action_axioms(action), check_coaction_axioms(coaction), check_hyd(self))
             for rep in reports:

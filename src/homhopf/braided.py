@@ -24,7 +24,7 @@ from .actions import (
     YDModule,
     same_bialgebra,
 )
-from .constructions import _radford_gate
+from .constructions import _radford_gate, _twist_naturality
 
 __all__ = [
     "CategoryMorphism",
@@ -119,7 +119,7 @@ def associator_matrix(m1, m2, m3):
 
 
 def _associator_inverse(m1, m2, m3):
-    """m (x) (n (x) p) |-> (alpha_M(m) (x) n) (x) alpha_P^-1(p), from the twist caches."""
+    """m (x) (n (x) p) |-> (alpha_M(m) (x) n) (x) alpha_P^-1(p), from the kept twist inverses."""
     return kron_list(m1.twist, Matrix.identity(m1.field, m2.dim), m3.twist_inv)
 
 
@@ -174,17 +174,6 @@ def yang_baxter_operator(m1, m2):
     field = m1.field
     i1, i2 = Matrix.identity(field, m1.dim), Matrix.identity(field, m2.dim)
     return _coact_then_act(m1, m2, m1.hom.twist_power(3), i2, i1)
-
-
-def _twist_naturality(name, op, m1, m2):
-    """op: M (x) N -> N (x) M commutes with the twists."""
-    return eq_check(
-        name,
-        kron_apply_right(op, m1.twist, m2.twist),
-        kron_apply(m2.twist, m1.twist, op),
-        (m1.basis, m2.basis),
-        (m2.basis, m1.basis),
-    )
 
 
 def check_yang_baxter(m1, m2, m3, title=None):

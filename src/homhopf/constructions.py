@@ -72,17 +72,14 @@ class TwistMapT:
                 raise StructureError("twist map does not commute with the twists", rep)
 
     def compatibility_report(self):
-        c, h = self.coalgebra, self.hom
-        legs_in = (c.basis, h.basis)
-        legs_out = (h.basis, c.basis)
-        check = eq_check(
-            "T.twist-compat",
-            kron_apply_right(self.matrix, c.twist, h.twist),
-            kron_apply(h.twist, c.twist, self.matrix),
-            legs_in,
-            legs_out,
-        )
+        check = _twist_naturality("T.twist-compat", self.matrix, self.coalgebra, self.hom)
         return Report(f"twist map compatibility [{self.name or 'T'}]", (check,))
+
+
+def _twist_naturality(name, op, m1, m2):
+    """op: M (x) N -> N (x) M commutes with the twists."""
+    lhs, rhs = kron_apply_right(op, m1.twist, m2.twist), kron_apply(m2.twist, m1.twist, op)
+    return eq_check(name, lhs, rhs, (m1.basis, m2.basis), (m2.basis, m1.basis))
 
 
 def coaction_twist_map(coalgebra, hom, coaction):

@@ -36,7 +36,6 @@ __all__ = [
     "permute_row_legs",
     "permute_col_legs",
     "solve",
-    "TwistCache",
 ]
 
 
@@ -50,10 +49,11 @@ class Matrix:
     Scalars read back (`entry`, `row_items`, `dense`, mismatches) are field
     values: Fractions over Q.  A stored row is never written once its matrix
     is made, so matrices share rows: every empty row, and each row that a
-    product or `kron_apply` takes over unscaled.
+    product or `kron_apply` takes over unscaled.  A square matrix keeps its
+    powers and inverse (`pow`), so all holders of one twist invert it once.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rowdicts", "den")
+    __slots__ = ("field", "rows", "cols", "_rowdicts", "den", "_powers")
 
     def __init__(self, field, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -273,13 +273,27 @@ class Matrix:
         """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
         if self.rows != self.cols:
             raise ShapeError("only square matrices invert")
-        return solve(self, Matrix.identity(self.field, self.rows))
+        return self.pow(-1)
 
     def pow(self, k):
-        """Integer power; negative exponents go through the exact inverse."""
+        """Integer power; negative exponents go through the exact inverse.
+        The matrix keeps each power it computes, the inverse included, but
+        not the 0th or 1st: holding itself, it would outlive its last outside
+        reference.  A singular matrix keeps nothing and raises every time."""
         if self.rows != self.cols:
             raise ShapeError("only square matrices take powers")
-        return TwistCache(self).power(k)
+        if k in (0, 1):
+            return self if k else Matrix.identity(self.field, self.rows)
+        kept, step = getattr(self, "_powers", {}), 1 if k > 0 else -1
+        if step < 0 and -1 not in kept:
+            kept[-1] = solve(self, Matrix.identity(self.field, self.rows))
+        power = base = self if step > 0 else kept[-1]
+        for j in range(2 * step, k + step, step):  # a loop, not recursion, so no exponent is too large
+            if j not in kept:
+                kept[j] = power * base
+            power = kept[j]
+        self._powers = kept
+        return power
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -797,25 +811,3 @@ def generating_indices(mult, start, maps, most):
             for v in list(basis.values()):
                 add(image(ops[-1], v))
     return tuple(gens)
-
-
-class TwistCache:
-    """Cached integer powers of a structure twist, inverse included."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self._memo = {0: Matrix.identity(matrix.field, matrix.rows), 1: matrix}
-
-    def power(self, k):
-        memo = self._memo
-        if k < 0 and -1 not in memo:
-            memo[-1] = self.matrix.inverse()
-        step = 1 if k > 0 else -1
-        for j in range(step, k, step):  # a loop, not recursion, so no exponent is too large
-            if j + step not in memo:
-                memo[j + step] = memo[j] * memo[step]
-        return memo[k]
-
-    @property
-    def inverse(self):
-        return self.power(-1)

@@ -11,7 +11,6 @@ of the exhaustive check.
 from .fields import ExactError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
-    TwistCache,
     generating_indices,
     kron,
     kron_apply,
@@ -68,7 +67,7 @@ def _coerce_row(field, counit, n):
 
 class _Twisted:
     """Field, dimension, named basis and twist (the identity by default) of
-    one structure, with the twist's powers and inverse cached."""
+    one structure; the twist keeps its own powers and inverse."""
 
     def __init__(self, field, structure_map, dim, twist, basis, name):
         if twist is None:
@@ -84,14 +83,13 @@ class _Twisted:
         if len(self.basis) != dim:
             raise ShapeError("basis label count must equal the dimension")
         self.name = name
-        self._twists = TwistCache(twist)
 
     def twist_power(self, k):
-        return self._twists.power(k)
+        return self.twist.pow(k)
 
     @property
     def twist_inv(self):
-        return self._twists.inverse
+        return self.twist.inverse()
 
 
 class HomAlgebra(_Twisted):
@@ -138,7 +136,6 @@ class HomBialgebra(_Twisted):
         self.mult, self.unit, self.twist = algebra.mult, algebra.unit, algebra.twist
         self.comult, self.counit = coalgebra.comult, coalgebra.counit
         self.name = name
-        self._twists = algebra._twists
         if check:
             check_hom_bialgebra(self).require("Hom-bialgebra axioms fail")
 
@@ -355,7 +352,7 @@ def check_hom_bialgebra(h, title=None):
     field, n, b = h.field, h.dim, h.basis
     m, u, d, e = h.mult, h.unit, h.comult, h.counit
     algebra = check_hom_algebra(h.algebra)
-    # on h itself, which shares its algebra's twist cache, so both invert it once
+    # on h itself, whose twist is its algebra's, so both sides invert it once
     coalgebra = check_hom_coalgebra(h)
     unit = eq_check("compat.comult-unit", d * u, kron(u, u), None, (b, b))
     mult = None
@@ -479,7 +476,7 @@ def yau_twist(h, gamma, name=None):
     antipode = getattr(h, "antipode", None)
     one = (b,)
     two = (b, b)
-    # built unchecked, so the checks below invert gamma once, in the algebra's twist cache
+    # built unchecked on the one gamma, so the checks below invert it once
     alg = HomAlgebra(field, gamma * m, u, gamma, basis=b, check=False)
     coalg = HomCoalgebra(field, d * gamma, e, gamma, basis=b, check=False)
     checks = [

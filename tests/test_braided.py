@@ -197,8 +197,8 @@ def test_hexagons_on_catalog_triples(field):
 
 
 def test_hexagons_reuse_the_twist_inverses():
-    # each inverse associator comes from the twist caches, so with those
-    # warm only the two fresh tensor modules invert their twists
+    # each inverse associator reads the inverse its module twist keeps, so
+    # with those warm only the two fresh tensor modules invert their twists
     m = taft_bundle(QQ, 2).yd_module()
     check_hexagons(m, m, m)
     with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:

@@ -308,6 +308,17 @@ def test_braiding_test_inverts_the_antipode_once(tmp_path, capsys):
     assert solve.call_count == 3  # the acting twist, the module twist and S
 
 
+def test_check_inverts_a_carriers_shared_twist_once(tmp_path, capsys):
+    # the ALGEBRA and COALGEBRA blocks of A give equal twists, realized as one
+    # object, which keeps its inverse for the checks of both
+    path = tmp_path / "dual.hh"
+    path.write_text(catalog_document("dual-number", QQ, QQ.coerce(2)), encoding="utf-8")
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        code, out, _ = run(capsys, "check", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
+    assert solve.call_count == 1
+
+
 def test_ybe_test_refuses_a_module_that_is_not_yetter_drinfeld(tmp_path, capsys):
     # with a singular acting twist, HM1 fails for every module
     path = _singular_twist_bundle(tmp_path, "  TWIST 1 : 0 1\n")  # the HOPF block's

@@ -1,4 +1,7 @@
 import contextlib
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 from math import gcd, prod
@@ -32,7 +35,6 @@ from homhopf.braided import check_bosonization_equivalence
 from homhopf.catalog import CATALOG, cyclic_group_hopf
 from homhopf.constructions import check_radford_conditions, radford_biproduct
 from homhopf.matrices import (
-    TwistCache,
     _relabel_tables,
     kron_apply,
     kron_apply_right,
@@ -268,16 +270,19 @@ def test_kron_apply_right_with_either_factor_row_longer(field):
 
 
 def test_twist_cache_powers():
+    # a matrix keeps its powers and inverse, so each is computed once
     t = Matrix.diagonal(QQ, [1, 2])
-    cache = TwistCache(t)
-    assert cache.power(3) == Matrix.diagonal(QQ, [1, 8])
-    assert cache.power(-2) == Matrix.diagonal(QQ, [1, Fraction(1, 4)])
-    assert cache.power(0) == Matrix.identity(QQ, 2)
-    assert cache.inverse * t == Matrix.identity(QQ, 2)
+    assert t.pow(3) == Matrix.diagonal(QQ, [1, 8])
+    assert t.pow(-2) == Matrix.diagonal(QQ, [1, Fraction(1, 4)])
+    assert t.pow(0) == Matrix.identity(QQ, 2)
+    assert t.pow(1) is t
+    assert t.inverse() * t == Matrix.identity(QQ, 2)
+    assert t.pow(3) is t.pow(3) and t.pow(-2) is t.pow(-2)
+    assert t.pow(-1) is t.pow(-1) is t.inverse()
 
 
 def test_twist_cache_inverse_takes_no_product():
-    cache = TwistCache(Matrix.diagonal(QQ, [1, 2]))
+    t = Matrix.diagonal(QQ, [1, 2])
     products, mul = [], Matrix.__mul__
 
     def counted(a, b):
@@ -285,10 +290,69 @@ def test_twist_cache_inverse_takes_no_product():
         return mul(a, b)
 
     with mock.patch.object(Matrix, "__mul__", counted):
-        inverse = cache.power(-1)
+        inverse = t.pow(-1)
     assert products == []
     assert inverse == Matrix.diagonal(QQ, [1, Fraction(1, 2)])
-    assert cache.inverse is inverse
+    assert t.inverse() is inverse
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_a_singular_matrix_raises_on_every_request_and_keeps_nothing(field):
+    m = Matrix.from_rows(field, [[1, 2, 0], [2, 4, 0], [0, 0, 3]])
+    square = m.pow(2)
+    requests = (m.inverse, m.inverse, lambda: m.pow(-1), lambda: m.pow(-3))
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        for request in requests:
+            with pytest.raises(SingularMatrixError, match="^matrix is singular at column 1$"):
+                request()
+    assert solve.call_count == len(requests)
+    assert m._powers == {2: square}
+    fresh = Matrix.from_rows(field, [[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrixError):
+        fresh.inverse()
+    assert not hasattr(fresh, "_powers")
+
+
+def test_kept_powers_hold_no_reference_to_their_matrix():
+    # a twist is still freed by reference counting once its holders are gone
+    m = Matrix.from_rows(QQ, [[1, 1], [0, 2]])
+    before = sys.getrefcount(m)
+    for k in (-3, -1, 0, 1, 2, 3):
+        m.pow(k)
+    m.inverse()
+    assert sys.getrefcount(m) == before
+    assert all(power is not m for power in m._powers.values())
+
+
+def test_powers_taken_from_many_threads_are_exact():
+    # the kept powers are written without a lock: a race may compute a power
+    # twice, but every request and every kept power must stay exact
+    rows = [[1, 1, 0], [0, 2, 0], [0, 0, 3]]
+    t, ref = Matrix.from_rows(QQ, rows), Matrix.from_rows(QQ, rows)
+    expected, up, down = {}, Matrix.identity(QQ, 3), Matrix.identity(QQ, 3)
+    for k in range(1, 7):
+        up, down = up * ref, down * solve(ref, Matrix.identity(QQ, 3))
+        expected[k], expected[-k] = up, down
+    wrong = []
+
+    def work(seed):
+        for k in random.Random(seed).choices(sorted(expected), k=300):
+            if t.pow(k) != expected[k]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert all(power == expected[k] for k, power in t._powers.items())
 
 
 def test_matrix_pow_negative():

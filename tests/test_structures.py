@@ -225,8 +225,8 @@ def test_yau_twist_matches_catalog():
 
 
 def test_yau_twist_inverts_gamma_once():
-    # the automorphism check reads the twisted algebra's twist cache, which
-    # the bialgebra check then reuses for both of its sides
+    # the automorphism check inverts gamma, which keeps its inverse for both
+    # sides of the bialgebra check
     h = taft_hopf(QQ)
     with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
         yau_twist(h, Matrix.diagonal(QQ, [1, 1, 2, 2]))
@@ -234,7 +234,7 @@ def test_yau_twist_inverts_gamma_once():
 
 
 def test_bialgebra_check_inverts_the_twist_once():
-    # the coalgebra axioms run on the bialgebra, which shares its algebra's twist cache
+    # the coalgebra axioms run on the bialgebra, which holds its algebra's twist object
     text = catalog_document("taft-twisted", QQ, QQ.coerce(2))
     h = realize(parse_document(text)).structures[("HOPF", "taft")]
     with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:

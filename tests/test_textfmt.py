@@ -44,6 +44,21 @@ def test_minimal_document_realizes_to_catalog_structure():
     assert h.antipode == ref.antipode
 
 
+def test_same_named_blocks_with_equal_twists_share_one_twist_object():
+    # so the twist inverts once for both blocks; unequal twists stay apart
+    text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
+    real = realize(parse_document(text))
+    alg, coalg = real.structures[("ALGEBRA", "A")], real.structures[("COALGEBRA", "A")]
+    assert alg.twist is coalg.twist
+    assert real.structures[("ACTION", "yd")].carrier_twist is alg.twist
+    assert real.structures[("HOPF", "H")].twist is not alg.twist
+    head, tail = text.split("COALGEBRA A")
+    unequal = head + "COALGEBRA A" + tail.replace("  TWIST 1 : 0 2", "  TWIST 1 : 0 3", 1)
+    real = realize(parse_document(unequal))
+    alg, coalg = real.structures[("ALGEBRA", "A")], real.structures[("COALGEBRA", "A")]
+    assert alg.twist != coalg.twist and coalg.twist.entry(1, 1) == 3
+
+
 def test_zero_mult_rows_parse_as_zero():
     # x.x = 0 appears as an omitted or explicit all-zero row; both parse the same
     text = catalog_document("taft-twisted", QQ, QQ.coerce(2))
