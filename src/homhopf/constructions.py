@@ -18,6 +18,7 @@ from .structures import (
     _acting_dual,
     _co_check,
     _Dual,
+    _tensor_structure,
     tensor_basis,
     twist_invertible_check,
 )
@@ -155,15 +156,8 @@ def smash_product(carrier, hom, action, name=None, check=True):
     gate = check_action_axioms(action, "module-algebra", carrier=carrier).require(
         "action is not a module Hom-algebra"
     )
-    algebra = HomAlgebra(
-        hom.field,
-        smash_mult_matrix(carrier, hom, action),
-        kron(carrier.unit, hom.unit),
-        kron(carrier.twist, hom.twist),
-        basis=tensor_basis(carrier.basis, hom.basis),
-        name=name or "smash",
-        check=check,
-    )
+    mult = smash_mult_matrix(carrier, hom, action)
+    algebra = _tensor_structure(HomAlgebra, carrier, hom, mult, name or "smash", check)
     return SmashProduct(algebra, gate)
 
 
@@ -172,15 +166,8 @@ def smash_coproduct(carrier, hom, coaction, name=None, check=True):
     gate = check_coaction_axioms(coaction, "comodule-coalgebra", carrier=carrier).require(
         "coaction is not a comodule Hom-coalgebra"
     )
-    coalgebra = HomCoalgebra(
-        hom.field,
-        smash_comult_matrix(carrier, hom, coaction),
-        kron(carrier.counit, hom.counit),
-        kron(carrier.twist, hom.twist),
-        basis=tensor_basis(carrier.basis, hom.basis),
-        name=name or "cosmash",
-        check=check,
-    )
+    comult = smash_comult_matrix(carrier, hom, coaction)
+    coalgebra = _tensor_structure(HomCoalgebra, carrier, hom, comult, name or "cosmash", check)
     return SmashCoproduct(coalgebra, gate)
 
 
@@ -241,14 +228,7 @@ def t_smash_coproduct(carrier, hom, t_map, name=None):
     step2 = kron_apply(i_m, kron(tpart, i_n), step1)  # (c1, h_T, c_T, h2)
     untwist = kron(carrier.twist_inv, i_n)
     comult = kron_apply(Matrix.identity(field, m * n), untwist, step2)
-    coalgebra = HomCoalgebra(
-        field,
-        comult,
-        kron(carrier.counit, hom.counit),
-        kron(carrier.twist, hom.twist),
-        basis=tensor_basis(carrier.basis, hom.basis),
-        name=name or "t-cosmash",
-    )
+    coalgebra = _tensor_structure(HomCoalgebra, carrier, hom, comult, name or "t-cosmash", check=True)
     return TSmashCoproduct(coalgebra, gate)
 
 

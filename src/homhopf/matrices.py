@@ -1,9 +1,9 @@
 """Exact matrices with sparse row storage, Kronecker products, and tensor-leg permutations.
 
-The product kernels move entries where their operands allow it: a left
-row with one entry copies the row it selects, and Kronecker factors with at
-most one entry in each row relabel and scale rows or entries of the other
-operand, where the general loops would sum products and reduce each row.
+The product kernels move entries where their operands allow it (a left row
+with one entry in `Matrix.__mul__`, monomial factors in `kron_apply_right`);
+every other row sums its products and is reduced once, and each kernel
+result goes through one canonicalization.
 
 Flattening convention, fixed globally: the basis of V (x) W is indexed by
 (i, j) |-> i*dim(W) + j, zero-based, left factor most significant.  Every
@@ -49,8 +49,8 @@ class Matrix:
     Scalars read back (`entry`, `row_items`, `dense`, mismatches) are field
     values: Fractions over Q.  A stored row is never written once its matrix
     is made, so matrices share rows: every empty row, and each row that a
-    product or `kron_apply` takes over unscaled.  A square matrix keeps its
-    powers and inverse (`pow`), so all holders of one twist invert it once.
+    product takes over unscaled.  A square matrix keeps its powers and
+    inverse (`pow`), so all holders of one twist invert it once.
     """
 
     __slots__ = ("field", "rows", "cols", "_rowdicts", "den", "_powers")
@@ -190,8 +190,6 @@ class Matrix:
                 else:
                     del row[j]  # v is nonzero, so a zero sum cancels a stored entry
             out.append(row)
-        if p:
-            return Matrix._make(self.field, self.rows, self.cols, out)
         return _canonical(self.field, self.rows, self.cols, out, den)
 
     def __neg__(self):
@@ -236,8 +234,6 @@ class Matrix:
                     w = acc.get(j)
                     acc[j] = v if w is None else w + v
             out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
-        if p:
-            return Matrix._make(self.field, self.rows, other.cols, out)
         return _canonical(self.field, self.rows, other.cols, out, self.den * other.den)
 
     def kron(self, other):
@@ -257,8 +253,6 @@ class Matrix:
                     jb = j * bc
                     for j2, b in brow.items():
                         target[jb + j2] = a * b % p if p else a * b
-        if p:
-            return Matrix._make(self.field, self.rows * br, self.cols * bc, out)
         return _canonical(self.field, self.rows * br, self.cols * bc, out, self.den * other.den)
 
     def transpose(self):
@@ -369,10 +363,10 @@ def _scaled(row, c, p):
     return {j: c * v for j, v in row.items()}
 
 
-def _monomial(m, stride, distinct):
+def _monomial(m, stride):
     """Per row of m, (j * stride, v) for its one stored entry v at column j,
-    or None for an empty row; None instead when a row holds two entries, or,
-    if `distinct`, when two rows hold their entries in one column."""
+    or None for an empty row; None instead when a row holds two entries or
+    two rows hold their entries in one column."""
     table, seen = [None] * m.rows, set()
     for r, row in enumerate(m._rowdicts):
         if row:
@@ -381,8 +375,7 @@ def _monomial(m, stride, distinct):
             ((j, v),) = row.items()
             if j in seen:
                 return None
-            if distinct:
-                seen.add(j)
+            seen.add(j)
             table[r] = (j * stride, v)
     return table
 
@@ -402,8 +395,9 @@ def _numerators(rowdicts):
 
 
 def _canonical(field, rows, cols, out, den):
-    """The Q matrix of integer rows `out` over den >= 1, in canonical form:
-    the content that den shares with every numerator is divided out."""
+    """The matrix of integer rows `out` over den >= 1, in canonical form:
+    the content that den shares with every numerator is divided out.  Over
+    GF(p) den is 1, and the rows are kept as they are."""
     if den != 1:
         g = den
         for row in out:
@@ -435,8 +429,7 @@ def kron_apply(a, b, y):
 
     Output row (i, i2) sums a[i, ja] * b[i2, jb] * y[(ja, jb)], one row at a
     time; cost is proportional to the matching nonzeros, which matters when
-    a (x) b would be large but y is thin.  When every row of a and of b holds
-    at most one entry, each output row is one row of y, scaled.
+    a (x) b would be large but y is thin.
     """
     field = a.field
     if (b.field is not field and b.field != field) or (y.field is not field and y.field != field):
@@ -447,37 +440,26 @@ def kron_apply(a, b, y):
     br, bc = b.rows, b.cols
     brows, yrows = b._rowdicts, y._rowdicts
     out = [_EMPTY_ROW] * (a.rows * br)
-    ta = _monomial(a, bc, False)
-    tb = ta and _monomial(b, 1, False)
-    if tb:
-        for i, ea in enumerate(ta):
-            if ea:
-                for i2, eb in enumerate(tb):
-                    if eb and (yrow := yrows[ea[0] + eb[0]]):
-                        out[i * br + i2] = _scaled(yrow, ea[1] * eb[1], p)
-    else:
-        for i, arow in enumerate(a._rowdicts):
-            if not arow:
+    for i, arow in enumerate(a._rowdicts):
+        if not arow:
+            continue
+        for i2, brow in enumerate(brows):
+            if not brow:
                 continue
-            for i2, brow in enumerate(brows):
-                if not brow:
-                    continue
-                acc = {}
-                for ja, va in arow.items():
-                    base = ja * bc
-                    for jb, vb in brow.items():
-                        yrow = yrows[base + jb]
-                        if not yrow:
-                            continue
-                        w = va * vb
-                        for c, vy in yrow.items():
-                            v = w * vy
-                            cur = acc.get(c)
-                            acc[c] = v if cur is None else cur + v
-                if acc:
-                    out[i * br + i2] = _reduced(acc, p)
-    if p:
-        return Matrix._make(field, a.rows * br, y.cols, out)
+            acc = {}
+            for ja, va in arow.items():
+                base = ja * bc
+                for jb, vb in brow.items():
+                    yrow = yrows[base + jb]
+                    if not yrow:
+                        continue
+                    w = va * vb
+                    for c, vy in yrow.items():
+                        v = w * vy
+                        cur = acc.get(c)
+                        acc[c] = v if cur is None else cur + v
+            if acc:
+                out[i * br + i2] = _reduced(acc, p)
     return _canonical(field, a.rows * br, y.cols, out, a.den * b.den * y.den)
 
 
@@ -500,8 +482,8 @@ def kron_apply_right(y, a, b):
     arows, brows = a._rowdicts, b._rowdicts
     br, bc = b.rows, b.cols
     out = []
-    ta = _monomial(a, bc, True)
-    tb = ta and _monomial(b, 1, True)
+    ta = _monomial(a, bc)
+    tb = ta and _monomial(b, 1)
     if tb:
         for yrow in y._rowdicts:
             row = {}
@@ -518,25 +500,14 @@ def kron_apply_right(y, a, b):
                 arow, brow = arows[c // br], brows[c % br]
                 if not arow or not brow:
                     continue
-                if len(arow) <= len(brow):  # the longer factor row runs innermost
-                    for ja, va in arow.items():
-                        w = vy * va
-                        base = ja * bc
-                        for jb, vb in brow.items():
-                            v = w * vb
-                            cur = acc.get(base + jb)
-                            acc[base + jb] = v if cur is None else cur + v
-                else:
+                for ja, va in arow.items():
+                    w = vy * va
+                    base = ja * bc
                     for jb, vb in brow.items():
-                        w = vy * vb
-                        for ja, va in arow.items():
-                            k = ja * bc + jb
-                            v = w * va
-                            cur = acc.get(k)
-                            acc[k] = v if cur is None else cur + v
+                        v = w * vb
+                        cur = acc.get(base + jb)
+                        acc[base + jb] = v if cur is None else cur + v
             out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
-    if p:
-        return Matrix._make(field, y.rows, a.cols * bc, out)
     return _canonical(field, y.rows, a.cols * bc, out, y.den * a.den * b.den)
 
 

@@ -434,20 +434,26 @@ def convolution_inverse(algebra, coalgebra):
     return s
 
 
+def _tensor_structure(cls, left, right, structure_map, name, check):
+    """`cls`, HomAlgebra or HomCoalgebra, on left (x) right: tensor (co)unit, twist and basis."""
+    unit = "unit" if cls is HomAlgebra else "counit"
+    return cls(
+        left.field,
+        structure_map,
+        kron(getattr(left, unit), getattr(right, unit)),
+        kron(left.twist, right.twist),
+        basis=tensor_basis(left.basis, right.basis),
+        name=name,
+        check=check,
+    )
+
+
 def tensor_hom_algebra(a, b, check=True):
     """Tensor product Hom-algebra with twist alpha (x) beta."""
     if a.field != b.field:
         raise ExactError("tensor product needs a common field")
     mult = tensor_mult_matrix(a.mult, a.dim, b.mult, b.dim)
-    return HomAlgebra(
-        a.field,
-        mult,
-        kron(a.unit, b.unit),
-        kron(a.twist, b.twist),
-        basis=tensor_basis(a.basis, b.basis),
-        name=f"{a.name or 'A'}(x){b.name or 'B'}",
-        check=check,
-    )
+    return _tensor_structure(HomAlgebra, a, b, mult, f"{a.name or 'A'}(x){b.name or 'B'}", check)
 
 
 def tensor_hom_coalgebra(c, d, check=True):
@@ -455,15 +461,7 @@ def tensor_hom_coalgebra(c, d, check=True):
     if c.field != d.field:
         raise ExactError("tensor product needs a common field")
     comult = tensor_comult_matrix(c.comult, c.dim, d.comult, d.dim)
-    return HomCoalgebra(
-        c.field,
-        comult,
-        kron(c.counit, d.counit),
-        kron(c.twist, d.twist),
-        basis=tensor_basis(c.basis, d.basis),
-        name=f"{c.name or 'C'}(x){d.name or 'D'}",
-        check=check,
-    )
+    return _tensor_structure(HomCoalgebra, c, d, comult, f"{c.name or 'C'}(x){d.name or 'D'}", check)
 
 
 def yau_twist(h, gamma, name=None):

@@ -430,9 +430,9 @@ def _realize_structure(real, block):
     field, n, name = real.field, block.dim, block.name
     maps = _matrices(field, block, n)
     twist = maps.get("TWIST", Matrix.identity(field, n))
-    # an equal twist of a same-named block realized before is reused, so both invert it once
-    twins = (s.twist for (_, s_name), s in real.structures.items() if s_name == name)
-    twist = next((t for t in twins if t == twist), twist)
+    # a twist equal to the identity or to an earlier block's twist is that object, inverted once
+    known = (Matrix.identity(field, n), *(s.twist for s in real.structures.values()))
+    twist = next((t for t in known if t == twist), twist)
     basis = block.basis or None
     parts = []
     if "MULT" in maps:

@@ -303,9 +303,12 @@ def test_braiding_test_inverts_the_antipode_once(tmp_path, capsys):
     ):
         code, out, _ = run(capsys, "braiding-test", str(path), "--modules", "yd", "yd")
     assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
-    antipode = loaded[0].structures[("HOPF", "H")].antipode
-    assert [m is antipode for m in inverted].count(True) == 1
-    assert solve.call_count == 3  # the acting twist, the module twist and S
+    hopf = loaded[0].structures[("HOPF", "H")]
+    assert [m is hopf.antipode for m in inverted].count(True) == 1
+    # H's identity twist is the process-wide identity, which an earlier test may have inverted
+    assert hopf.twist is Matrix.identity(QQ, 2)
+    solved = [c.args[0] for c in solve.call_args_list]
+    assert sum(a is not hopf.twist for a in solved) == 2  # the module twist and S
 
 
 def test_check_inverts_a_carriers_shared_twist_once(tmp_path, capsys):
@@ -313,6 +316,18 @@ def test_check_inverts_a_carriers_shared_twist_once(tmp_path, capsys):
     # object, which keeps its inverse for the checks of both
     path = tmp_path / "dual.hh"
     path.write_text(catalog_document("dual-number", QQ, QQ.coerce(2)), encoding="utf-8")
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        code, out, _ = run(capsys, "check", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
+    assert solve.call_count == 1
+
+
+def test_a_second_check_inverts_only_the_carriers_twist(tmp_path, capsys):
+    # HOPF H's identity twist realizes as the process-wide identity, which
+    # keeps its inverse; the carrier's twist is a new object in every run
+    path = tmp_path / "bundle.hh"
+    path.write_text(catalog_document("dual-number-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    assert run(capsys, "check", str(path))[0] == 0
     with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
         code, out, _ = run(capsys, "check", str(path))
     assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")

@@ -59,6 +59,25 @@ def test_same_named_blocks_with_equal_twists_share_one_twist_object():
     assert alg.twist != coalg.twist and coalg.twist.entry(1, 1) == 3
 
 
+def test_an_identity_twist_realizes_as_the_process_wide_identity():
+    # HOPF H of the bundle documents writes its identity twist out
+    text = catalog_document("taft-bundle", QQ, QQ.coerce(2))
+    assert "HOPF H\n" in text and "  TWIST 0 : 1 0\n  TWIST 1 : 0 1\n" in text
+    assert realize(parse_document(text)).structures[("HOPF", "H")].twist is Matrix.identity(QQ, 2)
+
+
+def test_differently_named_blocks_with_equal_twists_share_one_twist_object():
+    text = catalog_document("dual-number", QQ, QQ.coerce(2)).replace("COALGEBRA A", "COALGEBRA B")
+    real = realize(parse_document(text))
+    alg, coalg = real.structures[("ALGEBRA", "A")], real.structures[("COALGEBRA", "B")]
+    assert alg.twist is coalg.twist and not alg.twist.is_identity()
+    assert text.count("  TWIST 1 : 0 2\n  COMULT") == 1
+    unequal = text.replace("  TWIST 1 : 0 2\n  COMULT", "  TWIST 1 : 0 3\n  COMULT")
+    real = realize(parse_document(unequal))
+    alg, coalg = real.structures[("ALGEBRA", "A")], real.structures[("COALGEBRA", "B")]
+    assert alg.twist is not coalg.twist and coalg.twist.entry(1, 1) == 3
+
+
 def test_zero_mult_rows_parse_as_zero():
     # x.x = 0 appears as an omitted or explicit all-zero row; both parse the same
     text = catalog_document("taft-twisted", QQ, QQ.coerce(2))
