@@ -245,12 +245,30 @@ def _generators(alg):
     under n^3, and mostly far less (n for the group-like Delta^T of KZ_n),
     so there is no search. G must also halve the compared tuples, 2|G| < n,
     which no G does for n < 3.
+
+    Each structure is searched once: the result, a G or None, is kept beside
+    the map objects it was computed from, and read back only while those
+    same objects (`is`) are the maps, so a structure whose maps differ
+    searches afresh. A dual keeps it on the structure it transposes, keyed
+    on that structure's comult, counit and twist, so no transpose is
+    stored. A bialgebra keeps its algebra side's on its algebra, whose
+    maps are its own, so HA2 and compat share one search.
     """
+    if isinstance(alg, _Dual):
+        keeper = alg._of
+        maps = (keeper.comult, keeper.counit, keeper.twist)
+    else:
+        keeper, maps = getattr(alg, "algebra", alg), (alg.mult, alg.unit, alg.twist)
+    kept = getattr(keeper, "_gens", None)
+    if kept is not None and all(a is b for a, b in zip(kept[0], maps)):
+        return kept[1]
     n = alg.dim
     most = (n - 1) // 2
-    if not most or alg.mult.nnz() < n * n:
-        return None
-    return generating_indices(alg.mult, alg.unit, (alg.twist,), most)
+    gens = None
+    if most and alg.mult.nnz() >= n * n:
+        gens = generating_indices(alg.mult, alg.unit, (alg.twist,), most)
+    keeper._gens = maps, gens
+    return gens
 
 
 def _picked(field, n, gens):
@@ -335,8 +353,11 @@ def _compat_rhs(m, d, first=None):
 def check_hom_bialgebra(h, title=None):
     """Algebra and coalgebra axioms plus multiplicativity of Delta and eps,
     with the verdicts and witnesses of the exhaustive check;
-    compat.comult-mult may compare only the pairs g (x) y with g in a
-    generating set G (`_generators`).
+    compat.comult-mult may compare only the pairs g (x) y with g in the
+    generating set G of the algebra (`_generators`). The algebra and the
+    dual are each searched once per structure, not once per check: HA2
+    and compat share the algebra's G, and a later check of the same
+    structure reuses both results.
 
     Given the algebra axioms, HC1.comult and compat.comult-unit,
     S = {x : Delta(x y) = Delta(x) Delta(y) for all y} is an

@@ -429,10 +429,14 @@ def realize(doc):
 def _realize_structure(real, block):
     field, n, name = real.field, block.dim, block.name
     maps = _matrices(field, block, n)
-    twist = maps.get("TWIST", Matrix.identity(field, n))
-    # a twist equal to the identity or to an earlier block's twist is that object, inverted once
-    known = (Matrix.identity(field, n), *(s.twist for s in real.structures.values()))
-    twist = next((t for t in known if t == twist), twist)
+    # a twist or antipode equal to the identity, or to the twist or antipode
+    # of an earlier block, is that object, inverted once
+    known = (Matrix.identity(field, n), *(s.twist for s in real.structures.values()),
+             *real.antipodes.values())
+    for key in ("TWIST", "ANTIPODE"):
+        if key in maps:
+            maps[key] = next((k for k in known if k == maps[key]), maps[key])
+    twist = maps.get("TWIST", known[0])
     basis = block.basis or None
     parts = []
     if "MULT" in maps:

@@ -304,11 +304,13 @@ def test_braiding_test_inverts_the_antipode_once(tmp_path, capsys):
         code, out, _ = run(capsys, "braiding-test", str(path), "--modules", "yd", "yd")
     assert (code, out.splitlines()[-1]) == (0, "OVERALL PASS")
     hopf = loaded[0].structures[("HOPF", "H")]
-    assert [m is hopf.antipode for m in inverted].count(True) == 1
-    # H's identity twist is the process-wide identity, which an earlier test may have inverted
-    assert hopf.twist is Matrix.identity(QQ, 2)
+    # H's twist and antipode are both the identity, realized as the
+    # process-wide identity, which an earlier test may have inverted
+    assert hopf.twist is hopf.antipode is Matrix.identity(QQ, 2)
+    # one request for beta^-1 (the twist check) and one for S^-1
+    assert [m is hopf.antipode for m in inverted].count(True) == 2
     solved = [c.args[0] for c in solve.call_args_list]
-    assert sum(a is not hopf.twist for a in solved) == 2  # the module twist and S
+    assert sum(a is not hopf.twist for a in solved) == 1  # the module twist
 
 
 def test_check_inverts_a_carriers_shared_twist_once(tmp_path, capsys):

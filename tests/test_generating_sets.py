@@ -9,6 +9,8 @@ search and of the reduced comparison.
 
 import contextlib
 import random
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -37,7 +39,7 @@ from homhopf.catalog import CATALOG, cyclic_group_hopf, group_algebra_z2
 from homhopf.fields import ExactError
 from homhopf.matrices import generating_indices, kron_apply, kron_apply_right
 from homhopf.report import Report, StructureError, eq_check
-from homhopf.structures import _co_check, _compat_rhs, _Dual, twist_invertible_check
+from homhopf.structures import _co_check, _compat_rhs, _Dual, _generators, twist_invertible_check
 from homhopf.textfmt import catalog_document, parse_document, realize
 
 FIELDS = (QQ, GF(2), GF(3), GF(7))
@@ -237,9 +239,21 @@ def test_a_failure_found_only_at_a_later_generator_falls_back():
     with _searches() as searches:
         assert not check_hom_algebra(loop_z2).check("HA2.assoc").passed
         assert not check_hom_bialgebra(h).check("compat.comult-mult").passed
-    assert [found for _, found in searches] == [(1, 2, 4), (1, 3), (1, 3)]
+    # compat compares on the G that HA2 found for h's algebra
+    assert [found for _, found in searches] == [(1, 2, 4), (1, 3)]
+    with _searches() as searches:
+        assert not check_hom_bialgebra(h).check("compat.comult-mult").passed
+    assert searches == []
     assert_reports_match(loop_z2)
     assert_reports_match(h)
+
+
+def _unsearched(h):
+    """h rebuilt unchecked from the same map objects, keeping no search."""
+    field, b = h.field, h.basis
+    alg = HomAlgebra(field, h.mult, h.unit, h.twist, basis=b, name=h.name, check=False)
+    coalg = HomCoalgebra(field, h.comult, h.counit, h.twist, basis=b, name=h.name, check=False)
+    return HomBialgebra(alg, coalg, name=h.name, check=False)
 
 
 def _transported(hopf, seed):
@@ -268,26 +282,126 @@ def test_dense_transports_search_on_both_sides(field, n, s):
     h = _transported(_kz(field, n, s).bialgebra, seed=n)
     with _searches() as searches:
         assert check_hom_bialgebra(h).passed
-    # HA2, HC2 (through the dual) and compat each compare on generators
-    assert [mult is h.mult for mult, _ in searches] == [True, False, True]
+    # HA2, HC2 (through the dual) and compat each compare on generators,
+    # found by one search of the algebra and one of the dual
+    assert [mult is h.mult for mult, _ in searches] == [True, False]
     assert all(found for _, found in searches)
+    with _searches() as searches:
+        assert check_hom_bialgebra(h).passed
+    assert searches == []
     assert_reports_match(h)
     bump = Matrix(field, n, n * n, {(n - 1, (n - 1) * n + 1): 1})
     broken = HomBialgebra(HomAlgebra(field, h.mult + bump, h.unit, h.twist, check=False),
                           h.coalgebra, check=False)
-    assert not check_hom_bialgebra(broken).passed
+    with _searches() as searches:
+        assert not check_hom_bialgebra(broken).passed
+    # a new structure: its new mu is searched wherever HA1 still holds
+    # (alpha = id), and its dual always
+    assert [mult is broken.mult for mult, _ in searches] == [True] * (s == 1) + [False]
     assert_reports_match(broken)
 
 
 def test_no_generator_search_on_the_coalgebra_side_of_kz24():
     # Delta^T has 24 nonzeros, under the 576 at which a search can pay
-    h = cyclic_group_hopf(GF(7), 24).bialgebra
+    h = _unsearched(cyclic_group_hopf(GF(7), 24).bialgebra)
     with _searches() as searches:
         assert check_hom_coalgebra(h).passed
     assert searches == []
     with _searches() as searches:
         assert check_hom_bialgebra(h).passed
-    assert [(mult is h.mult, found) for mult, found in searches] == [(True, (1,))] * 2
+    assert [(mult is h.mult, found) for mult, found in searches] == [(True, (1,))]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7)), ids=str)
+def test_a_checked_structure_is_searched_once(field):
+    # the Yau twist of KZ_12 is checked as it is built: its algebra is
+    # searched then (Delta^T is too sparse to search), and no later check
+    # of it, its sides or the Hopf algebra holding it searches again
+    with _searches() as searches:
+        hopf = _kz(field, 12, 5)
+    assert [mult is hopf.mult for mult, _ in searches] == [False, True]  # KZ_12, then its twist
+    with _searches() as searches:
+        for _ in range(3):
+            assert check_hom_bialgebra(hopf.bialgebra).passed
+            assert check_hom_bialgebra(hopf).passed
+            assert check_hom_algebra(hopf.algebra).passed
+            assert check_hom_coalgebra(hopf).passed
+            assert check_hom_coalgebra(hopf.coalgebra).passed
+    assert searches == []
+
+
+def test_a_structure_with_new_maps_is_searched_again():
+    # G is read back only for the map objects it was found for: a new mu,
+    # or an equal copy of the old one, is searched afresh
+    field, n = GF(7), 5
+    h = _transported(_kz(field, n, 1).bialgebra, seed=n)
+    assert check_hom_bialgebra(h).passed
+    good = h.mult
+    bump = Matrix(field, n, n * n, {(n - 1, (n - 1) * n + 1): 1})
+    h.algebra.mult = h.mult = good + bump
+    with _searches() as searches:
+        report = assert_reports_match(h)
+    assert not report.check("algebra.HA2.assoc").passed
+    assert [mult is h.mult for mult, _ in searches] == [True]
+    h.algebra.mult = h.mult = good + Matrix(field, n, n * n)
+    with _searches() as searches:
+        assert check_hom_bialgebra(h).passed
+    assert [(mult is h.mult, found) for mult, found in searches] == [(True, (1,))]
+
+
+def _matrices_held(value):
+    if isinstance(value, Matrix):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _matrices_held(item)
+
+
+def test_kept_generators_hold_only_the_structures_own_maps():
+    # a co-side search runs on transposes, but keeps none of them: keeping
+    # the transposed dual on every bialgebra raised the grid-sweep
+    # benchmark's peak memory by a fifth
+    h = _transported(_kz(GF(7), 7, 6).bialgebra, seed=7)
+    parts = (h, h.algebra, h.coalgebra)
+    before = [set(vars(x)) for x in parts]
+    with _searches() as searches:
+        assert check_hom_bialgebra(h).passed
+        assert check_hom_coalgebra(h.coalgebra).passed
+    assert [mult is h.mult for mult, _ in searches] == [True, False, False]
+    assert [set(vars(x)) - keys for x, keys in zip(parts, before)] == [{"_gens"}] * 3
+    for x in parts:
+        own = [getattr(x, name) for name in ("mult", "unit", "comult", "counit", "twist") if hasattr(x, name)]
+        for m in _matrices_held(tuple(vars(x).values())):
+            assert any(m is mine for mine in own)
+
+
+def test_generators_taken_from_many_threads_are_identical():
+    # the kept G is written without a lock: a race may search twice, but
+    # every thread must get what one search finds, on both sides
+    h = _transported(_kz(GF(7), 7, 6).bialgebra, seed=7)
+    lone = _unsearched(h)
+    want = (_generators(lone.algebra), _generators(_Dual(lone)))
+    assert all(want)
+    copies = [_unsearched(h) for _ in range(30)]
+    got = []
+
+    def work():
+        for c in copies:
+            got.append((_generators(c.algebra), _generators(_Dual(c))))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * (4 * len(copies))
+    assert all((c.algebra._gens[1], c._gens[1]) == want for c in copies)
 
 
 def test_search_gives_up_past_half_the_dimension():

@@ -66,6 +66,20 @@ def test_an_identity_twist_realizes_as_the_process_wide_identity():
     assert realize(parse_document(text)).structures[("HOPF", "H")].twist is Matrix.identity(QQ, 2)
 
 
+def test_an_antipode_equal_to_the_identity_or_an_earlier_one_is_that_object():
+    # HOPF H of the bundle documents writes the identity out as its antipode
+    text = catalog_document("taft-bundle", QQ, QQ.coerce(2))
+    assert "  ANTIPODE 0 : 1 0\n  ANTIPODE 1 : 0 1\n" in text
+    assert realize(parse_document(text)).structures[("HOPF", "H")].antipode is Matrix.identity(QQ, 2)
+    taft = catalog_document("taft-twisted", QQ, QQ.coerce(2))
+    copy = taft[taft.index("HOPF taft"):].replace("HOPF taft", "HOPF copy")
+    for moved, shared in (("ANTIPODE 3 : 0 0 -1 0", True), ("ANTIPODE 3 : 0 0 -2 0", False)):
+        real = realize(parse_document(taft + copy.replace("ANTIPODE 3 : 0 0 -1 0", moved)))
+        first, second = real.structures[("HOPF", "taft")], real.structures[("HOPF", "copy")]
+        assert (second.antipode is first.antipode) is shared
+        assert not second.antipode.is_identity()
+
+
 def test_differently_named_blocks_with_equal_twists_share_one_twist_object():
     text = catalog_document("dual-number", QQ, QQ.coerce(2)).replace("COALGEBRA A", "COALGEBRA B")
     real = realize(parse_document(text))
