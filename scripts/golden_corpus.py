@@ -32,7 +32,11 @@ The runs are
     `construct biproduct`, `antipode` and `braiding-test` on the
     dual-number-bundle document over Q with `TWIST 1` zeroed in both
     ALGEBRA A and COALGEBRA A, so that the two blocks realize one singular
-    twist object that every request must find singular again.
+    twist object that every request must find singular again;
+  * bilinear forms: `quasitriangular-check --witness` and `check --witness`
+    on the kz2-rmatrix document over Q with its RMATRIX block replaced by a
+    FORM block, once the Z2 cobraiding form and once a degenerate form that
+    fails HM2.assoc, so that the induced action is checked both ways.
 
 Usage:  python3 scripts/golden_corpus.py [--out DIR]
 
@@ -78,6 +82,13 @@ ZERO_DOCUMENTS = ("taft-bundle", "dual-number-bundle")
 ZERO_SUBCOMMANDS = ("check", "tsmash", "biproduct", "antipode", "braiding-test", "ybe-test")
 CARRIER_ZERO_DOCUMENT, CARRIER_ZERO_ROW = "dual-number-bundle", "1"
 CARRIER_ZERO_SUBCOMMANDS = ("check", "smash", "biproduct", "antipode", "braiding-test")
+FORM_DOCUMENT = "kz2-rmatrix"
+# the COEFF rows of each FORM block that replaces the document's RMATRIX block
+FORMS = (
+    ("z2-cobraiding", ("1 1", "1 -1")),
+    ("degenerate", ("0 0", "0 1")),
+)
+FORM_SUBCOMMANDS = ("quasitriangular-check", "check")
 
 
 # the subcommand runs on each catalog document, as (case suffix, argv);
@@ -214,6 +225,20 @@ def _zero_carrier_twist_row(text, row):
     return f"carrier-twist-{row}-zero", what, "\n".join(mutated) + "\n"
 
 
+def _form_documents(text):
+    """The document with its RMATRIX block replaced by each FORM block of
+    FORMS, as (label, what, text)."""
+    head = text[: text.index("RMATRIX R\n")]
+    out = []
+    for label, rows in FORMS:
+        coeffs = "".join(f"  COEFF {i} : {row}\n" for i, row in enumerate(rows))
+        what = "RMATRIX R replaced by FORM R with " + "; ".join(
+            f"COEFF {i} : {row}" for i, row in enumerate(rows)
+        )
+        out.append((f"form-{label}", what, f"{head}FORM R\n  ON H\n{coeffs}END\n"))
+    return out
+
+
 def _slug(param):
     return param.replace("-", "m").replace("/", "_")
 
@@ -286,6 +311,11 @@ def cases():
     for suffix in CARRIER_ZERO_SUBCOMMANDS:
         name = f"mutations/{ident}-Q-{label}-{suffix}"
         out.append((name, runs[suffix], mutated, f"catalog show {ident} --field Q, {what}"))
+    text = catalog_document(FORM_DOCUMENT, cli._parse_field("Q"))
+    for label, what, document in _form_documents(text):
+        for suffix in FORM_SUBCOMMANDS:
+            name = f"subcommands/{FORM_DOCUMENT}-Q-{label}-{suffix}"
+            out.append((name, runs[suffix], document, f"catalog show {FORM_DOCUMENT} --field Q, {what}"))
     return out
 
 

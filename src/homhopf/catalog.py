@@ -162,7 +162,6 @@ def taft_bundle(field, k, variant="printed"):
     # negating x and y in the sign-corrected variant
     entries = {}
     for h in range(2):
-        sign = field.one
         for u in range(4):
             col = h * 4 + u
             scale = alpha.entry(u, u)
@@ -269,7 +268,7 @@ def z2_r_matrix(field):
         (1, 0): half,
         (1, 1): field.neg(half),
     }
-    return RMatrix(hom, Matrix(field, 4, 1, {(i * 2 + j, 0): v for (i, j), v in pairs.items()}))
+    return RMatrix.from_pairs(hom, pairs)
 
 
 def z2_cobraiding_form(field):

@@ -19,7 +19,6 @@ from .structures import (
     _co_check,
     _Dual,
     _tensor_structure,
-    tensor_basis,
     twist_invertible_check,
 )
 from .actions import (
@@ -286,16 +285,14 @@ def _radford_gate(bundle, title=None):
     so the in-category verdict compares the very matrices R4 and R5 did; the
     R4 right-hand side is None when the carrier twist is singular."""
     a, c, hom = bundle.algebra, bundle.coalgebra, bundle.hom
-    field = hom.field
     ab = a.basis
     checks = [
         check_coaction_axioms(bundle.coaction, "comodule-algebra", carrier=a).summarize("R1"),
         check_action_axioms(bundle.action, "module-coalgebra", carrier=c).summarize("R2"),
     ]
-    one_by_one = Matrix(field, 1, 1, {(0, 0): field.one})
     r3_parts = (
         eq_check("counit-mult", c.counit * a.mult, kron(c.counit, c.counit), (ab, ab), None),
-        eq_check("counit-unit", c.counit * a.unit, one_by_one, None, None),
+        eq_check("counit-unit", c.counit * a.unit, Matrix.identity(hom.field, 1), None, None),
         eq_check("comult-unit", c.comult * a.unit, kron(a.unit, a.unit), None, (ab, ab)),
     )
     checks.append(Report("R3", r3_parts).summarize("R3"))

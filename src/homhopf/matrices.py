@@ -87,13 +87,6 @@ class Matrix:
         return m
 
     @classmethod
-    def _from_values(cls, field, rows, cols, rowdicts):
-        """A matrix from rows of coerced nonzero field values."""
-        if field.characteristic:
-            return cls._make(field, rows, cols, rowdicts)
-        return cls._make(field, rows, cols, *_numerators(rowdicts))
-
-    @classmethod
     def from_rows(cls, field, rows):
         n = len(rows)
         c = len(rows[0]) if n else 0
@@ -115,20 +108,18 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, field, values):
-        vals = [field.coerce(v) for v in values]
-        n = len(vals)
-        return cls._from_values(field, n, n, [({i: v} if v else {}) for i, v in enumerate(vals)])
+        vals = list(values)
+        return cls(field, len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
 
     @classmethod
     def column(cls, field, values):
-        vals = [field.coerce(v) for v in values]
-        return cls._from_values(field, len(vals), 1, [({0: v} if v else {}) for v in vals])
+        vals = list(values)
+        return cls(field, len(vals), 1, {(i, 0): v for i, v in enumerate(vals)})
 
     @classmethod
     def row_vector(cls, field, values):
-        vals = [field.coerce(v) for v in values]
-        rd = {j: v for j, v in enumerate(vals) if v}
-        return cls._from_values(field, 1, len(vals), [rd])
+        vals = list(values)
+        return cls(field, 1, len(vals), {(0, j): v for j, v in enumerate(vals)})
 
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -6,14 +6,7 @@ bilinear form, and the equivalences tying both to Yetter-Drinfeld data.
 from dataclasses import dataclass
 
 from .fields import ExactError, ShapeError
-from .matrices import (
-    Matrix,
-    first_mismatch,
-    kron,
-    kron_apply,
-    kron_apply_right,
-    permute_row_legs,
-)
+from .matrices import Matrix, first_mismatch, kron, kron_apply, permute_row_legs
 from .report import CheckResult, Report, eq_check
 from .actions import (
     ActionMap,
@@ -25,7 +18,7 @@ from .actions import (
     regular_action,
     regular_coaction,
 )
-from .structures import twist_invertible_check
+from .structures import _acting_dual, twist_invertible_check
 
 __all__ = [
     "RMatrix",
@@ -215,14 +208,12 @@ def check_rmatrix_equivalence(hom, rmatrix=None, coaction=None, title=None):
 
 
 def induced_action_from_form(hom, form):
-    """h |> g = sigma(g1, beta^-3(h)) g2, an action of H on itself with twist beta."""
-    field, n = hom.field, hom.dim
-    i_n = Matrix.identity(field, n)
-    step = kron(i_n, hom.comult)  # (h, g1, g2)
-    step = permute_row_legs(step, (n, n, n), (1, 0, 2))  # (g1, h, g2)
-    pairing = kron_apply_right(form.pairing_row(), i_n, hom.twist_power(-3))
-    matrix = kron_apply(pairing, i_n, step)
-    return ActionMap(hom, matrix, hom.twist, hom.basis, name="induced-action")
+    """h |> g = sigma(g1, beta^-3(h)) g2, an action of H on itself with twist
+    beta: the transpose of the coaction that sigma, read as an element of the
+    dual's tensor square, induces on the dual of H."""
+    dual = _acting_dual(hom)
+    coaction = induced_coaction(dual, RMatrix(dual, form.pairing_row().transpose()), check_gate=False)
+    return ActionMap(hom, coaction.matrix.transpose(), hom.twist, hom.basis, name="induced-action")
 
 
 def check_cobraiding_equivalence(hom, form, title=None):

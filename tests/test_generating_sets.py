@@ -77,7 +77,7 @@ def expected_bialgebra(h):
     checks = (
         *expected_algebra(h.algebra).prefixed("algebra.").checks,
         *expected_coalgebra(h).prefixed("coalgebra.").checks,
-        eq_check("compat.comult-mult", d * m, _compat_rhs(m, d), (b, b), (b, b)),
+        eq_check("compat.comult-mult", d * m, _compat_rhs(m, d, d), (b, b), (b, b)),
         eq_check("compat.comult-unit", d * u, kron(u, u), None, (b, b)),
         eq_check("compat.counit-mult", e * m, kron(e, e), (b, b), None),
         eq_check("compat.counit-unit", e * u, Matrix(field, 1, 1, {(0, 0): 1}), None, None),

@@ -555,6 +555,34 @@ def _dense_solve(field, a, b):
     return [row[n:] for row in rows]
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        (QQ, [Fraction(1, 2), 0, 3, Fraction(-2, 3), Fraction(5, 6), 0, -4]),
+        (QQ, [0, 0, 0]),
+        (QQ, [2, -6, 4]),
+        (F7, [-1, 0, 7, 9, -8, 13, 3]),
+        (GF(2), [3, -2, 0, -1]),
+    ],
+    ids=["Q-mixed", "Q-zeros", "Q-ints", "GF7", "GF2"],
+)
+def test_vector_and_diagonal_constructors_match_the_entry_constructor(field, values):
+    n = len(values)
+    built = (
+        (Matrix.diagonal(field, values), Matrix(field, n, n, {(i, i): v for i, v in enumerate(values)})),
+        (Matrix.column(field, values), Matrix(field, n, 1, {(i, 0): v for i, v in enumerate(values)})),
+        (Matrix.row_vector(field, values), Matrix(field, 1, n, {(0, j): v for j, v in enumerate(values)})),
+    )
+    for got, expected in built:
+        _assert_canonical(got)
+        assert got == expected
+    coerced = [field.coerce(v) for v in values]
+    diagonal, column, row = (got for got, _ in built)
+    assert [diagonal.entry(i, i) for i in range(n)] == coerced
+    assert [column.entry(i, 0) for i in range(n)] == coerced
+    assert [row.entry(0, j) for j in range(n)] == coerced
+
+
 @settings(max_examples=100)
 @given(exact_operands(("ik", "kj")))
 def test_exact_product(case):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +30,14 @@ from homhopf import (
     trivial_action,
     trivial_coaction,
 )
-from homhopf.catalog import group_algebra_z2, z2_cobraiding_form, z2_r_matrix
+from homhopf.catalog import (
+    cyclic_group_hopf,
+    group_algebra_z2,
+    taft_twisted,
+    yau_twist,
+    z2_cobraiding_form,
+    z2_r_matrix,
+)
 
 F7 = GF(7)
 
@@ -257,3 +267,56 @@ def test_degenerate_form_fails_module_axioms():
     assert "a⊗a" in rep.check("HM2.assoc").witness
     full = check_cobraiding_equivalence(hom, sigma)
     assert not full.check("cobraided").passed
+
+
+def _cyclic_twisted_over_q(n, s):
+    base = cyclic_group_hopf(QQ, n)
+    return yau_twist(base, Matrix(QQ, n, n, {((s * i) % n, i): 1 for i in range(n)}))
+
+
+@pytest.mark.parametrize(
+    "build, draw",
+    [
+        (lambda: taft_twisted(QQ, 2), lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        (lambda: _cyclic_twisted_over_q(4, 3), lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        (lambda: taft_twisted(F7, 3), lambda rng: rng.randrange(7)),
+        (lambda: twisted_cyclic(4, 3), lambda rng: rng.randrange(7)),
+    ],
+    ids=["taft-Q", "KZ4s3-Q", "taft-GF7", "KZ4s3-GF7"],
+)
+def test_induced_action_from_form_entrywise(build, draw):
+    # h |> g = sigma(g1, beta^-3(h)) g2, expanded over the structure constants
+    hom = build()
+    field, n = hom.field, hom.dim
+    assert not hom.twist.is_identity()
+    b3 = hom.twist_power(-3)
+    beta = [[hom.twist.entry(i, j) for j in range(n)] for i in range(n)]
+    cube = beta
+    for _ in range(2):
+        cube = [[_dot(field, cube[i], [beta[k][j] for k in range(n)]) for j in range(n)] for i in range(n)]
+    inverse = [[b3.entry(i, j) for j in range(n)] for i in range(n)]
+    for i in range(n):  # beta^3 beta^-3 = id, so b3 is the inverse the formula means
+        for j in range(n):
+            product = _dot(field, cube[i], [inverse[k][j] for k in range(n)])
+            assert product == (field.one if i == j else field.zero)
+    rng = random.Random(2024)
+    for _ in range(5):
+        sigma = [[field.coerce(draw(rng)) for _ in range(n)] for _ in range(n)]
+        form = CobraidingForm(hom, Matrix.from_rows(field, sigma))
+        act = induced_action_from_form(hom, form)
+        assert (act.matrix.rows, act.matrix.cols) == (n, n * n)
+        assert act.carrier_twist == hom.twist and act.carrier_basis == hom.basis
+        for h in range(n):
+            for g in range(n):
+                expected = {}
+                for (g1, g2), c in oracles.delta_basis(hom, g).items():
+                    pairing = _dot(field, sigma[g1], [inverse[l][h] for l in range(n)])
+                    oracles.acc(field, expected, g2, field.mul(c, pairing))
+                assert oracles.act_basis(act, h, g) == expected
+
+
+def _dot(field, row, col):
+    total = field.zero
+    for a, b in zip(row, col):
+        total = field.add(total, field.mul(a, b))
+    return total

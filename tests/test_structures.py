@@ -311,7 +311,7 @@ CATALOG_BIALGEBRAS = {
 @pytest.mark.parametrize("name", sorted(CATALOG_BIALGEBRAS))
 def test_compat_composite_matches_permutation_matrix_form(field, name):
     h = CATALOG_BIALGEBRAS[name](field).bialgebra
-    assert _compat_rhs(h.mult, h.comult) == _explicit_compat_rhs(h)
+    assert _compat_rhs(h.mult, h.comult, h.comult) == _explicit_compat_rhs(h)
 
 
 def test_compat_witness_unchanged_on_perturbed_multiplication(field):
@@ -325,7 +325,7 @@ def test_compat_witness_unchanged_on_perturbed_multiplication(field):
     want = eq_check("compat.comult-mult", broken.comult * broken.mult, explicit, (b, b), (b, b))
     assert not got.passed
     assert got == want
-    assert _compat_rhs(broken.mult, broken.comult) == explicit
+    assert _compat_rhs(broken.mult, broken.comult, broken.comult) == explicit
 
 
 def test_bialgebra_check_memory_stays_small():
