@@ -19,7 +19,6 @@ from .fields import (
 from .matrices import (
     Matrix,
     Mismatch,
-    compose,
     first_mismatch,
     flatten_index,
     kron,

@@ -127,9 +127,7 @@ def associator(m1, m2, m3):
     src = yd_tensor(yd_tensor(m1, m2), m3)
     tgt = yd_tensor(m1, yd_tensor(m2, m3))
     f = CategoryMorphism(src, tgt, associator_matrix(m1, m2, m3))
-    fail = check_yd_morphism(f).first_failure()
-    if fail is not None:
-        raise ExactError(f"associator is not a morphism: {fail.name}")
+    check_yd_morphism(f).require("associator is not a morphism")
     return f
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .fields import ExactError, ShapeError
 from .matrices import Matrix, kron, kron_apply, kron_apply_right, permute_row_legs
-from .report import CheckResult, Report, StructureError, eq_check
+from .report import CheckResult, Report, eq_check
 from .structures import (
     HomAlgebra,
     HomBialgebra,
@@ -19,6 +19,7 @@ from .structures import (
     _co_check,
     _Dual,
     _tensor_structure,
+    check_antipode,
     twist_invertible_check,
 )
 from .actions import (
@@ -56,9 +57,10 @@ __all__ = [
 
 
 class TwistMapT:
-    """A linear map T: C (x) H -> H (x) C compatible with the two twists."""
+    """A linear map T: C (x) H -> H (x) C. Its commuting with the two twists
+    is the first check of the T-smash gate."""
 
-    def __init__(self, coalgebra, hom, matrix, name=None, check=True):
+    def __init__(self, coalgebra, hom, matrix, name=None):
         m, n = coalgebra.dim, hom.dim
         if (matrix.rows, matrix.cols) != (n * m, m * n):
             raise ShapeError(f"twist map must be {n * m} x {m * n}")
@@ -66,14 +68,6 @@ class TwistMapT:
         self.hom = hom
         self.matrix = matrix
         self.name = name
-        if check:
-            rep = self.compatibility_report()
-            if not rep.passed:
-                raise StructureError("twist map does not commute with the twists", rep)
-
-    def compatibility_report(self):
-        check = _twist_naturality("T.twist-compat", self.matrix, self.coalgebra, self.hom)
-        return Report(f"twist map compatibility [{self.name or 'T'}]", (check,))
 
 
 def _twist_naturality(name, op, m1, m2):
@@ -171,14 +165,15 @@ def smash_coproduct(carrier, hom, coaction, name=None, check=True):
 
 
 def check_t_smash_conditions(t_map, title=None):
-    """The coassociativity/counit gate C1-C3 for a twist-map coproduct."""
+    """The twist compatibility of T, then the coassociativity/counit gate
+    C1-C3 for a twist-map coproduct."""
     c, h = t_map.coalgebra, t_map.hom
     field, m, n = h.field, c.dim, h.dim
     t = t_map.matrix
     i_n = Matrix.identity(field, n)
     i_m = Matrix.identity(field, m)
     legs_in = (c.basis, h.basis)
-    checks = [t_map.compatibility_report().checks[0]]
+    checks = [_twist_naturality("T.twist-compat", t, c, h)]
     checks.append(
         eq_check(
             "C1.counit-H",
@@ -330,8 +325,9 @@ def carrier_antipode_report(algebra, coalgebra, s_carrier, title=None):
 def biproduct_antipode(bundle):
     """S(a (x) h) = (S_H(a_{-1} beta^-1(h))_1 |> S_A(alpha^-2(a_0)))
     (x) beta^-1(S_H(a_{-1} beta^-1(h))_2), from the bundle's carrier antipode
-    once its preconditions pass. The matrix is not checked: the caller checks
-    it against the biproduct bialgebra it has assembled."""
+    once the acting antipode passes its axioms and the carrier antipode its
+    preconditions. The matrix is not checked: the caller checks it against
+    the biproduct bialgebra it has assembled."""
     hom = bundle.hom
     s_h = getattr(hom, "antipode", None)
     if s_h is None:
@@ -339,6 +335,7 @@ def biproduct_antipode(bundle):
     s_carrier = bundle.carrier_antipode
     if s_carrier is None:
         raise ExactError("no carrier antipode supplied")
+    check_antipode(hom).require("acting antipode fails its axioms")
     gate = carrier_antipode_report(bundle.algebra, bundle.coalgebra, s_carrier).require(
         "carrier antipode preconditions fail"
     )

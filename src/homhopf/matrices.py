@@ -8,7 +8,7 @@ result goes through one canonicalization.
 Flattening convention, fixed globally: the basis of V (x) W is indexed by
 (i, j) |-> i*dim(W) + j, zero-based, left factor most significant.  Every
 composite in the package cites this convention.  Linear maps act on column
-coordinate vectors, so compose(g, f) applies f first.
+coordinate vectors, so the product g * f applies f first.
 """
 
 from bisect import insort
@@ -26,7 +26,6 @@ __all__ = [
     "kron_list",
     "kron_apply",
     "kron_apply_right",
-    "compose",
     "maps_equal",
     "first_mismatch",
     "flatten_index",
@@ -500,11 +499,6 @@ def kron_apply_right(y, a, b):
                         acc[base + jb] = v if cur is None else cur + v
             out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
     return _canonical(field, y.rows, a.cols * bc, out, y.den * a.den * b.den)
-
-
-def compose(*mats):
-    """compose(g, f) applies f first: the product g*f."""
-    return reduce(lambda x, y: x * y, mats)
 
 
 def flatten_index(dims, idx):

@@ -823,3 +823,44 @@ def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv, messag
     got = "" if argv[-1] == "--witness" else f" (got {argv[-1]!r})"
     assert run(capsys, *argv, "--emit", str(target)) == (1, "", f"error: {message}{got}\n")
     assert not target.exists()
+
+
+def _as_bialgebra(block):
+    """HOPF H as BIALGEBRA H, its ANTIPODE stanza dropped."""
+    if block[0] != "HOPF H\n":
+        return [block]
+    return [["BIALGEBRA H\n", *(line for line in block[1:] if "ANTIPODE" not in line)]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("catalog", "show", "kz2", "--field", "R"), "unknown field 'R' (use Q or GF<p>)"),
+        (("check", "{empty}"), "the document contains no checkable blocks"),
+        (("braiding-test", "{src}", "--modules", "yd"),
+         "braiding-test needs exactly two module names"),
+        (("ybe-test", "{src}", "--modules", "yd", "yd"),
+         "ybe-test needs exactly three module names"),
+        (("braiding-test", "{bialgebra}", "--modules", "yd", "yd"),
+         "braiding-test needs a HOPF acting block (antipode required)"),
+    ],
+    ids=["unknown-field", "no-checkable-blocks", "two-modules", "three-modules", "no-antipode"],
+)
+def test_usage_refusals_exit_1_with_one_error_line(tmp_path, capsys, argv, message):
+    paths = {
+        "{src}": _bundle_file(tmp_path),
+        "{empty}": str(tmp_path / "empty.hh"),
+        "{bialgebra}": str(tmp_path / "bialgebra.hh"),
+    }
+    Path(paths["{empty}"]).write_text("FORMAT 1\nFIELD Q\n", encoding="utf-8")
+    Path(paths["{bialgebra}"]).write_text(_edit_blocks(_BUNDLE, _as_bialgebra), encoding="utf-8")
+    argv = [paths.get(word, word) for word in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_catalog_check_emits_what_catalog_show_emits(tmp_path, capsys):
+    shown, checked = tmp_path / "shown.hh", tmp_path / "checked.hh"
+    assert run(capsys, "catalog", "show", "kz2", "--emit", str(shown))[0] == 0
+    code, _, err = run(capsys, "catalog", "check", "kz2", "--emit", str(checked))
+    assert (code, err) == (0, "")
+    assert checked.read_bytes() == shown.read_bytes()

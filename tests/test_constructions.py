@@ -185,7 +185,7 @@ def test_t_smash_gate_rejects_crafted_mutation():
     for hrow, sign in ((0, 1), (1, -1)):
         key = (hrow * 4 + 2, col)
         ent[key] = QQ.add(ent.get(key, QQ.zero), QQ.coerce(sign))
-    bad = TwistMapT(b.coalgebra, b.hom, Matrix(QQ, 8, 8, ent), check=False)
+    bad = TwistMapT(b.coalgebra, b.hom, Matrix(QQ, 8, 8, ent))
     rep = check_t_smash_conditions(bad)
     assert rep.check("T.twist-compat").passed
     assert rep.check("C1.counit-H").passed
@@ -197,11 +197,14 @@ def test_t_smash_gate_rejects_crafted_mutation():
 
 
 def test_twist_map_compatibility_enforced():
-    # a map that ignores the twists entirely is rejected at construction
+    # a map that ignores the twists entirely is built, and refused by the
+    # first check of the T-smash gate
     b = taft_bundle(QQ, 2)
-    bad = Matrix(QQ, 8, 8, {(i, i): 1 for i in range(8)})
-    with pytest.raises(StructureError):
-        TwistMapT(b.coalgebra, b.hom, bad)
+    bad = TwistMapT(b.coalgebra, b.hom, Matrix(QQ, 8, 8, {(i, i): 1 for i in range(8)}))
+    with pytest.raises(StructureError) as info:
+        t_smash_coproduct(b.coalgebra, b.hom, bad)
+    assert str(info.value) == "twist-map coproduct gate fails: T.twist-compat"
+    assert info.value.report == check_t_smash_conditions(bad)
 
 
 @pytest.mark.parametrize("param", [1, 2, 3])
@@ -465,33 +468,43 @@ def test_antipode_command_runs_the_gate_once(tmp_path, capsys):
     names = ("check_radford_conditions", "check_antipode")
     with _call_counts(*names) as calls:
         assert main(["antipode", str(path)]) == 0
-    assert [calls(name) for name in names] == [1, 1]
+    assert [calls(name) for name in names] == [1, 2]  # the acting antipode, then the computed one
+    capsys.readouterr()
+
+
+def test_tsmash_command_checks_the_twist_map_once(tmp_path, capsys):
+    # the twist map is built unchecked; the T-smash gate checks it
+    path = tmp_path / "bundle.hh"
+    path.write_text(catalog_document("taft-bundle", QQ, QQ.coerce(2)), encoding="utf-8")
+    with _call_counts("_twist_naturality") as calls:
+        assert main(["construct", "tsmash", str(path)]) == 0
+    assert calls("_twist_naturality") == 1
     capsys.readouterr()
 
 
 def test_catalog_biproduct_checks_gate_and_antipode_once(field, capsys):
     # past yau_twist's checks in building its bundle, the builder runs the
-    # gates and checks nothing; `catalog check` then checks the printed
-    # antipode, once
+    # gates, the acting antipode's among them, and checks nothing else;
+    # `catalog check` then checks the printed antipode, once
     names = ("check_radford_conditions", "check_antipode")
     with _call_counts(*names) as calls:
         taft_bundle(field, 2)
     bundle_calls = [calls(name) for name in names]
     with _call_counts(*names) as calls:
         hopf = taft_biproduct(field, 2)
-    assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 0]
+    assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 1]
     assert check_hom_bialgebra(hopf).passed and check_antipode(hopf).passed
     token = "Q" if field is QQ else f"GF{field.characteristic}"
     with _call_counts(*names) as calls:
         assert main(["catalog", "check", "taft-biproduct", "--field", token]) == 0
-    assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 1]
+    assert [calls(name) - seen for name, seen in zip(names, bundle_calls)] == [1, 2]
     capsys.readouterr()
 
 
 def test_biproduct_antipode_checks_against_the_given_bialgebra(tmp_path, capsys):
     # the antipode command checks the computed antipode against the biproduct
-    # bialgebra it assembled; a zero row in the acting antipode passes every
-    # gate, and the biproduct antipode then fails its axioms
+    # bialgebra it assembled; a zero row in the acting antipode passes the
+    # R1-R5 and carrier-antipode gates and is refused by its own axioms
     text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
     path = tmp_path / "bundle.hh"
     path.write_text(text, encoding="utf-8")
@@ -503,7 +516,7 @@ def test_biproduct_antipode_checks_against_the_given_bialgebra(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[:3] == [
-        "refused: biproduct antipode fails its axioms: antipode.left",
-        "== antipode axioms [biproduct]",
-        "  antipode.left   FAIL  [at 1⊗1 -> 1⊗1: 0 != 1]",
+        "refused: acting antipode fails its axioms: antipode.left",
+        "== antipode axioms [H]",
+        "  antipode.left   FAIL  [at 1 -> 1: 0 != 1]",
     ]

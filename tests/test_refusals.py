@@ -1,9 +1,8 @@
 """Every construction refusal goes through `Report.require`: the exact
 message of each site, and the failing report the refusal carries.
 
-The associator refuses with `ExactError` and no report; its message is
-pinned at the end, beside the first failing check of the braidings, which
-are built unchecked.
+The associator's refusal is pinned at the end, beside the first failing
+check of the braidings, which are built unchecked.
 """
 
 import dataclasses
@@ -13,10 +12,14 @@ import tempfile
 import pytest
 
 from homhopf import (
+    GF,
     ActionMap,
     Bundle,
+    CategoryMorphism,
     CoactionMap,
+    CobraidingForm,
     ExactError,
+    FieldMismatchError,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
@@ -24,6 +27,7 @@ from homhopf import (
     Matrix,
     QQ,
     RMatrix,
+    ShapeError,
     StructureError,
     YDModule,
     biproduct_antipode,
@@ -36,24 +40,41 @@ from homhopf import (
     check_hyd,
     check_quasitriangular,
     check_radford_conditions,
+    check_rmatrix_equivalence,
     check_t_smash_conditions,
     coaction_twist_map,
+    convolution,
+    convolution_inverse,
+    first_mismatch,
     induced_coaction,
     kron,
     radford_biproduct,
     regular_action,
     regular_coaction,
+    rmatrix_from_coaction,
     smash_coproduct,
     smash_product,
+    solve,
     t_smash_coproduct,
+    tensor_hom_algebra,
+    tensor_hom_coalgebra,
     trivial_action,
     trivial_coaction,
     yau_twist,
+    yd_tensor,
 )
-from homhopf.braided import associator, braiding, braiding_inverse, check_yd_morphism
+from homhopf.braided import (
+    associator,
+    braiding,
+    braiding_inverse,
+    braiding_inverse_matrix,
+    check_yd_morphism,
+)
 from homhopf.catalog import (
+    cyclic_group_hopf,
     dual_number_algebra,
     dual_number_bundle,
+    dual_number_coalgebra,
     group_algebra_z2,
     taft_bundle,
     taft_hopf,
@@ -62,6 +83,7 @@ from homhopf.catalog import (
 )
 from homhopf.cli import build_parser
 from homhopf.constructions import TwistMapT, carrier_antipode_report
+from homhopf.matrices import kron_apply, kron_apply_right
 from homhopf.report import CheckResult, Report
 from homhopf.textfmt import catalog_document
 
@@ -136,7 +158,7 @@ def _t_smash_coproduct():
     for hrow, sign in ((0, 1), (1, -1)):
         key = (hrow * 4 + 2, 4)
         ent[key] = QQ.add(ent.get(key, QQ.zero), QQ.coerce(sign))
-    bad = TwistMapT(b.coalgebra, b.hom, Matrix(QQ, 8, 8, ent), check=False)
+    bad = TwistMapT(b.coalgebra, b.hom, Matrix(QQ, 8, 8, ent))
     return (
         lambda: t_smash_coproduct(b.coalgebra, b.hom, bad),
         lambda: check_t_smash_conditions(bad),
@@ -164,12 +186,12 @@ def _carrier_antipode():
 
 
 def _biproduct_antipode():
-    # a zero row in the acting antipode passes every gate; the antipode
-    # command refuses the biproduct antipode it computed, checked against the
-    # bialgebra it assembled
+    # a zero row in the acting antipode passes the R1-R5 and carrier-antipode
+    # gates; the antipode command refuses it by its own axioms, before it
+    # computes the biproduct antipode
     d = dual_number_bundle(QQ, 2)
     zeroed = Matrix(QQ, 2, 2, {(1, 1): 1})
-    bundle = dataclasses.replace(d, hom=HomHopf(d.hom.bialgebra, zeroed, check=False))
+    bundle = dataclasses.replace(d, hom=HomHopf(d.hom.bialgebra, zeroed, name="H", check=False))
     text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
     text = text.replace("  ANTIPODE 0 : 1 0\n", "  ANTIPODE 0 : 0 0\n", 1)
 
@@ -181,14 +203,8 @@ def _biproduct_antipode():
             args = build_parser().parse_args(["antipode", path])
             args.func(args)
 
-    return (
-        run_command,
-        lambda: check_antipode(
-            radford_biproduct(bundle).bialgebra,
-            biproduct_antipode(bundle).matrix,
-            title="antipode axioms [biproduct]",
-        ),
-    )
+    assert check_radford_conditions(bundle).passed
+    return run_command, lambda: check_antipode(bundle.hom)
 
 
 def _induced_coaction():
@@ -227,7 +243,7 @@ REFUSALS = [
     ),
     pytest.param(
         _biproduct_antipode,
-        "biproduct antipode fails its axioms: antipode.left",
+        "acting antipode fails its axioms: antipode.left",
         id="biproduct_antipode-axioms",
     ),
     pytest.param(
@@ -334,11 +350,308 @@ def _doubled_regular_coaction(h):
     ids=["associator", "braiding-action", "braiding-coaction", "braiding_inverse"],
 )
 def test_braided_morphism_refusals(make, refused, failing):
-    # the associator refuses a non-morphism; a braiding is built unchecked,
-    # and check_yd_morphism names its first failing check
+    # the associator refuses a non-morphism with the morphism report; a
+    # braiding is built unchecked, and check_yd_morphism names its first
+    # failing check
     if refused:
-        with pytest.raises(ExactError) as info:
+        with pytest.raises(StructureError) as info:
             make()
         assert str(info.value) == f"associator is not a morphism: {failing}"
+        assert info.value.report.title == "Yetter-Drinfeld morphism conditions"
+        assert info.value.report.first_failure().name == failing
     else:
         assert check_yd_morphism(make()).first_failure().name == failing
+
+
+def _kz2():
+    return group_algebra_z2(QQ)
+
+
+def _identity(n, field=QQ):
+    return Matrix.identity(field, n)
+
+
+def _kz2_module(hom=None):
+    """The regular Yetter-Drinfeld module of `hom` (KZ2 by default), unchecked."""
+    hom = hom or _kz2()
+    return YDModule(regular_action(hom), regular_coaction(hom), check=False)
+
+
+def _bundle(**changes):
+    return dataclasses.replace(dual_number_bundle(QQ, 2), **changes)
+
+
+def _not_right_inverse():
+    # Delta(1) = a (x) a, Delta(a) = 1 (x) a under the KZ2 multiplication:
+    # the one left convolution inverse of the identity is no right inverse
+    h = _kz2()
+    comult = Matrix(QQ, 4, 2, {(1, 1): 1, (3, 0): 1})
+    return convolution_inverse(h.algebra, HomCoalgebra(QQ, comult, [1, 0], check=False))
+
+
+LIBRARY_RAISES = [
+    # structures
+    pytest.param(
+        lambda: HomAlgebra(QQ, _kz2().mult, [1, 0], _identity(3)),
+        ShapeError, "twist must be n x n", id="twisted-twist-shape",
+    ),
+    pytest.param(
+        lambda: HomAlgebra(QQ, _kz2().mult, [1, 0], _identity(2, GF(7))),
+        ExactError, "all structure maps must share one field", id="twisted-field",
+    ),
+    pytest.param(
+        lambda: HomAlgebra(QQ, _kz2().mult, [1, 0], basis=("1",)),
+        ShapeError, "basis label count must equal the dimension", id="twisted-basis-count",
+    ),
+    pytest.param(
+        lambda: HomAlgebra(QQ, _identity(2), [1, 0]),
+        ShapeError, "multiplication matrix must be n x n^2", id="HomAlgebra-shape",
+    ),
+    pytest.param(
+        lambda: HomCoalgebra(QQ, _identity(2), [1, 0]),
+        ShapeError, "comultiplication matrix must be n^2 x n", id="HomCoalgebra-shape",
+    ),
+    pytest.param(
+        lambda: HomBialgebra(_kz2().algebra, group_algebra_z2(GF(7)).coalgebra),
+        ExactError, "algebra and coalgebra must share one field", id="HomBialgebra-field",
+    ),
+    pytest.param(
+        lambda: HomBialgebra(_kz2().algebra, cyclic_group_hopf(QQ, 3).coalgebra),
+        ShapeError, "algebra and coalgebra dimensions differ", id="HomBialgebra-dim",
+    ),
+    pytest.param(
+        lambda: HomBialgebra(
+            _kz2().algebra, HomCoalgebra(QQ, _kz2().comult, [1, 1], basis=("p", "q"))
+        ),
+        ExactError, "algebra and coalgebra must share one basis", id="HomBialgebra-basis",
+    ),
+    pytest.param(
+        lambda: HomHopf(_kz2().bialgebra, _identity(3)),
+        ShapeError, "antipode must be n x n", id="HomHopf-shape",
+    ),
+    pytest.param(
+        lambda: HomHopf(_kz2().bialgebra, _identity(2, GF(7))),
+        ExactError, "antipode must live over the structure field", id="HomHopf-field",
+    ),
+    pytest.param(
+        lambda: convolution(_identity(3), _identity(2), _kz2()),
+        ShapeError, "convolution expects n x n endomaps", id="convolution-shape",
+    ),
+    pytest.param(
+        lambda: convolution_inverse(_kz2().algebra, cyclic_group_hopf(QQ, 3).coalgebra),
+        ExactError, "algebra and coalgebra must share dimension and field",
+        id="convolution_inverse-mismatch",
+    ),
+    pytest.param(
+        lambda: convolution_inverse(
+            _kz2().algebra, HomCoalgebra(QQ, Matrix.zero(QQ, 4, 2), [1, 0], check=False)
+        ),
+        StructureError, "no convolution inverse of the identity exists",
+        id="convolution_inverse-singular",
+    ),
+    pytest.param(
+        _not_right_inverse,
+        StructureError, "left convolution inverse is not a right inverse",
+        id="convolution_inverse-one-sided",
+    ),
+    pytest.param(
+        lambda: tensor_hom_algebra(_kz2().algebra, group_algebra_z2(GF(7)).algebra),
+        ExactError, "tensor product needs a common field", id="tensor_hom_algebra-field",
+    ),
+    pytest.param(
+        lambda: tensor_hom_coalgebra(_kz2().coalgebra, group_algebra_z2(GF(7)).coalgebra),
+        ExactError, "tensor product needs a common field", id="tensor_hom_coalgebra-field",
+    ),
+    # matrices
+    pytest.param(
+        lambda: Matrix(QQ, -1, 2),
+        ShapeError, "negative matrix dimension", id="matrix-negative-dim",
+    ),
+    pytest.param(
+        lambda: Matrix(QQ, 2, 2, {(2, 0): 1}),
+        ShapeError, "entry (2,0) outside 2x2", id="matrix-entry-outside",
+    ),
+    pytest.param(
+        lambda: _identity(2).entry(0, 2),
+        ShapeError, "entry (0,2) outside 2x2", id="matrix-read-outside",
+    ),
+    pytest.param(
+        lambda: Matrix.from_rows(QQ, [[1, 2], [3]]),
+        ShapeError, "ragged rows", id="matrix-ragged-rows",
+    ),
+    pytest.param(
+        lambda: _identity(2) + _identity(3),
+        ShapeError, "addition shape mismatch", id="matrix-add-shape",
+    ),
+    pytest.param(
+        lambda: Matrix.zero(QQ, 2, 3).inverse(),
+        ShapeError, "only square matrices invert", id="matrix-inverse-shape",
+    ),
+    pytest.param(
+        lambda: Matrix.zero(QQ, 2, 3).pow(2),
+        ShapeError, "only square matrices take powers", id="matrix-pow-shape",
+    ),
+    pytest.param(
+        lambda: first_mismatch(_identity(2), [[1, 0], [0, 1]]),
+        ExactError, "first_mismatch expects matrices", id="first_mismatch-non-matrix",
+    ),
+    pytest.param(
+        lambda: kron_apply(_identity(2), _identity(2, GF(7)), Matrix.zero(QQ, 4, 1)),
+        FieldMismatchError, "kron_apply operands over different fields", id="kron_apply-field",
+    ),
+    pytest.param(
+        lambda: kron_apply(_identity(2), _identity(2), Matrix.zero(QQ, 3, 1)),
+        ShapeError, "kron_apply: 4 rows expected, got 3", id="kron_apply-shape",
+    ),
+    pytest.param(
+        lambda: kron_apply_right(Matrix.zero(QQ, 1, 4), _identity(2), _identity(2, GF(7))),
+        FieldMismatchError, "kron_apply_right operands over different fields",
+        id="kron_apply_right-field",
+    ),
+    pytest.param(
+        lambda: kron_apply_right(Matrix.zero(QQ, 1, 3), _identity(2), _identity(2)),
+        ShapeError, "kron_apply_right: 4 columns expected, got 3", id="kron_apply_right-shape",
+    ),
+    pytest.param(
+        lambda: solve(Matrix.zero(QQ, 2, 3), Matrix.zero(QQ, 2, 1)),
+        ShapeError, "solve needs a square coefficient matrix", id="solve-square",
+    ),
+    pytest.param(
+        lambda: solve(_identity(2), Matrix.zero(QQ, 3, 1)),
+        ShapeError, "right-hand side row count mismatch", id="solve-rows",
+    ),
+    pytest.param(
+        lambda: solve(_identity(2), Matrix.zero(GF(7), 2, 1)),
+        FieldMismatchError, "Q vs GF(7)", id="solve-field",
+    ),
+    # actions, constructions, braided
+    pytest.param(
+        lambda: check_action_axioms(
+            regular_action(_kz2()), "module-algebra", carrier=cyclic_group_hopf(QQ, 3).algebra
+        ),
+        ShapeError, "carrier structure dimension mismatch", id="carrier-dim",
+    ),
+    pytest.param(
+        lambda: check_coaction_axioms(regular_coaction(_kz2()), "module"),
+        ValueError, "unknown coaction kind 'module'", id="coaction-kind",
+    ),
+    pytest.param(
+        lambda: YDModule(
+            regular_action(_kz2()), trivial_coaction(cyclic_group_hopf(QQ, 3), _identity(2))
+        ),
+        ExactError, "action and coaction must share the acting Hom-bialgebra",
+        id="YDModule-structures",
+    ),
+    pytest.param(
+        lambda: YDModule(regular_action(_kz2()), trivial_coaction(_kz2(), _identity(3))),
+        ShapeError, "action and coaction carrier dimensions differ", id="YDModule-dims",
+    ),
+    pytest.param(
+        lambda: TwistMapT(_bundle().coalgebra, _bundle().hom, _identity(3)),
+        ShapeError, "twist map must be 4 x 4", id="TwistMapT-shape",
+    ),
+    pytest.param(
+        lambda: _bundle(action=trivial_action(_kz2(), _identity(3))),
+        ShapeError, "action/coaction carrier dimension mismatch", id="Bundle-dim",
+    ),
+    pytest.param(
+        lambda: _bundle(action=trivial_action(_kz2(), _identity(2))),
+        ExactError, "action/coaction carrier twist mismatch", id="Bundle-twist",
+    ),
+    pytest.param(
+        lambda: _bundle(
+            action=trivial_action(cyclic_group_hopf(QQ, 3), Matrix.diagonal(QQ, [1, 2]))
+        ),
+        ExactError, "action/coaction act through a different Hom-bialgebra", id="Bundle-hom",
+    ),
+    pytest.param(
+        lambda: biproduct_antipode(_bundle(hom=_kz2().bialgebra)),
+        ExactError, "the acting structure has no antipode", id="biproduct_antipode-acting",
+    ),
+    pytest.param(
+        lambda: biproduct_antipode(_bundle(carrier_antipode=None)),
+        ExactError, "no carrier antipode supplied", id="biproduct_antipode-carrier-missing",
+    ),
+    pytest.param(
+        lambda: CategoryMorphism(_kz2_module(), _kz2_module(), _identity(3)),
+        ExactError, "morphism matrix shape does not match source/target",
+        id="CategoryMorphism-shape",
+    ),
+    pytest.param(
+        lambda: check_yd_morphism(
+            CategoryMorphism(_kz2_module(), _kz2_module(taft_hopf(QQ)), Matrix.zero(QQ, 4, 2))
+        ),
+        ExactError, "source and target live over different Hom-bialgebras",
+        id="check_yd_morphism-structures",
+    ),
+    pytest.param(
+        lambda: yd_tensor(_kz2_module(), _kz2_module(taft_hopf(QQ))),
+        ExactError, "tensor modules need one common acting structure", id="yd_tensor-structures",
+    ),
+    pytest.param(
+        lambda: braiding_inverse_matrix(
+            _kz2_module(_kz2().bialgebra), _kz2_module(_kz2().bialgebra)
+        ),
+        ExactError, "the braiding inverse needs an antipode", id="braiding_inverse-antipode",
+    ),
+    # quasitriangular and the rest
+    pytest.param(
+        lambda: RMatrix(_kz2(), Matrix.zero(QQ, 3, 1)),
+        ShapeError, "R-matrix coefficients must form an n^2 column", id="RMatrix-shape",
+    ),
+    pytest.param(
+        lambda: RMatrix(_kz2(), Matrix.zero(GF(7), 4, 1)),
+        ExactError, "R-matrix must live over the structure field", id="RMatrix-field",
+    ),
+    pytest.param(
+        lambda: CobraidingForm(_kz2(), Matrix.zero(QQ, 4, 1)),
+        ShapeError, "form coefficients must be n x n", id="CobraidingForm-shape",
+    ),
+    pytest.param(
+        lambda: CobraidingForm(_kz2(), Matrix.zero(GF(7), 2, 2)),
+        ExactError, "form must live over the structure field", id="CobraidingForm-field",
+    ),
+    pytest.param(
+        lambda: check_quasitriangular(_kz2().bialgebra, z2_r_matrix(QQ)),
+        ExactError, "quasitriangular checks need a Hom-Hopf algebra",
+        id="check_quasitriangular-antipode",
+    ),
+    pytest.param(
+        lambda: rmatrix_from_coaction(_kz2(), trivial_coaction(_kz2(), _identity(3))),
+        ShapeError, "the induced shape lives on the structure itself",
+        id="rmatrix_from_coaction-shape",
+    ),
+    pytest.param(
+        lambda: check_rmatrix_equivalence(_kz2()),
+        ExactError, "provide exactly one of rmatrix or coaction",
+        id="check_rmatrix_equivalence-neither",
+    ),
+    pytest.param(
+        lambda: check_rmatrix_equivalence(
+            _kz2(), rmatrix=z2_r_matrix(QQ), coaction=regular_coaction(_kz2())
+        ),
+        ExactError, "provide exactly one of rmatrix or coaction",
+        id="check_rmatrix_equivalence-both",
+    ),
+    pytest.param(
+        lambda: QQ.coerce(0.5),
+        ExactError, "cannot coerce 0.5 into Q", id="QQ-coerce-float",
+    ),
+    pytest.param(
+        lambda: Report("one", (CheckResult("one", True),)).check("two"),
+        KeyError, "'two'", id="Report-check-unknown",
+    ),
+    pytest.param(
+        lambda: dual_number_coalgebra(QQ, 0),
+        StructureError, "the twisting parameter l must be nonzero",
+        id="dual_number_coalgebra-zero",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, kind, message", LIBRARY_RAISES)
+def test_library_refusal_type_and_message(make, kind, message):
+    with pytest.raises(kind) as info:
+        make()
+    assert type(info.value) is kind
+    assert str(info.value) == message
