@@ -11,7 +11,7 @@ import os
 import stat
 import sys
 
-from .fields import ExactError, GF, QQ, SingularMatrixError
+from .fields import ExactError, GF, QQ, SingularMatrixError, _integer
 from .report import CheckResult, Report, StructureError
 from .actions import YDModule
 from .braided import (
@@ -54,8 +54,8 @@ def _parse_field(token):
         return QQ
     if token.startswith("GF"):
         digits = token[2:].lstrip(":")
-        if digits.isdigit():
-            return GF(int(digits))
+        if digits.isascii() and digits.isdigit():
+            return GF(_integer(digits))
     raise UsageError(f"unknown field {token!r} (use Q or GF<p>)")
 
 

@@ -69,8 +69,18 @@ def is_prime(n):
     return True
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
+
+
+def _integer(text):
+    """int(text) for ASCII digits after an optional sign, as a pattern above
+    has matched; one with more digits than int() converts is refused by its
+    digit count, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExactError(f"integer of {len(text.lstrip('+-'))} digits is too long") from None
 
 
 class RationalField:
@@ -126,10 +136,10 @@ class RationalField:
             raise ExactError(f"malformed rational scalar {text!r}")
         num, _, den = text.partition("/")
         if den:
-            if int(den) == 0:
+            if (den := _integer(den)) == 0:
                 raise ExactError(f"zero denominator in {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+            return Fraction(_integer(num), den)
+        return Fraction(_integer(num))
 
     def format(self, a):
         return str(a)
@@ -184,7 +194,7 @@ class PrimeField:
         text = text.strip()
         if not _INTEGER_RE.match(text):
             raise ExactError(f"malformed GF({self.p}) scalar {text!r}")
-        return int(text) % self.p
+        return _integer(text) % self.p
 
     def format(self, a):
         return str(a % self.p)

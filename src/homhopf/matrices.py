@@ -49,10 +49,12 @@ class Matrix:
     values: Fractions over Q.  A stored row is never written once its matrix
     is made, so matrices share rows: every empty row, and each row that a
     product takes over unscaled.  A square matrix keeps its powers and
-    inverse (`pow`), so all holders of one twist invert it once.
+    inverse (`pow`), so all holders of one twist invert it once, and every
+    matrix keeps its factor probe (`_probed`), so `kron_apply_right` reads
+    each factor's rows once, however often it is passed.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rowdicts", "den", "_powers")
+    __slots__ = ("field", "rows", "cols", "_rowdicts", "den", "_powers", "_probe")
 
     def __init__(self, field, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -215,7 +217,10 @@ class Matrix:
         for arow in self._rowdicts:
             if len(arow) == 1:  # one entry selects one row of other, scaled
                 ((k, a),) = arow.items()
-                out.append(_scaled(orows[k], a, p))
+                out.append(_scaled(orows[k], a, p) or _EMPTY_ROW)
+                continue
+            if not arow:
+                out.append(_EMPTY_ROW)
                 continue
             acc = {}
             for k, a in arow.items():
@@ -223,7 +228,7 @@ class Matrix:
                     v = a * b
                     w = acc.get(j)
                     acc[j] = v if w is None else w + v
-            out.append(_reduced(acc, p) if acc else _EMPTY_ROW)
+            out.append(_reduced(acc, p) or _EMPTY_ROW)
         return _canonical(self.field, self.rows, other.cols, out, self.den * other.den)
 
     def kron(self, other):
@@ -246,11 +251,13 @@ class Matrix:
         return _canonical(self.field, self.rows * br, self.cols * bc, out, self.den * other.den)
 
     def transpose(self):
-        out = [dict() for _ in range(self.cols)]
+        out = [_EMPTY_ROW] * self.cols  # a column is made at its first entry
         for i, row in enumerate(self._rowdicts):
             for j, v in row.items():
-                out[j][i] = v
-        out = [row or _EMPTY_ROW for row in out]
+                if out[j]:
+                    out[j][i] = v
+                else:
+                    out[j] = {i: v}
         return Matrix._make(self.field, self.cols, self.rows, out, self.den)
 
     def inverse(self):
@@ -353,10 +360,19 @@ def _scaled(row, c, p):
     return {j: c * v for j, v in row.items()}
 
 
-def _monomial(m, stride):
-    """Per row of m, (j * stride, v) for its one stored entry v at column j,
-    or None for an empty row; None instead when a row holds two entries or
-    two rows hold their entries in one column."""
+def _probed(m):
+    """The factor probe of m, computed on the first request and kept in m:
+    it holds only integers, and racing threads keep equal tables."""
+    table = getattr(m, "_probe", False)
+    if table is False:
+        table = m._probe = _monomial(m)
+    return table
+
+
+def _monomial(m):
+    """Per row of m, (j, v) for its one stored entry v at column j, or None
+    for an empty row; None instead when a row holds two entries or two rows
+    hold their entries in one column."""
     table, seen = [None] * m.rows, set()
     for r, row in enumerate(m._rowdicts):
         if row:
@@ -366,8 +382,8 @@ def _monomial(m, stride):
             if j in seen:
                 return None
             seen.add(j)
-            table[r] = (j * stride, v)
-    return table
+            table[r] = (j, v)
+    return tuple(table)
 
 
 def _numerators(rowdicts):
@@ -472,8 +488,8 @@ def kron_apply_right(y, a, b):
     arows, brows = a._rowdicts, b._rowdicts
     br, bc = b.rows, b.cols
     out = []
-    ta = _monomial(a, bc)
-    tb = ta and _monomial(b, 1)
+    ta = _probed(a)
+    tb = ta and _probed(b)
     if tb:
         for yrow in y._rowdicts:
             row = {}
@@ -481,7 +497,7 @@ def kron_apply_right(y, a, b):
                 ea, eb = ta[c // br], tb[c % br]
                 if ea and eb:
                     v = vy * ea[1] * eb[1]
-                    row[ea[0] + eb[0]] = v % p if p else v
+                    row[ea[0] * bc + eb[0]] = v % p if p else v
             out.append(row or _EMPTY_ROW)
     else:
         for yrow in y._rowdicts:

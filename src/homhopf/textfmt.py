@@ -23,7 +23,7 @@ from itertools import product
 from math import prod
 from operator import mul
 
-from .fields import ExactError, GF, QQ
+from .fields import _INTEGER_RE, ExactError, GF, QQ, _integer
 from .matrices import Matrix
 from .structures import (
     HomAlgebra,
@@ -86,17 +86,19 @@ class ParseError(Exception):
 
 
 def _read_dim(tokens, lineno):
-    try:
-        dim = int(tokens[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(lineno, "malformed DIM") from exc
-    if dim <= 0:
+    if len(tokens) < 2 or not _INTEGER_RE.fullmatch(tokens[1]):
+        raise ParseError(lineno, "malformed DIM")
+    if (dim := _integer(tokens[1])) <= 0:
         raise ParseError(lineno, "DIM must be positive")
     return dim
 
 
 def _read_labels(tokens, lineno):
-    return tuple(tokens[1:])
+    labels = tuple(tokens[1:])
+    if len(set(labels)) < len(labels):
+        twice = next(t for k, t in enumerate(labels) if t in labels[:k])
+        raise ParseError(lineno, f"duplicate basis label {twice!r}")
+    return labels
 
 
 def _read_name(tokens, lineno):
@@ -210,20 +212,12 @@ def _layout(stanza, n, h):
 # parsing
 
 
-def _parse_scalars(field, tokens, lineno):
-    try:
-        return [field.parse(t) for t in tokens]
-    except ExactError as exc:
-        raise ParseError(lineno, str(exc)) from exc
-
-
 def _parse_indices(tokens, count, lineno):
     if len(tokens) != count:
         raise ParseError(lineno, f"expected {count} indices, got {len(tokens)}")
-    try:
-        idx = tuple(int(t) for t in tokens)
-    except ValueError as exc:
-        raise ParseError(lineno, f"malformed index in {tokens}") from exc
+    if not all(map(_INTEGER_RE.fullmatch, tokens)):
+        raise ParseError(lineno, f"malformed index in {tokens}")
+    idx = tuple(map(_integer, tokens))
     if any(i < 0 for i in idx):
         raise ParseError(lineno, f"index {idx} is negative")
     return idx
@@ -244,52 +238,50 @@ def parse_document(text):
     current = None
     saw_format = False
     pending = []  # (lineno, stanza, indices) of the open block, validated at END
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if not saw_format:
-            if tokens != ["FORMAT", "1"]:
-                raise ParseError(lineno, "document must start with 'FORMAT 1'")
-            saw_format = True
-            continue
-        if field is None:
-            if head != "FIELD":
-                raise ParseError(lineno, "expected a FIELD declaration")
-            if tokens[1:] == ["Q"]:
-                field = QQ
-            elif len(tokens) == 3 and tokens[1] == "GF":
-                try:
-                    p = int(tokens[2])
-                except ValueError as exc:
-                    raise ParseError(lineno, f"malformed modulus {tokens[2]!r}") from exc
-                try:
-                    field = GF(p)
-                except ExactError as exc:
-                    raise ParseError(lineno, str(exc)) from exc
-            else:
-                raise ParseError(lineno, f"unknown field declaration {line!r}")
-            continue
-        if current is None:
-            if head not in BLOCK_KINDS:
-                raise ParseError(lineno, f"unknown block kind {head!r}")
-            if len(tokens) != 2:
-                raise ParseError(lineno, f"{head} header needs exactly one name")
-            key = (head, tokens[1])
-            if key in seen:
-                raise ParseError(lineno, f"duplicate block {head} {tokens[1]}")
-            seen.add(key)
-            current = Block(kind=head, name=tokens[1], lineno=lineno)
-            continue
-        if head == "END":
-            _validate_block(current, pending)
-            blocks.append(current)
-            current = None
-            pending = []
-            continue
-        pending.append(_parse_stanza(field, current, tokens, lineno))
+    try:  # the field layer's refusals, such as a malformed scalar, name their line
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            head = tokens[0]
+            if not saw_format:
+                if tokens != ["FORMAT", "1"]:
+                    raise ParseError(lineno, "document must start with 'FORMAT 1'")
+                saw_format = True
+                continue
+            if field is None:
+                if head != "FIELD":
+                    raise ParseError(lineno, "expected a FIELD declaration")
+                if tokens[1:] == ["Q"]:
+                    field = QQ
+                elif len(tokens) == 3 and tokens[1] == "GF":
+                    if not _INTEGER_RE.fullmatch(tokens[2]):
+                        raise ParseError(lineno, f"malformed modulus {tokens[2]!r}")
+                    field = GF(_integer(tokens[2]))
+                else:
+                    raise ParseError(lineno, f"unknown field declaration {line!r}")
+                continue
+            if current is None:
+                if head not in BLOCK_KINDS:
+                    raise ParseError(lineno, f"unknown block kind {head!r}")
+                if len(tokens) != 2:
+                    raise ParseError(lineno, f"{head} header needs exactly one name")
+                key = (head, tokens[1])
+                if key in seen:
+                    raise ParseError(lineno, f"duplicate block {head} {tokens[1]}")
+                seen.add(key)
+                current = Block(kind=head, name=tokens[1], lineno=lineno)
+                continue
+            if head == "END":
+                _validate_block(current, pending)
+                blocks.append(current)
+                current = None
+                pending = []
+                continue
+            pending.append(_parse_stanza(field, current, tokens, lineno))
+    except ExactError as exc:
+        raise ParseError(lineno, str(exc)) from exc
     if not saw_format:
         raise ParseError(1, "document must start with 'FORMAT 1'")
     if field is None:
@@ -319,7 +311,7 @@ def _parse_stanza(field, block, tokens, lineno):
     if idx in rows:
         shown = f" {stanza.noun} {idx[0] if len(idx) == 1 else idx}" if idx else ""
         raise ParseError(lineno, f"duplicate {head}{shown}")
-    rows[idx] = _parse_scalars(field, rest, lineno)
+    rows[idx] = [field.parse(t) for t in rest]
     return lineno, stanza, idx
 
 

@@ -864,3 +864,37 @@ def test_catalog_check_emits_what_catalog_show_emits(tmp_path, capsys):
     code, _, err = run(capsys, "catalog", "check", "kz2", "--emit", str(checked))
     assert (code, err) == (0, "")
     assert checked.read_bytes() == shown.read_bytes()
+
+
+_DIGITS = "9" * 5000  # beyond the 4300 digits that int() converts by default
+
+
+def _kz2_twisted(field, scalar):
+    text = catalog_document("kz2", field)
+    assert text.count("  TWIST 1 : 0 1\n") == 1
+    return text.replace("  TWIST 1 : 0 1\n", f"  TWIST 1 : 0 {scalar}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (("check", "{doc}"), _kz2_twisted(QQ, _DIGITS), "line 9: integer of 5000 digits is too long"),
+        (("check", "{doc}"), _kz2_twisted(GF(7), _DIGITS), "line 9: integer of 5000 digits is too long"),
+        (("catalog", "show", "kz2", "--field", f"GF{_DIGITS}"), None, "integer of 5000 digits is too long"),
+        (("catalog", "show", "dual-number-bundle", f"--param={_DIGITS}"), None,
+         "integer of 5000 digits is too long"),
+        (("check", "{doc}"), _kz2_twisted(QQ, "٣"), "line 9: malformed rational scalar '٣'"),
+        (("check", "{doc}"), _kz2_twisted(GF(7), "٣"), "line 9: malformed GF(7) scalar '٣'"),
+        (("catalog", "show", "kz2", "--field", "GF٣"), None, "unknown field 'GF٣' (use Q or GF<p>)"),
+    ],
+    ids=["check-Q", "check-GF7", "field", "param", "check-Q-arabic", "check-GF7-arabic", "field-arabic"],
+)
+def test_oversized_and_non_ascii_integers_exit_1_with_one_error_line(
+    tmp_path, capsys, argv, document, message
+):
+    # the error gives an oversized integer's digit count, never its digits
+    path = tmp_path / "doc.hh"
+    if document is not None:
+        path.write_text(document, encoding="utf-8")
+    argv = [str(path) if word == "{doc}" else word for word in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -92,6 +92,27 @@ def test_parse_rejects_malformed(bad):
         QQ.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["٣", "1٣", "+٣", "1/٣", "１"])
+def test_parse_reads_only_ascii_digits(text):
+    # str.isdigit and a regex \d also match Arabic-Indic and fullwidth digits
+    with pytest.raises(ExactError, match="^malformed rational scalar"):
+        QQ.parse(text)
+    if "/" not in text:
+        with pytest.raises(ExactError, match=r"^malformed GF\(7\) scalar"):
+            GF(7).parse(text)
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, "9" * 5000 + "/2"])
+def test_parse_refuses_an_oversized_integer_by_its_digit_count(text):
+    parsers = (QQ.parse, GF(7).parse) if "/" not in text else (QQ.parse,)
+    for parse in parsers:
+        with pytest.raises(ExactError) as info:
+            parse(text)
+        assert str(info.value) == "integer of 5000 digits is too long"
+    assert QQ.parse("9" * 4300) == 10**4300 - 1
+    assert GF(7).parse("-" + "9" * 4300) == -(10**4300 - 1) % 7
+
+
 @given(st.fractions())
 def test_rational_roundtrip(x):
     assert QQ.parse(QQ.format(x)) == x

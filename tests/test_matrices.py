@@ -355,6 +355,86 @@ def test_powers_taken_from_many_threads_are_exact():
     assert all(power == expected[k] for k, power in t._powers.items())
 
 
+def test_kept_probe_holds_no_reference_to_its_matrix():
+    # like its powers, a factor's probe leaves it to reference counting
+    m = Matrix.from_rows(QQ, [[0, Fraction(1, 2)], [3, 0]])
+    general = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
+    before = sys.getrefcount(m)
+    for a, b in ((m, general), (general, m), (m, m)):
+        kron_apply_right(Matrix.from_rows(QQ, [[1, 2, 3, 4]]), a, b)
+    del a, b
+    assert sys.getrefcount(m) == before
+    assert m._probe == ((1, 1), (0, 6))  # numerators over den 2
+    assert all(type(x) is int for entry in m._probe for x in entry)
+    assert general._probe is None
+
+
+def test_probes_taken_from_many_threads_are_equal():
+    # the kept probe is written without a lock: a race may compute it twice,
+    # but both tables are equal, and every product stays exact
+    rows = {
+        "twist": [[0, 3, 0], [0, 0, 1], [2, 0, 0]],
+        "unit": [[1], [0], [0]],
+        "general": [[1, 2, 0], [0, 1, 1], [0, 0, 1]],
+    }
+    held = {k: Matrix.from_rows(F7, r) for k, r in rows.items()}
+    ref = {k: Matrix.from_rows(F7, r) for k, r in rows.items()}
+    pairs = [(a, b) for a in rows for b in rows]
+    ys = {(a, b): _probe(F7, 2, ref[a].rows * ref[b].rows) for a, b in pairs}
+    expected = {(a, b): ys[a, b] * kron(ref[a], ref[b]) for a, b in pairs}
+    wrong = []
+
+    def work(seed):
+        for a, b in random.Random(seed).choices(pairs, k=300):
+            if kron_apply_right(ys[a, b], held[a], held[b]) != expected[a, b]:
+                wrong.append((a, b))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert all(held[k]._probe == matrices._monomial(ref[k]) for k in rows)
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=str)
+def test_a_factor_on_either_side_gives_the_materialized_product(field):
+    # the probe keeps no stride, so one table serves the left factor, whose
+    # columns are scaled by the right factor's width, and the right one
+    s = Fraction(-1, 2) if field == QQ else 3
+    twist = Matrix.from_rows(field, [[0, s, 0], [0, 0, 1], [2, 0, 0]])
+    other = Matrix.from_rows(field, [[1, 0], [0, s]])
+    assert twist.den == (2 if field == QQ else 1)
+    for a, b in ((twist, other), (other, twist), (twist, twist), (other, other)):
+        y = _probe(field, 3, a.rows * b.rows)
+        assert kron_apply_right(y, a, b) == y * kron(a, b)
+    assert twist._probe == matrices._monomial(twist) is not None
+
+
+def test_a_held_factor_is_probed_once_across_many_calls():
+    # the cached identity is shared by the whole process, so it is probed
+    # here only if no earlier test of the process has probed it
+    twist, unit = Matrix.diagonal(F7, [1, 3, 5]), Matrix.column(F7, [1, 0])
+    general, i_2 = Matrix.from_rows(F7, [[1, 2], [0, 1]]), Matrix.identity(F7, 2)
+    identity_probes = 0 if hasattr(i_2, "_probe") else 1
+    with mock.patch.object(matrices, "_monomial", wraps=matrices._monomial) as probe:
+        for k in range(5):
+            for a, b in ((twist, unit), (unit, twist), (twist, general), (i_2, twist), (twist, i_2)):
+                y = _probe(F7, k + 1, a.rows * b.rows)
+                assert kron_apply_right(y, a, b) == y * kron(a, b)
+    probed = [call.args[0] for call in probe.call_args_list]
+    assert [sum(m is x for x in probed) for m in (twist, unit, general)] == [1, 1, 1]
+    assert sum(i_2 is x for x in probed) == identity_probes
+    assert len(probed) == 3 + identity_probes
+
+
 def test_matrix_pow_negative():
     t = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert t.pow(-3) == t
@@ -714,6 +794,29 @@ def test_q_bialgebra_check_makes_no_fraction_products():
         report = check_hom_bialgebra(hopf)
     assert report.passed
     assert spy.call_count == 0
+
+
+def _sparse_matrix(field, rows, cols):
+    """Up to one entry per row or column, whichever is more, so a tall or
+    wide matrix leaves most rows or most columns empty."""
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    entries = st.dictionaries(cells, _scalars(field), max_size=max(rows, cols))
+    return entries.map(lambda e: Matrix(field, rows, cols, e))
+
+
+_SIDE = st.one_of(st.integers(1, 3), st.integers(12, 30))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(KERNEL_FIELDS), _SIDE, _SIDE, _SIDE, st.data())
+def test_transpose_and_product_of_tall_and_wide_sparse_matrices(field, r, k, c, data):
+    a, b = data.draw(_sparse_matrix(field, r, k)), data.draw(_sparse_matrix(field, k, c))
+    ab = a * b
+    assert a.transpose().transpose() == a
+    assert ab.transpose() == b.transpose() * a.transpose()
+    for m in (a.transpose(), b.transpose(), ab, ab.transpose()):
+        assert all(row is matrices._EMPTY_ROW for row in m._rowdicts if not row)
+    _assert_kernel_result(ab, _dense_product(field, a.dense(), b.dense()))
 
 
 # Monomial factors, at most one entry in each row, take the kernels' moving

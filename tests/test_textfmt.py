@@ -316,6 +316,8 @@ def _check(tmp_path, capsys, text):
     return code, out, err
 
 
+_DIGITS = "9" * 5000  # beyond the 4300 digits that int() converts by default
+
 _UNREACHED_REFUSALS = [
     # (document, first line replaced, its replacement, the error it gives)
     (_BUNDLE, "  DIM 2", "  DIM x", "line 4: malformed DIM"),
@@ -329,6 +331,16 @@ _UNREACHED_REFUSALS = [
     (_BUNDLE, "FIELD Q", "FIELD R", "line 2: unknown field declaration 'FIELD R'"),
     (_BUNDLE, "HOPF H", "HOPF H K", "line 3: HOPF header needs exactly one name"),
     (_BUNDLE, "  BASIS 1 a", "  BASIS 1 a b", "line 3: BASIS lists 3 labels for DIM 2"),
+    (_KZ2, "  BASIS 1 a", "  BASIS 1 1", "line 5: duplicate basis label '1'"),
+    # integers read ASCII digits only, and one too long for int() is refused
+    # by its digit count, not echoed
+    (_BUNDLE, "  DIM 2\n  BASIS 1 z", "  DIM ٢\n  BASIS 1 z", "line 20: malformed DIM"),
+    (_BUNDLE, "  DIM 2", f"  DIM {_DIGITS}", "line 4: integer of 5000 digits is too long"),
+    (_BUNDLE, "  TWIST 0 : 1 0", "  TWIST ٠ : 1 0", "line 8: malformed index in ['٠']"),
+    (_BUNDLE, "  TWIST 0 : 1 0", f"  TWIST {_DIGITS} : 1 0",
+     "line 8: integer of 5000 digits is too long"),
+    (_BUNDLE, "FIELD Q", "FIELD GF ٧", "line 2: malformed modulus '٧'"),
+    (_BUNDLE, "FIELD Q", f"FIELD GF {_DIGITS}", "line 2: integer of 5000 digits is too long"),
     ("# nothing but a comment\n", "", "", "line 1: document must start with 'FORMAT 1'"),
     ("FORMAT 1\n", "", "", "line 1: missing FIELD declaration"),
     (_BUNDLE, "  CARRIER A", "  CARRIER nope", "CARRIER 'nope' names no structural block"),
