@@ -324,6 +324,22 @@ def test_kept_powers_hold_no_reference_to_their_matrix():
     assert all(power is not m for power in m._powers.values())
 
 
+def _race(work):
+    """Run work(seed) for seeds 0-3, one thread each, switching threads as
+    often as the interpreter allows, and return once all have finished."""
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def test_powers_taken_from_many_threads_are_exact():
     # the kept powers are written without a lock: a race may compute a power
     # twice, but every request and every kept power must stay exact
@@ -340,17 +356,7 @@ def test_powers_taken_from_many_threads_are_exact():
             if t.pow(k) != expected[k]:
                 wrong.append(k)
 
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _race(work)
     assert wrong == []
     assert all(power == expected[k] for k, power in t._powers.items())
 
@@ -389,17 +395,7 @@ def test_probes_taken_from_many_threads_are_equal():
             if kron_apply_right(ys[a, b], held[a], held[b]) != expected[a, b]:
                 wrong.append((a, b))
 
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _race(work)
     assert wrong == []
     assert all(held[k]._probe == matrices._monomial(ref[k]) for k in rows)
 
