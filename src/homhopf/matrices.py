@@ -59,7 +59,7 @@ class Matrix:
     def __init__(self, field, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimension")
-        rowdicts = [dict() for _ in range(rows)]
+        rowdicts = [_EMPTY_ROW] * rows  # a row is made at its first entry
         if entries:
             coerce = field.coerce
             for (i, j), v in entries.items():
@@ -67,7 +67,10 @@ class Matrix:
                     raise ShapeError(f"entry ({i},{j}) outside {rows}x{cols}")
                 v = coerce(v)
                 if v:
-                    rowdicts[i][j] = v
+                    row = rowdicts[i]
+                    if row is _EMPTY_ROW:
+                        row = rowdicts[i] = {}
+                    row[j] = v
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -105,7 +108,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls._make(field, rows, cols, [{} for _ in range(rows)])
+        return cls._make(field, rows, cols, [_EMPTY_ROW] * rows)
 
     @classmethod
     def diagonal(cls, field, values):
@@ -396,8 +399,13 @@ def _numerators(rowdicts):
             if den % v.denominator:
                 den = lcm(den, v.denominator)
     if den == 1:
-        return [{j: v.numerator for j, v in row.items()} for row in rowdicts], 1
-    return [{j: v.numerator * (den // v.denominator) for j, v in row.items()} for row in rowdicts], den
+        out = [{j: v.numerator for j, v in row.items()} if row else _EMPTY_ROW for row in rowdicts]
+    else:
+        out = [
+            {j: v.numerator * (den // v.denominator) for j, v in row.items()} if row else _EMPTY_ROW
+            for row in rowdicts
+        ]
+    return out, den
 
 
 def _canonical(field, rows, cols, out, den):

@@ -238,6 +238,7 @@ def parse_document(text):
     current = None
     saw_format = False
     pending = []  # (lineno, stanza, indices) of the open block, validated at END
+    scalars = {}  # each scalar token of this document, parsed at its first occurrence
     try:  # the field layer's refusals, such as a malformed scalar, name their line
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -279,7 +280,7 @@ def parse_document(text):
                 current = None
                 pending = []
                 continue
-            pending.append(_parse_stanza(field, current, tokens, lineno))
+            pending.append(_parse_stanza(field, current, tokens, lineno, scalars))
     except ExactError as exc:
         raise ParseError(lineno, str(exc)) from exc
     if not saw_format:
@@ -291,7 +292,7 @@ def parse_document(text):
     return StructureDocument(field, tuple(blocks))
 
 
-def _parse_stanza(field, block, tokens, lineno):
+def _parse_stanza(field, block, tokens, lineno, scalars):
     head = tokens[0]
     stanza = _STANZA.get((block.kind, head))
     if stanza is None:
@@ -311,7 +312,9 @@ def _parse_stanza(field, block, tokens, lineno):
     if idx in rows:
         shown = f" {stanza.noun} {idx[0] if len(idx) == 1 else idx}" if idx else ""
         raise ParseError(lineno, f"duplicate {head}{shown}")
-    rows[idx] = [field.parse(t) for t in rest]
+    rows[idx] = [  # a token this document has already given is not parsed again
+        scalars[t] if t in scalars else scalars.setdefault(t, field.parse(t)) for t in rest
+    ]
     return lineno, stanza, idx
 
 

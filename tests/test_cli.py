@@ -467,15 +467,27 @@ _FUZZ_DOCUMENTS = tuple(
 )
 
 
+_WRONG_COUNTS = ("extend", "shorten", "dim")  # mutations that leave a count wrong
+
+
 def _mutate(text, line, how, token):
-    """Drop or duplicate one line below the FORMAT/FIELD header, put `token`
-    in place of the last scalar of one matrix row, or set every scalar of one
-    matrix, UNIT or COUNIT row to zero."""
+    """Drop or duplicate one line below the FORMAT/FIELD header; put `token`
+    in place of the last scalar of one matrix row, append it to the row, or
+    drop the row's last scalar; set every scalar of one matrix, UNIT or
+    COUNIT row to zero; or raise one DIM n to n+1."""
     lines = text.splitlines(keepends=True)
-    if how == "perturb":
+    if how in ("perturb", "extend", "shorten"):
         rows = [i for i, row in enumerate(lines) if " : " in row]
         i = rows[line % len(rows)]
-        lines[i] = lines[i].rstrip("\n").rsplit(" ", 1)[0] + f" {token}\n"
+        kept = lines[i].rstrip("\n")
+        if how != "extend":
+            kept = kept.rsplit(" ", 1)[0]
+        lines[i] = kept + ("" if how == "shorten" else f" {token}") + "\n"
+    elif how == "dim":
+        dims = [i for i, row in enumerate(lines) if row.lstrip().startswith("DIM ")]
+        i = dims[line % len(dims)]
+        head, n = lines[i].rsplit(" ", 1)
+        lines[i] = f"{head} {int(n) + 1}\n"
     elif how == "zero":
         rows = [i for i, row in enumerate(lines)
                 if " : " in row or row.lstrip().startswith(("UNIT ", "COUNIT "))]
@@ -518,11 +530,11 @@ _FUZZ_COMMANDS = (
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=900, deadline=None, derandomize=True, database=None)
 @given(
     doc=st.sampled_from(_FUZZ_DOCUMENTS),
     line=st.integers(min_value=0, max_value=10**4),
-    how=st.sampled_from(("drop", "duplicate", "perturb", "zero")),
+    how=st.sampled_from(("drop", "duplicate", "perturb", "zero") + _WRONG_COUNTS),
     token=st.sampled_from(("0", "1", "-1", "2", "1/2", "x")),
     command=st.sampled_from(_FUZZ_COMMANDS),
 )
@@ -542,6 +554,8 @@ def test_mutated_documents_exit_cleanly_and_emit_round_trips(fuzz_dir, doc, line
     code, err = first[0], first[2]
     assert code in (0, 1, 2) and "Traceback" not in err
     assert not (code == 1 and "singular" in err), err  # a singular map is a math refusal
+    if how in _WRONG_COUNTS:  # a wrong count is refused as the input it is
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     emitted = target.read_text(encoding="utf-8") if emits and code == 0 else None
     assert _quiet_main(*argv) == first
     if emitted is not None:

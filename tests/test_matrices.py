@@ -803,6 +803,10 @@ def _sparse_matrix(field, rows, cols):
 _SIDE = st.one_of(st.integers(1, 3), st.integers(12, 30))
 
 
+def _empty_rows_are_shared(m):
+    return all(row is matrices._EMPTY_ROW for row in m._rowdicts if not row)
+
+
 @settings(max_examples=60)
 @given(st.sampled_from(KERNEL_FIELDS), _SIDE, _SIDE, _SIDE, st.data())
 def test_transpose_and_product_of_tall_and_wide_sparse_matrices(field, r, k, c, data):
@@ -810,9 +814,28 @@ def test_transpose_and_product_of_tall_and_wide_sparse_matrices(field, r, k, c, 
     ab = a * b
     assert a.transpose().transpose() == a
     assert ab.transpose() == b.transpose() * a.transpose()
-    for m in (a.transpose(), b.transpose(), ab, ab.transpose()):
-        assert all(row is matrices._EMPTY_ROW for row in m._rowdicts if not row)
+    assert all(map(_empty_rows_are_shared, (a, b, a.transpose(), b.transpose(), ab, ab.transpose())))
     _assert_kernel_result(ab, _dense_product(field, a.dense(), b.dense()))
+
+
+@pytest.mark.parametrize(
+    "field, scalars", [(F7, (3, 7, 1)), (QQ, (Fraction(1, 2), 0, Fraction(-3, 4)))],
+    ids=["GF(7)", "Q"],
+)
+def test_constructed_and_zero_matrices_share_the_empty_row(field, scalars):
+    # a row is made at its first nonzero entry (7 is zero in GF(7)); over Q
+    # the rows are then rescaled to numerators over one denominator
+    m = Matrix(field, 30, 4, {(2 * k, k): v for k, v in enumerate(scalars)})
+    assert sum(map(bool, m._rowdicts)) == 2 and _empty_rows_are_shared(m)
+    assert m.den == (4 if field == QQ else 1)
+    assert [m.entry(2 * k, k) for k in range(3)] == list(map(field.coerce, scalars))
+    assert _empty_rows_are_shared(Matrix.zero(field, 5, 3))
+
+
+def test_the_comultiplication_of_a_cyclic_group_keeps_one_empty_row():
+    comult = cyclic_group_hopf(F7, 24).comult
+    empty = [row for row in comult._rowdicts if not row]
+    assert len(empty) == 552 and _empty_rows_are_shared(comult)
 
 
 # Monomial factors, at most one entry in each row, take the kernels' moving

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from homhopf import GF, Matrix, QQ
-from homhopf.catalog import group_algebra_z2, taft_twisted, z2_cobraiding_form
+from homhopf.catalog import cyclic_group_hopf, group_algebra_z2, taft_twisted, z2_cobraiding_form
 from homhopf.textfmt import (
     ParseError,
     algebra_lines,
@@ -238,6 +240,66 @@ def test_scalars_render_canonically():
     assert "MULT 0 0 : -3/2" in text
 
 
+# A document parses each distinct scalar token once, and only while it is
+# being read: every occurrence after the first takes the first one's value.
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_each_distinct_scalar_token_is_parsed_once_per_document(field):
+    kz14 = cyclic_group_hopf(field, 14)
+    text = render_document(field, [hopf_lines("K", kz14)])
+    assert text.count(" 0") > 5000  # thousands of scalars, all of them 0 or 1
+    with mock.patch.object(field, "parse", wraps=field.parse) as spy:
+        doc = parse_document(text)
+        assert sorted(c.args[0] for c in spy.call_args_list) == ["0", "1"]
+        # the memo lives as long as one call: the same text parses again
+        assert parse_document(text) == doc
+        assert spy.call_count == 4
+    assert realize(doc).structures[("HOPF", "K")].comult == kz14.comult
+
+
+_SPELLED = """FORMAT 1
+FIELD {field}
+ALGEBRA A
+  DIM 2
+  UNIT 1 0
+  MULT 0 0 : {s} {c}
+  MULT 1 1 : {c} 1
+  TWIST 0 : {s} 0
+  TWIST 1 : 1 {s}
+END
+"""
+
+_SPELLINGS = [
+    # (field, a spelling, the canonical form it prints as)
+    ("Q", "1/2", "1/2"),
+    ("Q", "2/4", "1/2"),
+    ("Q", "-2/4", "-1/2"),
+    ("Q", "+1", "1"),
+    ("Q", "-0", "0"),
+    ("Q", "007", "7"),
+    ("GF 7", "+1", "1"),
+    ("GF 7", "-0", "0"),
+    ("GF 7", "007", "0"),
+    ("GF 7", "008", "1"),
+    ("GF 7", "-1", "6"),
+]
+
+
+@pytest.mark.parametrize("field, spelled, canonical", _SPELLINGS)
+def test_a_spelling_realizes_and_prints_as_its_canonical_form(field, spelled, canonical):
+    # the spelling and its canonical form share one row
+    text = _SPELLED.format(field=field, s=spelled, c=canonical)
+    plain = _SPELLED.format(field=field, s=canonical, c=canonical)
+    a = realize(parse_document(text)).structures[("ALGEBRA", "A")]
+    b = realize(parse_document(plain)).structures[("ALGEBRA", "A")]
+    assert a.mult == b.mult and a.twist == b.twist and a.unit == b.unit
+    rendered = render_parsed(parse_document(text))
+    assert rendered == render_parsed(parse_document(plain))
+    assert f"  TWIST 1 : 1 {canonical}\n" in rendered
+    assert spelled == canonical or f" {spelled}" not in rendered
+
+
 def _with_stanza(text, header, stanza, after=None):
     """Insert a stanza line into the block `header`, right after its header
     line or after its first line starting with `after`; returns the text
@@ -304,6 +366,8 @@ def test_carrier_description_beside_carrier_is_refused_at_the_first_such_stanza(
 
 
 _KZ2 = catalog_document("kz2", QQ)
+_KZ2_GF7 = catalog_document("kz2", GF(7))
+_TWO_ROWS = "  MULT 0 1 : 0 1\n  MULT 1 0 : 0 1"
 
 
 def _check(tmp_path, capsys, text):
@@ -341,6 +405,15 @@ _UNREACHED_REFUSALS = [
      "line 8: integer of 5000 digits is too long"),
     (_BUNDLE, "FIELD Q", "FIELD GF ٧", "line 2: malformed modulus '٧'"),
     (_BUNDLE, "FIELD Q", f"FIELD GF {_DIGITS}", "line 2: integer of 5000 digits is too long"),
+    # a malformed scalar on two rows is refused at the first, where it is parsed
+    (_KZ2, _TWO_ROWS, "  MULT 0 1 : 0 x\n  MULT 1 0 : x 1",
+     "line 11: malformed rational scalar 'x'"),
+    (_KZ2, _TWO_ROWS, "  MULT 0 1 : 0 1/0\n  MULT 1 0 : 1/0 1",
+     "line 11: zero denominator in '1/0'"),
+    (_KZ2_GF7, _TWO_ROWS, "  MULT 0 1 : 0 x\n  MULT 1 0 : x 1",
+     "line 11: malformed GF(7) scalar 'x'"),
+    (_KZ2_GF7, _TWO_ROWS, "  MULT 0 1 : 0 1/0\n  MULT 1 0 : 1/0 1",
+     "line 11: malformed GF(7) scalar '1/0'"),
     ("# nothing but a comment\n", "", "", "line 1: document must start with 'FORMAT 1'"),
     ("FORMAT 1\n", "", "", "line 1: missing FIELD declaration"),
     (_BUNDLE, "  CARRIER A", "  CARRIER nope", "CARRIER 'nope' names no structural block"),
