@@ -739,11 +739,13 @@ def generating_indices(mult, start, maps, most):
 
     The span grows as an echelon basis of stored integer vectors, residues
     over GF(p) and numerators over Q, each divided by its content: a span
-    ignores scale, so no Fraction is formed.  Of mult, only the column
-    block of each picked generator is read.
+    ignores scale, so no Fraction is formed.  mult is transposed once, and
+    each picked generator g reads its block of columns g*n .. g*n + n - 1
+    as n consecutive rows of the transpose.
     """
     n, p = mult.rows, mult.field.characteristic
     ops = [m.transpose()._rowdicts for m in maps]
+    columns = mult.transpose()._rowdicts
     basis, leads, fresh, gens = {}, [], [], []
 
     def add(v):
@@ -770,11 +772,6 @@ def generating_indices(mult, start, maps, most):
                 acc[i] = acc.get(i, 0) + x * y
         return _reduced(acc, p)
 
-    def left(g):
-        """Column j holds e_g e_j: column g*n + j of mult, read alone."""
-        rows = mult._rowdicts
-        return [{i: x for i, row in enumerate(rows) if (x := row.get(k))} for k in range(g * n, g * n + n)]
-
     add(start.transpose()._rowdicts[0])
     for i in range(n):
         while fresh:
@@ -787,7 +784,7 @@ def generating_indices(mult, start, maps, most):
             if len(gens) == most:
                 return None
             gens.append(i)
-            ops.append(left(i))
+            ops.append(columns[i * n:i * n + n])  # column j holds e_i e_j
             for v in list(basis.values()):
                 add(image(ops[-1], v))
     return tuple(gens)

@@ -241,11 +241,22 @@ def _generators(alg):
     cannot pay. The closure is alpha^-1-stable too: an invertible map that
     keeps a subspace maps it onto itself.
 
-    The search makes one pass over mu and n(|G| + 1) closure products, and
-    exhaustive HA2 about nnz(mu)^2 / n. Below n^2 nonzeros the latter is
-    under n^3, and mostly far less (n for the group-like Delta^T of KZ_n),
-    so there is no search. G must also halve the compared tuples, 2|G| < n,
-    which no G does for n < 3.
+    Whether to search is decided by predicted work. Exhaustive HA2 pairs
+    each stored entry of mu with a row of mu, about nnz(mu)^2 / n products.
+    A search reads mu once, to transpose it, and applies the twist and
+    each picked generator's left product to the span, about one pass over
+    mu each; with the reduction of what they yield, about 2(|G| + 1)
+    nnz(mu), which is 4 nnz(mu) for the least G, |G| = 1. The reduced
+    comparison then costs |G| / n of the exhaustive one. So a search can
+    pay only where nnz(mu)^2 / n >= 4 nnz(mu), that is nnz(mu) >= 4n:
+    never on the group-like Delta^T of KZ_n (n nonzeros) or on the Taft
+    algebra and the dual-number biproduct of dimension 4 (12), but on KZ_n
+    from n = 4 and on T_N(q) from N = 3 (N^3 (N + 1) / 2 nonzeros in
+    dimension N^2). The rule only
+    decides whether G is tried: a failed premise, or a mismatch on G,
+    still runs the exhaustive comparison, so no verdict or witness depends
+    on it. G must also halve the compared tuples, 2|G| < n, which no G
+    does for n < 3.
 
     Each structure is searched once: the result, a G or None, is kept beside
     the map objects it was computed from, and read back only while those
@@ -266,7 +277,7 @@ def _generators(alg):
     n = alg.dim
     most = (n - 1) // 2
     gens = None
-    if most and alg.mult.nnz() >= n * n:
+    if most and alg.mult.nnz() >= 4 * n:
         gens = generating_indices(alg.mult, alg.unit, (alg.twist,), most)
     keeper._gens = maps, gens
     return gens

@@ -8,6 +8,7 @@ search and of the reduced comparison.
 """
 
 import contextlib
+import dataclasses
 import random
 import sys
 import threading
@@ -26,21 +27,32 @@ from homhopf import (
     HomBialgebra,
     HomCoalgebra,
     Matrix,
+    biproduct_antipode,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
+    check_radford_conditions,
     kron,
+    radford_biproduct,
     structures,
     tensor_hom_algebra,
     tensor_hom_coalgebra,
     yau_twist,
 )
-from homhopf.catalog import CATALOG, cyclic_group_hopf, group_algebra_z2
+from homhopf.catalog import (
+    CATALOG,
+    cyclic_group_hopf,
+    dual_number_biproduct,
+    group_algebra_z2,
+    taft_biproduct,
+    taft_twisted,
+)
 from homhopf.fields import ExactError
 from homhopf.matrices import generating_indices, kron_apply, kron_apply_right
 from homhopf.report import Report, StructureError, eq_check
 from homhopf.structures import _co_check, _compat_rhs, _Dual, _generators, twist_invertible_check
 from homhopf.textfmt import catalog_document, parse_document, realize
+from yd_ladder import yd_ladder_bundle
 
 FIELDS = (QQ, GF(2), GF(3), GF(7))
 
@@ -302,7 +314,7 @@ def test_dense_transports_search_on_both_sides(field, n, s):
 
 
 def test_no_generator_search_on_the_coalgebra_side_of_kz24():
-    # Delta^T has 24 nonzeros, under the 576 at which a search can pay
+    # Delta^T has 24 nonzeros, under the 4n = 96 at which a search can pay
     h = _unsearched(cyclic_group_hopf(GF(7), 24).bialgebra)
     with _searches() as searches:
         assert check_hom_coalgebra(h).passed
@@ -413,3 +425,121 @@ def test_search_gives_up_past_half_the_dimension():
     identity = Matrix.identity(field, n)
     assert generating_indices(zero, unit, (identity,), n) == (1, 2, 3, 4, 5)
     assert generating_indices(zero, unit, (identity,), 4) is None
+
+
+# The yd-ladder: B = k[z]/(z^N) in the Yetter-Drinfeld category of KZ_N,
+# whose biproduct is the Taft algebra T_N(q), dimension N^2 (yd_ladder.py).
+YD_RUNGS = [(3, 7, 1), (4, 5, 1), (6, 7, 1), (6, 7, 3)]
+
+
+@pytest.mark.parametrize("n, p, lam", YD_RUNGS)
+def test_yd_ladder_biproducts_report_as_the_exhaustive_check(n, p, lam):
+    bundle = yd_ladder_bundle(n, p, lam)
+    with _searches() as searches:
+        h = radford_biproduct(bundle).bialgebra
+    # nnz(mu) = N^3 (N + 1) / 2 >= 4 N^2: the algebra side is searched, and
+    # HA2 and compat compare on the G it finds
+    assert [(mult is h.mult, found is not None) for mult, found in searches] == [(True, True)]
+    assert assert_reports_match(h, (n, p, lam)).passed
+    assert biproduct_antipode(bundle).gate.passed
+
+
+def test_yd_ladder_action_scalar_moved_off_its_degree_fails_r5():
+    # g |> z = q z^2 in place of q z: the action no longer keeps the degree
+    # that rho reads, so the Yetter-Drinfeld condition R5 fails. Changing
+    # q^(ai) in place cannot fail R5, since over the abelian Z_N every
+    # diagonal action is Yetter-Drinfeld; it fails R2 and R4 instead.
+    q = 2  # of order 4 mod 5
+    report = check_radford_conditions(yd_ladder_bundle(4, 5, action_entry=(1, 1, 2, q)))
+    assert report.check("R5").witness == "at g1⊗z1 -> g2⊗z2: 2 != 0"
+    with pytest.raises(StructureError, match="biproduct gate fails"):
+        radford_biproduct(yd_ladder_bundle(4, 5, action_entry=(1, 1, 2, q)))
+    rescaled = check_radford_conditions(yd_ladder_bundle(4, 5, action_entry=(1, 1, 1, 1)))
+    assert [c.name for c in rescaled.checks if not c.passed] == ["R2", "R4"]
+
+
+def test_yd_ladder_with_a_perturbed_carrier_product_falls_back():
+    # z z^2 = z^3 + z keeps the unit laws and alpha = id, so HA2's premises
+    # hold and G is tried; z (z z^2) = z^2 while (z z) z^2 = 0, so HA2
+    # fails, and the witness is the exhaustive one
+    n, p = 4, 5
+    bundle = yd_ladder_bundle(n, p)
+    a = bundle.algebra
+    bump = Matrix(a.field, n, n * n, {(1, 1 * n + 2): 1})
+    carrier = HomAlgebra(a.field, a.mult + bump, a.unit, a.twist, basis=a.basis, check=False)
+    broken = assembled_biproduct(dataclasses.replace(bundle, algebra=carrier))
+    with _searches() as searches:
+        report = assert_reports_match(broken)
+    assert [(mult is broken.mult, found is not None) for mult, found in searches] == [(True, True)]
+    assert not report.check("algebra.HA2.assoc").passed
+    assert not check_hom_algebra(carrier).check("HA2.assoc").passed
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7)), ids=str)
+def test_sparse_biproducts_are_searched_by_predicted_work(field):
+    # a search is tried from nnz(mu) >= 4n (`_generators`): the grid's
+    # dim-12 biproduct (108 nonzeros), taft_biproduct (dim 8, 48) and T_4(q)
+    # (dim 16, 160) search their algebra side once, and no other side
+    # (the bundles are built first: KZ_4 and KZ_6 search as they are checked)
+    built = {"taft_biproduct": lambda: taft_biproduct(field, 2)}
+    if field is not QQ:  # the grid and the ladder are over GF(p)
+        dim12 = next(b for _, b in grid() if b.hom.dim == 6 and check_radford_conditions(b).passed)
+        t4 = yd_ladder_bundle(4, 5)
+        built["grid dim 12"] = lambda: radford_biproduct(dim12).bialgebra
+        built["T_4(q)"] = lambda: radford_biproduct(t4).bialgebra
+    for tag, build in built.items():
+        with _searches() as searches:
+            h = build()
+            assert check_hom_bialgebra(h).passed
+        assert [(mult is h.mult, bool(found)) for mult, found in searches] == [(True, True)], tag
+    # taft_twisted and dual_number_biproduct (dim 4, 12 nonzeros) and the
+    # dual of KZ_n (n nonzeros) make no search
+    kz = [_unsearched(cyclic_group_hopf(field, n).bialgebra) for n in (3, 4, 8, 12)]
+    with _searches() as searches:
+        for h in (taft_twisted(field, 2), dual_number_biproduct(field, 2)):
+            assert h.mult.nnz() == 12
+            assert check_hom_bialgebra(h).passed
+        for h in kz:
+            assert check_hom_coalgebra(h).passed
+    assert searches == []
+    # at the cutoff: KZ_4's 16 = 4n nonzeros search, 15 do not
+    kz4 = cyclic_group_hopf(field, 4)
+    fewer = kz4.mult + Matrix(field, 4, 16, {(2, 3 * 4 + 3): -1})  # g3 g3 = 0
+    with _searches() as searches:
+        assert _generators(HomAlgebra(field, kz4.mult, kz4.unit, check=False)) == (1,)
+        assert _generators(HomAlgebra(field, fewer, kz4.unit, check=False)) is None
+    assert [found for _, found in searches] == [(1,)]
+
+
+def _transposed(h):
+    """(Delta^T, eps^T, mu^T, u^T, alpha^T): the dual Hom-bialgebra."""
+    field, b, t = h.field, h.basis, h.twist.transpose()
+    alg = HomAlgebra(field, h.comult.transpose(), h.counit.transpose(), t, basis=b, check=False)
+    coalg = HomCoalgebra(field, h.mult.transpose(), h.unit.transpose(), t, basis=b, check=False)
+    return HomBialgebra(alg, coalg, check=False)
+
+
+def test_a_biproduct_passes_iff_its_transpose_does():
+    # the biproduct's mu is searched on its algebra side, and as the dual's
+    # co-side, so the two reductions meet on one map; the grid's passing
+    # biproducts are those whose R1-R5 gate passes
+    passing = [assembled_biproduct(b) for _, b in grid() if check_radford_conditions(b).passed]
+    assert len(passing) == 61
+    rng = random.Random(26)
+    perturbed = []
+    for h in rng.sample(passing, 20):
+        which = rng.choice(("mult", "comult"))
+        m = getattr(h, which)
+        entry = rng.randrange(m.rows), rng.randrange(m.cols)
+        bump = Matrix(h.field, m.rows, m.cols, {entry: rng.randrange(1, 7)})
+        alg, coalg = h.algebra, h.coalgebra
+        if which == "mult":
+            alg = HomAlgebra(h.field, m + bump, h.unit, h.twist, basis=h.basis, check=False)
+        else:
+            coalg = HomCoalgebra(h.field, m + bump, h.counit, h.twist, basis=h.basis, check=False)
+        perturbed.append(HomBialgebra(alg, coalg, check=False))
+    verdicts = [(check_hom_bialgebra(h).passed, check_hom_bialgebra(_transposed(h)).passed)
+                for h in passing + perturbed]
+    assert verdicts[:61] == [(True, True)] * 61
+    assert all(mine == dual for mine, dual in verdicts[61:])
+    assert sum(mine for mine, _ in verdicts[61:]) < 20
