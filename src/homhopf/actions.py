@@ -1,4 +1,5 @@
-"""Actions, coactions, their compatibility axioms, and Hom-Yetter-Drinfeld modules.
+"""Actions, coactions, their compatibility axioms, and Hom-Yetter-Drinfeld
+modules with the matrix of their braiding.
 
 Both sides of the Yetter-Drinfeld compatibility are assembled as single maps
 on H (x) M by composing the constituent matrices, so the check is exhaustive
@@ -279,6 +280,23 @@ class YDModule(_Twisted):
             reports = (check_action_axioms(action), check_coaction_axioms(coaction), check_hyd(self))
             for rep in reports:
                 rep.require("Yetter-Drinfeld module invalid")
+
+
+def _coact_then_act(coaction, d, left, right):
+    """(left (x) right)(m_{-1} (x) x (x) m_0) on M (x) X, with X of dimension
+    `d` and `left` reading H (x) X: the one body of the braiding, its inverse,
+    the Yang-Baxter operator, the twist map a coaction carries and the
+    biproduct antipode."""
+    n, m = coaction.hom.dim, coaction.carrier_dim
+    step = kron(coaction.matrix, Matrix.identity(coaction.field, d))  # (m-1, m0, x)
+    step = permute_row_legs(step, (n, m, d), (0, 2, 1))  # (m-1, x, m0)
+    return kron_apply(left, right, step)
+
+
+def braiding_matrix(m1, m2):
+    """c(m (x) n) = (beta^2(m_{-1}) |> alpha_N^-1(n)) (x) alpha_M^-1(m_0)."""
+    left = kron_apply_right(m2.action.matrix, m1.hom.twist_power(2), m2.twist_inv)
+    return _coact_then_act(m1.coaction, m2.dim, left, m1.twist_inv)
 
 
 def check_hyd(module, title=None):

@@ -22,6 +22,8 @@ from .actions import (
     ActionMap,
     CoactionMap,
     YDModule,
+    _coact_then_act,
+    braiding_matrix,
     same_bialgebra,
 )
 from .constructions import _radford_gate, _twist_naturality
@@ -131,21 +133,6 @@ def associator(m1, m2, m3):
     return f
 
 
-def _coact_then_act(m1, m2, h, f, g):
-    """(h(m_{-1}) |> f(n)) (x) g(m_0) on M (x) N: the one body of the
-    braiding, its inverse and the Yang-Baxter operator."""
-    hom = m1.hom
-    n, d1, d2 = hom.dim, m1.dim, m2.dim
-    step = kron(m1.coaction.matrix, Matrix.identity(hom.field, d2))  # (m-1, m0, n)
-    step = permute_row_legs(step, (n, d1, d2), (0, 2, 1))  # (m-1, n, m0)
-    return kron_apply(kron_apply_right(m2.action.matrix, h, f), g, step)
-
-
-def braiding_matrix(m1, m2):
-    """c(m (x) n) = (beta^2(m_{-1}) |> alpha_N^-1(n)) (x) alpha_M^-1(m_0)."""
-    return _coact_then_act(m1, m2, m1.hom.twist_power(2), m2.twist_inv, m1.twist_inv)
-
-
 def braiding(m1, m2):
     return CategoryMorphism(yd_tensor(m1, m2), yd_tensor(m2, m1), braiding_matrix(m1, m2))
 
@@ -157,7 +144,8 @@ def braiding_inverse_matrix(m1, m2):
     s = getattr(hom, "antipode", None)
     if s is None:
         raise ExactError("the braiding inverse needs an antipode")
-    body = _coact_then_act(m1, m2, s.inverse() * hom.twist_power(2), m2.twist_inv, m1.twist_inv)
+    left = kron_apply_right(m2.action.matrix, s.inverse() * hom.twist_power(2), m2.twist_inv)
+    body = _coact_then_act(m1.coaction, m2.dim, left, m1.twist_inv)
     flipped = permute_row_legs(body, (m2.dim, m1.dim), (1, 0))  # onto M (x) N
     return permute_col_legs(flipped, (m2.dim, m1.dim), (1, 0))  # from N (x) M
 
@@ -171,7 +159,8 @@ def yang_baxter_operator(m1, m2):
     """tau(m (x) n) = (beta^3(m_{-1}) |> n) (x) m_0."""
     field = m1.field
     i1, i2 = Matrix.identity(field, m1.dim), Matrix.identity(field, m2.dim)
-    return _coact_then_act(m1, m2, m1.hom.twist_power(3), i2, i1)
+    left = kron_apply_right(m2.action.matrix, m1.hom.twist_power(3), i2)
+    return _coact_then_act(m1.coaction, m2.dim, left, i1)
 
 
 def check_yang_baxter(m1, m2, m3, title=None):
@@ -253,29 +242,22 @@ def check_hexagons(m1, m2, m3, title=None):
 def check_bialgebra_in_hyd(bundle, title=None):
     """The carrier is a bialgebra inside the category: Yetter-Drinfeld
     compatibility, the R1-R3 gates, and multiplicativity of its coproduct
-    through the braiding c_{A,A}; the braided composite is also asserted to
-    equal the R4 right-hand side."""
+    through the braiding c_{A,A}."""
     return _in_category_report(bundle, _radford_gate(bundle), title)
 
 
 def _in_category_report(bundle, gate, title=None):
     """check_bialgebra_in_hyd from an already evaluated R1-R5 gate: R1-R3 are
-    its verdicts, and HYD and R4-realization compare the matrices it built."""
-    radford, r4_rhs, hyd_lhs, hyd_rhs = gate
-    module = bundle.yd_module()
-    a, c, action = bundle.algebra, bundle.coalgebra, bundle.action
-    field, m = a.field, a.dim
-    i_m = Matrix.identity(field, m)
+    its verdicts, HYD compares the matrices R5 built, and braided-comult-mult
+    is R4's verdict, since R4's right-hand side is the braided product
+    (mu (x) mu)(id (x) c_{A,A} (x) id)(Delta (x) Delta)."""
+    radford, hyd_lhs, hyd_rhs = gate
+    action = bundle.action
     legs = (action.hom.basis, action.carrier_basis)  # may differ from R5's labels
     checks = [eq_check("HYD", hyd_lhs, hyd_rhs, legs, legs)]
     checks += [radford.check(name) for name in ("R1", "R2", "R3")]
-    c_aa = braiding_matrix(module, module)
-    braided_rhs = kron_apply(
-        a.mult, a.mult, kron_apply(kron(i_m, c_aa), i_m, kron(c.comult, c.comult))
-    )
-    ab = (a.basis, a.basis)
-    checks.append(eq_check("braided-comult-mult", c.comult * a.mult, braided_rhs, ab, ab))
-    checks.append(eq_check("R4-realization", braided_rhs, r4_rhs, ab, ab))
+    r4 = radford.check("R4")
+    checks.append(CheckResult("braided-comult-mult", r4.passed, r4.witness))
     return Report(title or "bialgebra in the Yetter-Drinfeld category", tuple(checks))
 
 

@@ -103,9 +103,6 @@ def cyclic_group_hopf(field, order):
     return HomHopf(HomBialgebra(alg, coalg, name=f"KZ{n}"), antipode)
 
 
-_T = {"1": 0, "g": 1, "x": 2, "y": 3}
-
-
 def taft_hopf(field):
     """The classical four-dimensional Taft algebra on basis (1, g, x, y)."""
     one, g, x, y = 0, 1, 2, 3

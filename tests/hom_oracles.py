@@ -164,6 +164,29 @@ def hyd_rhs_oracle(action, coaction, pair):
     return out
 
 
+def r4_rhs_oracle(bundle, pair):
+    """a1 (beta^2(a2_{-1}) |> alpha^-1(b1)) (x) alpha^-1(a2_0) b2."""
+    a, c = bundle.algebra, bundle.coalgebra
+    field = a.field
+    ia, ib = pair
+    beta2 = bundle.hom.twist_power(2)
+    out = {}
+    for (a1, a2), w1 in delta_basis(c, ia).items():
+        for (b1, b2), w2 in delta_basis(c, ib).items():
+            for (am, a0), w3 in coact_basis(bundle.coaction, a2).items():
+                for bh, w4 in matrix_image(field, beta2, am).items():
+                    for bz, w5 in matrix_image(field, a.twist_inv, b1).items():
+                        for acted, w6 in act_basis(bundle.action, bh, bz).items():
+                            for la, w7 in mul_basis(a, a1, acted).items():
+                                for az, w8 in matrix_image(field, a.twist_inv, a0).items():
+                                    for ra, w9 in mul_basis(a, az, b2).items():
+                                        v = w1
+                                        for w in (w2, w3, w4, w5, w6, w7, w8, w9):
+                                            v = field.mul(v, w)
+                                        acc(field, out, (la, ra), v)
+    return out
+
+
 def tau_oracle(m1, m2, pair):
     """tau(m (x) n) = (beta^3(m_{-1}) |> n) (x) m_0."""
     hom = m1.hom

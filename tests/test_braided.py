@@ -5,8 +5,11 @@ import pytest
 
 import hom_oracles as oracles
 from homhopf import (
+    ActionMap,
     Bundle,
     ExactError,
+    HomAlgebra,
+    HomCoalgebra,
     Matrix,
     QQ,
     YDModule,
@@ -21,6 +24,7 @@ from homhopf import (
     check_hom_bialgebra,
     check_hyd,
     check_pentagon,
+    check_radford_conditions,
     check_yang_baxter,
     check_yd_morphism,
     kron,
@@ -281,7 +285,6 @@ def test_bialgebra_in_category_on_catalog(field):
     for bundle in (taft_bundle(field, 2), dual_number_bundle(field, 2)):
         rep = check_bialgebra_in_hyd(bundle)
         assert rep.passed, rep.render(True)
-        assert rep.check("R4-realization").passed
 
 
 def test_dual_number_not_ordinary_bialgebra_but_braided_one():
@@ -315,6 +318,28 @@ def test_bosonization_equivalence_on_mutation():
     assert not rep.check("radford-conditions").passed
     assert not rep.check("bialgebra-in-category").passed
     assert rep.check("agreement").passed  # false on both sides
+
+
+def test_in_category_checks_report_a_singular_carrier_twist():
+    # the braiding untwists by alpha^-1, as R4 does: with alpha = diag(1, 0)
+    # the in-category checks report R4's refusal instead of raising
+    d = dual_number_bundle(QQ, 2)
+    t = Matrix.diagonal(QQ, [1, 0])
+    a, c = d.algebra, d.coalgebra
+    bundle = Bundle(
+        algebra=HomAlgebra(QQ, a.mult, a.unit, t, basis=a.basis, check=False),
+        coalgebra=HomCoalgebra(QQ, c.comult, c.counit, t, basis=c.basis, check=False),
+        hom=d.hom,
+        action=ActionMap(d.hom, d.action.matrix, t, ("1", "z")),
+        coaction=CoactionMap(d.hom, d.coaction.matrix, t, ("1", "z")),
+    )
+    r4 = check_radford_conditions(bundle).check("R4")
+    assert (r4.passed, r4.witness) == (False, "carrier twist is singular")
+    braided = check_bialgebra_in_hyd(bundle).check("braided-comult-mult")
+    assert (braided.passed, braided.witness) == (False, r4.witness)
+    rep = check_bosonization_equivalence(bundle)
+    assert not rep.check("bialgebra-in-category").passed
+    assert rep.check("agreement").passed
 
 
 def test_bosonization_equivalence_needs_involutive_twist():

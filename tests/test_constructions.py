@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import hom_oracles as oracles
 from fuzz_grid import assembled_biproduct, grid
+from yd_ladder import yd_ladder_bundle
 from homhopf import (
     ActionMap,
     Bundle,
     GF,
+    HomAlgebra,
     Matrix,
     QQ,
     StructureError,
@@ -45,6 +47,7 @@ from homhopf.braided import check_bialgebra_in_hyd, check_bosonization_equivalen
 from homhopf.constructions import TwistMapT, smash_comult_matrix, smash_mult_matrix
 from homhopf.structures import tensor_comult_matrix, tensor_mult_matrix, yau_twist
 from homhopf.catalog import (
+    TAFT_ACTION_VARIANTS,
     CoactionMap,
     cyclic_group_hopf,
     dual_number_bundle,
@@ -55,6 +58,7 @@ from homhopf.catalog import (
     taft_twisted,
 )
 from homhopf.cli import main
+from homhopf.report import eq_check
 from homhopf.textfmt import catalog_document
 
 F7 = GF(7)
@@ -429,10 +433,49 @@ def _relabelled_bundle(field):
 @pytest.mark.parametrize("build", [taft_bundle, dual_number_bundle, _relabelled_bundle])
 def test_equivalence_builds_each_composite_once(field, build):
     bundle = build(field) if build is _relabelled_bundle else build(field, 2)
-    names = ("radford_r4_rhs", "hyd_lhs_matrix", "hyd_rhs_matrix")
+    names = ("_r4_rhs", "braiding_matrix", "hyd_lhs_matrix", "hyd_rhs_matrix")
     with _call_counts(*names) as calls:
         check_bosonization_equivalence(bundle)
     assert {name: calls(name) for name in names} == dict.fromkeys(names, 1)
+
+
+def _r4_cases():
+    """The fuzz grid, the catalog bundles over Q, GF(7) and GF(3), and
+    yd-ladder rungs with a perturbed action or carrier product."""
+    cases = list(grid())
+    for field in (QQ, F7, GF(3)):
+        for variant in TAFT_ACTION_VARIANTS:
+            cases.append((f"taft {variant} {field}", taft_bundle(field, 2, variant)))
+        cases.append((f"dual-number {field}", dual_number_bundle(field, 2)))
+        cases.append((f"relabelled {field}", _relabelled_bundle(field)))
+    for n, p, lam in ((3, 7, 1), (4, 5, 1), (6, 7, 1), (6, 7, 3)):
+        cases.append((f"yd-ladder {n} {p} {lam}", yd_ladder_bundle(n, p, lam)))
+    for entry in ((1, 1, 2, 2), (1, 1, 1, 1)):  # off its degree; rescaled in place
+        cases.append((f"yd-ladder action {entry}", yd_ladder_bundle(4, 5, action_entry=entry)))
+    b = yd_ladder_bundle(4, 5)
+    a = b.algebra
+    bumped = a.mult + Matrix(a.field, 4, 16, {(1, 1 * 4 + 2): 1})  # z z^2 = z^3 + z
+    carrier = HomAlgebra(a.field, bumped, a.unit, a.twist, basis=a.basis, check=False)
+    cases.append(("yd-ladder carrier product", dataclasses.replace(b, algebra=carrier)))
+    return cases
+
+
+def test_r4_rhs_matches_the_element_wise_oracle():
+    # R4's right-hand side is built through the braiding; the oracle expands
+    # R4's formula term by term, and the gate's verdict and witness are the
+    # ones an exact comparison with the oracle gives
+    verdicts = set()
+    for tag, bundle in _r4_cases():
+        a, m = bundle.algebra, bundle.algebra.dim
+        oracle = oracles.oracle_matrix(
+            a.field, (m, m), (m, m), lambda idx: oracles.r4_rhs_oracle(bundle, idx)
+        )
+        assert constructions._r4_rhs(bundle) == oracle, tag
+        legs = (a.basis, a.basis)
+        expected = eq_check("R4", bundle.coalgebra.comult * a.mult, oracle, legs, legs)
+        assert check_radford_conditions(bundle).check("R4") == expected, tag
+        verdicts.add(expected.passed)
+    assert verdicts == {True, False}
 
 
 def test_relabelled_action_witnesses(field):
