@@ -78,10 +78,17 @@ def _twist_naturality(name, op, m1, m2):
     return eq_check(name, lhs, rhs, (m1.basis, m2.basis), (m2.basis, m1.basis))
 
 
+def _acting(piece, hom):
+    """`piece`, refused unless its action or coaction is one of `hom`."""
+    if not same_bialgebra(piece.hom, hom):
+        raise ExactError("action/coaction act through a different Hom-bialgebra")
+    return piece
+
+
 def coaction_twist_map(coalgebra, hom, coaction):
     """T(c (x) h) = c_{-1} h (x) c_0, the twist map carried by a coaction."""
     identity = Matrix.identity(hom.field, coalgebra.dim)
-    matrix = _coact_then_act(coaction, hom.dim, hom.mult, identity)
+    matrix = _coact_then_act(_acting(coaction, hom), hom.dim, hom.mult, identity)
     return TwistMapT(coalgebra, hom, matrix, name="coaction-twist")
 
 
@@ -145,9 +152,8 @@ def smash_comult_matrix(carrier, hom, coaction):
 
 def smash_product(carrier, hom, action, name=None, check=True):
     """Smash product Hom-algebra on A (x) H; gated by the module Hom-algebra axioms."""
-    gate = check_action_axioms(action, "module-algebra", carrier=carrier).require(
-        "action is not a module Hom-algebra"
-    )
+    gate = check_action_axioms(_acting(action, hom), "module-algebra", carrier=carrier)
+    gate.require("action is not a module Hom-algebra")
     mult = smash_mult_matrix(carrier, hom, action)
     algebra = _tensor_structure(HomAlgebra, carrier, hom, mult, name or "smash", check)
     return SmashProduct(algebra, gate)
@@ -155,9 +161,8 @@ def smash_product(carrier, hom, action, name=None, check=True):
 
 def smash_coproduct(carrier, hom, coaction, name=None, check=True):
     """Smash coproduct Hom-coalgebra on C (x) H; gated by the comodule Hom-coalgebra axioms."""
-    gate = check_coaction_axioms(coaction, "comodule-coalgebra", carrier=carrier).require(
-        "coaction is not a comodule Hom-coalgebra"
-    )
+    gate = check_coaction_axioms(_acting(coaction, hom), "comodule-coalgebra", carrier=carrier)
+    gate.require("coaction is not a comodule Hom-coalgebra")
     comult = smash_comult_matrix(carrier, hom, coaction)
     coalgebra = _tensor_structure(HomCoalgebra, carrier, hom, comult, name or "cosmash", check)
     return SmashCoproduct(coalgebra, gate)
@@ -246,8 +251,7 @@ class Bundle:
                 raise ShapeError("action/coaction carrier dimension mismatch")
             if piece.carrier_twist != a.twist:
                 raise ExactError("action/coaction carrier twist mismatch")
-            if not same_bialgebra(piece.hom, self.hom):
-                raise ExactError("action/coaction act through a different Hom-bialgebra")
+            _acting(piece, self.hom)
 
     def yd_module(self):
         return YDModule(self.action, self.coaction, check=False)

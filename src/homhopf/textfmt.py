@@ -18,7 +18,8 @@ documents.  See the README for the full stanza list.
 """
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from fractions import Fraction
+from functools import cache, lru_cache, partial
 from itertools import product
 from math import prod
 from operator import mul
@@ -555,19 +556,18 @@ def run_checks(real):
 # every Block into text
 
 
-def _fmt_row(field, values):
-    return " ".join(field.format(v) for v in values)
-
-
 def render_field(field):
     if field.characteristic == 0:
         return "FIELD Q"
     return f"FIELD GF {field.characteristic}"
 
 
-def _block_lines(field, block):
+def _block_lines(field, block, rows=None):
     """The canonical text of a block: stanzas in table order, rows in index
-    order, zero rows of sparse stanzas dropped."""
+    order, zero rows of sparse stanzas dropped.  `rows(stanza, word)`, if
+    given, yields (indices, words) in place of the parsed rows."""
+    word = cache(field.format)  # each distinct scalar formatted once per block
+    scalar = word if field.characteristic else field.format  # Fractions hash slower than they print
     lines = [f"{block.kind} {block.name}"]
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None:
@@ -576,33 +576,43 @@ def _block_lines(field, block):
                 words = value if isinstance(value, tuple) else (value,)
                 lines.append("  " + " ".join([stanza.keyword, *map(str, words)]))
             continue
-        for idx, vals in sorted(block.rows.get(stanza.keyword, {}).items()):
-            if stanza.sparse and not any(vals):  # an all-zero row
-                continue
+        parsed = sorted(block.rows.get(stanza.keyword, {}).items())
+        parsed = ((i, map(scalar, vals)) for i, vals in parsed if not stanza.sparse or any(vals))
+        for idx, row in rows(stanza, word) if rows else parsed:
             at = f" {' '.join(map(str, idx))} :" if idx else ""
-            lines.append(f"  {stanza.keyword}{at} {_fmt_row(field, vals)}")
+            lines.append(f"  {stanza.keyword}{at} {' '.join(row)}")
     lines.append("END")
     return lines
+
+
+def _matrix_rows(stanza, word, matrices, n, h):
+    """A stanza's (indices, words) from its matrix in `matrices`, if any.  The
+    legs flatten, row-major, as the indices then p, along the matrix's rows
+    when p is a column leg and else along its columns: a row is a stored row
+    of the matrix or its transpose, or a piece of one, copied into a zero row."""
+    if (m := matrices.get(stanza.keyword)) is None:
+        return
+    extent = _layout(stanza, n, h)[0]
+    length, source = extent[2], m if "p" in stanza.entry[1] else m.transpose()
+    den, rows = m.den, source._rowdicts
+    if source.cols > length:  # an RMATRIX's one column holds every row
+        rows = [{j - k * length: v for j, v in r.items() if j // length == k}
+                for r in rows for k in range(source.cols // length)]
+    zero = [word(m.field.zero)] * length
+    for idx, row in zip(product(*map(range, extent[: len(stanza.index)])), rows):
+        if row or not stanza.sparse:
+            out = zero.copy()
+            for j, v in row.items():  # a Fraction only for a stored entry over Q
+                out[j] = word(v if den == 1 else Fraction(v, den))
+            yield idx, out
 
 
 def _object_lines(kind, name, field, values, n=None, h=None):
     """Print library data as a block: `values` maps each keyword to a header
     value or to the realized matrix that the stanza's rows are read from."""
-    block = Block(kind, name, 0)
-    for stanza in _KIND_STANZAS[kind]:
-        value = values.get(stanza.keyword)
-        if value is None:
-            continue
-        if stanza.read is not None:
-            setattr(block, stanza.keyword.lower(), value)
-            continue
-        extent, _, (rs, cs) = _layout(stanza, n, h)
-        dense = value.dense()
-        rows = block.rows[stanza.keyword] = {}
-        for idx in product(*map(range, extent[: len(stanza.index)])):
-            r, c = sum(map(mul, idx, rs)), sum(map(mul, idx, cs))
-            rows[idx] = [dense[r + p * rs[2]][c + p * cs[2]] for p in range(extent[2])]
-    return _block_lines(field, block)
+    headers = {s.keyword.lower(): values.get(s.keyword) for s in _KIND_STANZAS[kind] if s.read}
+    rows = partial(_matrix_rows, matrices=values, n=n, h=h)
+    return _block_lines(field, Block(kind, name, 0, **headers), rows)
 
 
 def _structure_lines(kind, name, s, antipode):
@@ -665,13 +675,14 @@ def render_document(field, block_lines):
     lines = ["FORMAT 1", render_field(field)]
     for chunk in block_lines:
         lines.extend(chunk)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])  # the final newline joined in, not added to a copy
 
 
 def render_matrix_rows(mat):
     """Plain matrix export: one row of scalars per line."""
-    field = mat.field
-    return "\n".join(_fmt_row(field, row) for row in mat.dense()) + "\n"
+    stanza = Stanza("ROW", (), index=("n",), length="h", entry=("i", "p"))  # row i, scalar p
+    rows = _matrix_rows(stanza, cache(mat.field.format), {"ROW": mat}, mat.rows, mat.cols)
+    return "\n".join(" ".join(row) for _, row in rows) + "\n"
 
 
 def render_parsed(doc):

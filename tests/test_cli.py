@@ -789,6 +789,22 @@ def test_two_candidate_blocks_need_a_selector(tmp_path, capsys, command, selecto
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "what, option", [("smash", "--action"), ("cosmash", "--coaction"), ("tsmash", "--coaction")]
+)
+def test_a_map_acting_through_another_hopf_block_is_refused_by_name(
+    tmp_path, capsys, what, option
+):
+    # yd acts through H; the smash, the smash coproduct and the coaction's
+    # twist map refuse it over taft before any kernel sees its shape
+    taft = catalog_document("taft-twisted", QQ).split("\n", 2)[2]  # its blocks
+    src = _bundle_file(tmp_path, _BUNDLE + taft)
+    argv = ("construct", what, src, "--carrier", "A", option, "yd", "--hopf")
+    message = "error: action/coaction act through a different Hom-bialgebra\n"
+    assert run(capsys, *argv, "taft") == (1, "", message)
+    assert run(capsys, *argv, "H")[0] == 0
+
+
 def test_the_carrier_needs_both_blocks_and_the_antipode_either(tmp_path, capsys):
     no_coalgebra = _edit_blocks(_BUNDLE, lambda b: [] if b[0] == "COALGEBRA A\n" else [b])
     src = _bundle_file(tmp_path, no_coalgebra)

@@ -1,21 +1,45 @@
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homhopf import GF, Matrix, QQ
+from homhopf import (
+    GF,
+    ActionMap,
+    CoactionMap,
+    CobraidingForm,
+    HomAlgebra,
+    HomBialgebra,
+    HomCoalgebra,
+    HomHopf,
+    Matrix,
+    QQ,
+    RMatrix,
+    radford_biproduct,
+)
 from homhopf.catalog import cyclic_group_hopf, group_algebra_z2, taft_twisted, z2_cobraiding_form
 from homhopf.textfmt import (
     ParseError,
+    action_lines,
     algebra_lines,
+    bialgebra_lines,
     catalog_document,
+    coaction_lines,
+    coalgebra_lines,
     form_lines,
     hopf_lines,
     parse_document,
     realize,
     render_document,
+    render_matrix_rows,
     render_parsed,
+    rmatrix_lines,
     run_checks,
 )
+from yd_ladder import yd_ladder_bundle
 
 MINIMAL_KZ2 = """FORMAT 1
 FIELD Q
@@ -529,3 +553,160 @@ def test_form_block_prints_through_form_lines():
     reference = z2_cobraiding_form(QQ)
     text = render_document(QQ, [hopf_lines("H", reference.hom), form_lines("S", reference, "H")])
     assert realize(parse_document(text)).structures[("FORM", "S")].matrix == reference.matrix
+
+
+# ---------------------------------------------------------------------------
+# the printers against a dense reference
+
+
+def _reference_block(field, kind, name, headers, stanzas):
+    """A block's text from `headers`, (keyword, words) pairs, and `stanzas`,
+    (keyword, sparse, rows) triples whose rows are (indices, dense scalars);
+    an all-zero row of a sparse stanza is dropped."""
+    lines = [f"{kind} {name}"]
+    lines += [f"  {keyword} {' '.join(map(str, words))}" for keyword, words in headers]
+    for keyword, sparse, rows in stanzas:
+        for idx, vals in rows:
+            if sparse and not any(vals):
+                continue
+            at = "".join(f" {i}" for i in idx) + " :" if idx else ""
+            lines.append(f"  {keyword}{at} {' '.join(field.format(v) for v in vals)}")
+    return lines + ["END"]
+
+
+def _columns(m):
+    """The columns of m, read from Matrix.dense()."""
+    dense = m.dense()
+    return [[row[j] for row in dense] for j in range(m.cols)]
+
+
+def _reference_structure(kind, name, s, antipode=None):
+    n = s.dim
+    stanzas = []
+    if kind != "COALGEBRA":
+        stanzas.append(("UNIT", False, [((), _columns(s.unit)[0])]))
+    if kind != "ALGEBRA":
+        stanzas.append(("COUNIT", False, [((), s.counit.dense()[0])]))
+    stanzas.append(("TWIST", False, [((i,), col) for i, col in enumerate(_columns(s.twist))]))
+    if kind != "COALGEBRA":
+        mult = _columns(s.mult)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        stanzas.append(("MULT", True, [((i, j), mult[i * n + j]) for i, j in pairs]))
+    if kind != "ALGEBRA":
+        stanzas.append(("COMULT", True, [((i,), col) for i, col in enumerate(_columns(s.comult))]))
+    if antipode is not None:
+        stanzas.append(("ANTIPODE", False, [((i,), c) for i, c in enumerate(_columns(antipode))]))
+    headers = [("DIM", [n]), ("BASIS", s.basis)]
+    return _reference_block(s.field, kind, name, headers, stanzas)
+
+
+@st.composite
+def _printed_objects(draw):
+    """A field, a HOPF of dimension n with every map drawn sparse, and an
+    action, a coaction on a carrier of dimension m, an R-matrix and a form
+    over it; over Q each matrix's scalars share a denominator of 2 to 6."""
+    field = draw(st.sampled_from((QQ, GF(7))))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        den = draw(st.integers(2, 6)) if field == QQ else 1
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        scalars = st.integers(-6, 6).map(lambda v: Fraction(v, den) if den > 1 else v)
+        entries = draw(st.dictionaries(cells, scalars, max_size=rows * cols))
+        return Matrix(field, rows, cols, entries)
+
+    twist = matrix(n, n)
+    alg = HomAlgebra(field, matrix(n, n * n), matrix(n, 1), twist, check=False)
+    coalg = HomCoalgebra(field, matrix(n * n, n), matrix(1, n), twist, check=False)
+    hopf = HomHopf(HomBialgebra(alg, coalg, check=False), matrix(n, n), check=False)
+    act = ActionMap(hopf, matrix(m, n * m), matrix(m, m))
+    coact = CoactionMap(hopf, matrix(n * m, m), matrix(m, m))
+    return hopf, act, coact, RMatrix(hopf, matrix(n * n, 1)), CobraidingForm(hopf, matrix(n, n))
+
+
+def _reference_printers(hopf, act, coact, rmatrix, form):
+    """(printed, reference) for every printer on the drawn objects."""
+    n, m = hopf.dim, act.carrier_dim
+    action = _columns(act.matrix)
+    action_rows = [((i, j), action[i * m + j]) for i in range(n) for j in range(m)]
+    coeffs = _columns(rmatrix.coeffs)[0]
+    r_rows = [((i,), coeffs[i * n : i * n + n]) for i in range(n)]
+    maps = [("ACTING", ["H"]), ("CARRIER", ["A"])]
+    return [
+        (algebra_lines("A", hopf.algebra), _reference_structure("ALGEBRA", "A", hopf.algebra)),
+        (
+            algebra_lines("A", hopf.algebra, hopf.antipode),
+            _reference_structure("ALGEBRA", "A", hopf.algebra, hopf.antipode),
+        ),
+        (
+            coalgebra_lines("C", hopf.coalgebra),
+            _reference_structure("COALGEBRA", "C", hopf.coalgebra),
+        ),
+        (bialgebra_lines("B", hopf), _reference_structure("BIALGEBRA", "B", hopf)),
+        (hopf_lines("H", hopf), _reference_structure("HOPF", "H", hopf, hopf.antipode)),
+        (
+            action_lines("yd", act, "H", "A"),
+            _reference_block(hopf.field, "ACTION", "yd", maps, [("MAP", True, action_rows)]),
+        ),
+        (
+            coaction_lines("yd", coact, "H", "A"),
+            _reference_block(
+                hopf.field, "COACTION", "yd", maps,
+                [("MAP", True, [((i,), c) for i, c in enumerate(_columns(coact.matrix))])],
+            ),
+        ),
+        (
+            rmatrix_lines("R", rmatrix, "H"),
+            _reference_block(
+                hopf.field, "RMATRIX", "R", [("ON", ["H"])], [("COEFF", True, r_rows)]
+            ),
+        ),
+        (
+            form_lines("S", form, "H"),
+            _reference_block(
+                hopf.field, "FORM", "S", [("ON", ["H"])],
+                [("COEFF", True, [((i,), row) for i, row in enumerate(form.matrix.dense())])],
+            ),
+        ),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_printed_objects())
+def test_printers_equal_a_dense_reference(objects):
+    for printed, reference in _reference_printers(*objects):
+        assert printed == reference
+    hopf = objects[0]
+    for mat in (hopf.mult, hopf.comult, hopf.twist, objects[1].matrix, objects[3].coeffs):
+        dense = mat.dense()
+        words = (" ".join(hopf.field.format(v) for v in row) for row in dense)
+        assert render_matrix_rows(mat) == "\n".join(words) + "\n"
+
+
+def test_zero_rows_are_dropped_from_sparse_stanzas_and_printed_elsewhere(field):
+    # the product and coproduct keep only their entry at 1 (x) 1, and the
+    # twist and the antipode diag(1, 0) have a zero column 1
+    zero_col = Matrix.diagonal(field, [1, 0])
+    alg = HomAlgebra(field, Matrix(field, 2, 4, {(0, 0): 1}), [1, 0], zero_col, check=False)
+    coalg = HomCoalgebra(field, Matrix(field, 4, 2, {(0, 0): 1}), [1, 0], zero_col, check=False)
+    hopf = HomHopf(HomBialgebra(alg, coalg, check=False), zero_col, check=False)
+    lines = hopf_lines("H", hopf)
+    assert lines == _reference_structure("HOPF", "H", hopf, zero_col)
+    assert [line for line in lines if line.startswith(("  MULT", "  COMULT"))] == [
+        "  MULT 0 0 : 1 0", "  COMULT 0 : 1 0 0 0"
+    ]
+    assert "  TWIST 1 : 0 0" in lines and "  ANTIPODE 1 : 0 0" in lines
+
+
+def test_printing_a_biproduct_makes_no_dense_copy():
+    # the printer read every block through Matrix.dense(), which holds the
+    # n x n^2 multiplication as scalars: about 8.5 MB for T_8(q), n = 64
+    made = radford_biproduct(yd_ladder_bundle(8, 17), check=False).bialgebra
+    tracemalloc.start()
+    try:
+        lines = bialgebra_lines("T", made)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lines[0], lines[-1], len(lines)) == ("BIALGEBRA T", "END", 2438)
+    assert peak < 6 * 1024 * 1024
