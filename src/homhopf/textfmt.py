@@ -18,7 +18,6 @@ documents.  See the README for the full stanza list.
 """
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
 from math import prod
@@ -564,10 +563,8 @@ def render_field(field):
 
 def _block_lines(field, block, rows=None):
     """The canonical text of a block: stanzas in table order, rows in index
-    order, zero rows of sparse stanzas dropped.  `rows(stanza, word)`, if
-    given, yields (indices, words) in place of the parsed rows."""
-    word = cache(field.format)  # each distinct scalar formatted once per block
-    scalar = word if field.characteristic else field.format  # Fractions hash slower than they print
+    order, zero rows of sparse stanzas dropped.  `rows(stanza)`, if given,
+    yields (indices, words) in place of the parsed rows."""
     lines = [f"{block.kind} {block.name}"]
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None:
@@ -577,41 +574,44 @@ def _block_lines(field, block, rows=None):
                 lines.append("  " + " ".join([stanza.keyword, *map(str, words)]))
             continue
         parsed = sorted(block.rows.get(stanza.keyword, {}).items())
-        parsed = ((i, map(scalar, vals)) for i, vals in parsed if not stanza.sparse or any(vals))
-        for idx, row in rows(stanza, word) if rows else parsed:
+        parsed = ((i, map(field.format, vals)) for i, vals in parsed if not stanza.sparse or any(vals))
+        for idx, row in rows(stanza) if rows else parsed:
             at = f" {' '.join(map(str, idx))} :" if idx else ""
             lines.append(f"  {stanza.keyword}{at} {' '.join(row)}")
     lines.append("END")
     return lines
 
 
-def _matrix_rows(stanza, word, matrices, n, h):
+def _matrix_rows(stanza, matrices, word, n, h):
     """A stanza's (indices, words) from its matrix in `matrices`, if any.  The
-    legs flatten, row-major, as the indices then p, along the matrix's rows
-    when p is a column leg and else along its columns: a row is a stored row
-    of the matrix or its transpose, or a piece of one, copied into a zero row."""
+    legs flatten row-major, indices then p, so a row is a stored row of the
+    matrix (p a column leg) or of its transpose, or a piece of one, copied
+    into a zero row; `word` formats a scalar."""
     if (m := matrices.get(stanza.keyword)) is None:
         return
     extent = _layout(stanza, n, h)[0]
     length, source = extent[2], m if "p" in stanza.entry[1] else m.transpose()
-    den, rows = m.den, source._rowdicts
+    rows = map(source.row_items, range(source.rows))
     if source.cols > length:  # an RMATRIX's one column holds every row
-        rows = [{j - k * length: v for j, v in r.items() if j // length == k}
-                for r in rows for k in range(source.cols // length)]
+        rows = [[] for _ in range(source.cols // length)]
+        for j, v in source.row_items(0):
+            rows[j // length].append((j % length, v))
     zero = [word(m.field.zero)] * length
     for idx, row in zip(product(*map(range, extent[: len(stanza.index)])), rows):
         if row or not stanza.sparse:
             out = zero.copy()
-            for j, v in row.items():  # a Fraction only for a stored entry over Q
-                out[j] = word(v if den == 1 else Fraction(v, den))
+            for j, v in row:
+                out[j] = word(v)
             yield idx, out
 
 
 def _object_lines(kind, name, field, values, n=None, h=None):
     """Print library data as a block: `values` maps each keyword to a header
-    value or to the realized matrix that the stanza's rows are read from."""
+    value or to the matrix its rows are read from.  Over GF(p) each distinct
+    scalar is formatted once (over Q a Fraction hashes slower than it prints)."""
     headers = {s.keyword.lower(): values.get(s.keyword) for s in _KIND_STANZAS[kind] if s.read}
-    rows = partial(_matrix_rows, matrices=values, n=n, h=h)
+    word = cache(field.format) if field.characteristic else field.format
+    rows = partial(_matrix_rows, matrices=values, word=word, n=n, h=h)
     return _block_lines(field, Block(kind, name, 0, **headers), rows)
 
 
@@ -681,7 +681,7 @@ def render_document(field, block_lines):
 def render_matrix_rows(mat):
     """Plain matrix export: one row of scalars per line."""
     stanza = Stanza("ROW", (), index=("n",), length="h", entry=("i", "p"))  # row i, scalar p
-    rows = _matrix_rows(stanza, cache(mat.field.format), {"ROW": mat}, mat.rows, mat.cols)
+    rows = _matrix_rows(stanza, {"ROW": mat}, mat.field.format, mat.rows, mat.cols)
     return "\n".join(" ".join(row) for _, row in rows) + "\n"
 
 
