@@ -2,8 +2,9 @@
 modules with the matrix of their braiding.
 
 Both sides of the Yetter-Drinfeld compatibility are assembled as single maps
-on H (x) M by composing the constituent matrices, so the check is exhaustive
-over basis pairs and any failure carries an exact witness.
+on H (x) M, built transposed one input pair at a time, so any failure
+carries the exact witness of the exhaustive check; like HM2 and HMA1/HMC1,
+the biproduct gate may first compare them on a generating set of H.
 """
 
 from .fields import ExactError, ShapeError
@@ -18,8 +19,11 @@ from .matrices import (
 from .report import CheckResult, Report, eq_check
 from .structures import (
     _CO_NAMES,
+    _acting_dual,
     _co_check,
     _Dual,
+    _holds_bialgebra,
+    _reduced_eq,
     _Twisted,
     default_basis,
     twist_invertible_check,
@@ -148,7 +152,50 @@ def _carrier_consistent(kind, act_or_coact, carrier):
 def _action_checks(act, kind, carrier, eq):
     """HM1/HM2, plus HMA for a module-algebra `kind` or HMC for a
     module-coalgebra one, compared by `eq`, on a carrier that
-    _carrier_consistent has admitted."""
+    _carrier_consistent has admitted, with the verdicts and witnesses of
+    the exhaustive comparison. HM2.assoc may compare only the triples
+    h (x) g (x) m, and HMA1 and HMC1 only the inputs g (x) ..., with g in
+    a generating set G of H (`_generators`, through
+    structures._reduced_eq), once their premises hold: HM1 and HM2.unit
+    (for HMA1 and HMC1 also HM2.assoc) in this report, H's Hom-bialgebra
+    axioms with an invertible beta (`_holds_bialgebra`) and an invertible
+    carrier twist alpha. Each set below is a subspace, so it is H once it
+    is a beta-stable subalgebra holding 1 and G: the unit and G close to
+    H under beta and under x |-> g x.
+
+    HM2: N = {h' : beta(h) |> (h' |> m) = (h h') |> alpha(m) for all h, m}.
+    1 is in N: beta(h) |> (1 |> m) = beta(h) |> alpha(m) = alpha(h |> m)
+    by HM2.unit and HM1, and (h 1) |> alpha(m) = beta(h) |> alpha(m) by
+    the unit laws. N is beta-stable: applying alpha to the identity at
+    h' in N, HM1 and HA1 give beta^2(x) |> (beta(h') |> alpha(y)) =
+    (beta(x) beta(h')) |> alpha^2(y), which is the identity at beta(h')
+    for h = beta(x), m = alpha(y), all h and m as beta and alpha are
+    invertible; so beta(N) = N. N is closed under mu: for h', h'' in N,
+    (h' h'') |> alpha(y) = beta(h') |> (h'' |> y), so with k the solution
+    of beta(k) = h beta(h'), beta(h) |> ((h' h'') |> alpha(y)) =
+    (h beta(h')) |> (beta(h'') |> alpha(y)) = (k beta(h'')) |> alpha^2(y),
+    and HA2 turns k beta(h'') = (beta^-1(h) h') beta(h'') into
+    h (h' h'').
+
+    HMA1: S = {h : beta^2(h) |> (a b) = (h1 |> a)(h2 |> b) for all a, b},
+    given also the carrier's HA1.mult. 1 is in S by HA1.unit,
+    compat.comult-unit, HM2.unit and alpha(a b) = alpha(a) alpha(b).
+    Applying alpha to the identity at h, HM1, HA1 and HC1.comult give it
+    at beta(h) on alpha(a), alpha(b), so S is beta-stable. For h, k in S,
+    beta^2(h k) |> (a b) = beta^3(h) |> (beta^2(k) |> (a' b')) with
+    a' = alpha^-1(a), b' = alpha^-1(b), by HA1 and HM2; k and then
+    beta(h) in S, HM2 and compat.comult-mult make it
+    ((h k)1 |> a)((h k)2 |> b).
+
+    HMC1: S = {h : Delta_C(h |> c) = (h1 |> c1) (x) (h2 |> c2) for all c},
+    given also the carrier's HC1.comult. 1 is in S by compat.comult-unit,
+    HM2.unit and Delta_C alpha = (alpha (x) alpha) Delta_C. Applying
+    alpha (x) alpha to the identity at h, HM1 and HC1.comult give it at
+    beta(h) on alpha(c). For h, k in S, Delta_C((h k) |> c) =
+    Delta_C(beta(h) |> (k |> alpha^-1(c))), which beta(h) and k in S,
+    HM2, HC1.comult of the carrier and compat.comult-mult make
+    ((h k)1 |> c1) (x) ((h k)2 |> c2).
+    """
     hom = act.hom
     field, n, m = hom.field, hom.dim, act.carrier_dim
     p = act.matrix
@@ -157,28 +204,34 @@ def _action_checks(act, kind, carrier, eq):
     i_n = Matrix.identity(field, n)
     i_m = Matrix.identity(field, m)
     hb, cb = hom.basis, act.carrier_basis
-    checks = [
-        eq("HM1", t * p, kron_apply_right(p, beta, t), (hb, cb), (cb,)),
-        eq(
-            "HM2.assoc",
-            kron_apply_right(p, beta, p),
-            kron_apply_right(p, hom.mult, t),
-            (hb, hb, cb),
-            (cb,),
-        ),
-        eq("HM2.unit", kron_apply_right(p, hom.unit, i_m), t, (cb,), (cb,)),
-    ]
+    hm1 = eq("HM1", t * p, kron_apply_right(p, beta, t), (hb, cb), (cb,))
+    unit = eq("HM2.unit", kron_apply_right(p, hom.unit, i_m), t, (cb,), (cb,))
+
+    def assoc(pick):  # beta(h) |> (h' |> m) and (h h') |> alpha(m), h' in G or in H
+        acted, mult = p, hom.mult
+        if pick is not None:
+            acted, mult = kron_apply_right(p, pick, i_m), kron_apply_right(mult, i_n, pick)
+        return kron_apply_right(p, beta, acted), kron_apply_right(p, mult, t)
+
+    premises = hm1.passed and unit.passed and _holds_bialgebra(hom) and _carrier_twist_inverts(act)
+    hm2 = _reduced_eq(eq, "HM2.assoc", assoc, hom, premises, (hb, hb, cb), (cb,))
+    checks = [hm1, hm2, unit]
+    premises = premises and hm2.passed
     if kind == "module-algebra":
-        ma = carrier.mult
-        # ma (p (x) p) P (Delta (x) id) with P the middle-leg flip, as
-        # ((ma (p (x) p)) P) (Delta (x) id)
-        rhs = kron_apply_right(
-            permute_col_legs(kron_apply_right(ma, p, p), (n, n, m, m), (0, 2, 1, 3)),
-            hom.comult,
-            Matrix.identity(field, m * m),
-        )
-        lhs = kron_apply_right(p, hom.twist_power(2), ma)
-        checks.append(eq("HMA1", lhs, rhs, (hb, cb, cb), (cb,)))
+        ma, ta = carrier.mult, carrier.twist
+
+        def hma1(pick):  # beta^2(h) |> (a b) and (h1 |> a)(h2 |> b), h in G or in H
+            twisted, comult = hom.twist_power(2), hom.comult
+            if pick is not None:
+                twisted, comult = twisted * pick, comult * pick
+            # ma (p (x) p) P (Delta (x) id) with P the middle-leg flip, as
+            # ((ma (p (x) p)) P) (Delta (x) id)
+            acted = permute_col_legs(kron_apply_right(ma, p, p), (n, n, m, m), (0, 2, 1, 3))
+            rhs = kron_apply_right(acted, comult, Matrix.identity(field, m * m))
+            return kron_apply_right(p, twisted, ma), rhs
+
+        premises = premises and ta * ma == kron_apply_right(ma, ta, ta)  # the carrier's HA1.mult
+        checks.append(_reduced_eq(eq, "HMA1", hma1, hom, premises, (hb, cb, cb), (cb,)))
         checks.append(
             eq(
                 "HMA2",
@@ -189,16 +242,24 @@ def _action_checks(act, kind, carrier, eq):
             )
         )
     elif kind == "module-coalgebra":
-        dc = carrier.comult
-        # (p (x) p) P (Delta (x) dc) with P the middle-leg flip, built from
-        # the thinner end: on a dual, Delta and dc are transposed products
-        if p.nnz() ** 2 < hom.comult.nnz() * dc.nnz():
-            acted = permute_col_legs(kron(p, p), (n, n, m, m), (0, 2, 1, 3))
-            rhs = kron_apply_right(acted, hom.comult, dc)
-        else:
-            flipped = permute_row_legs(kron(hom.comult, dc), (n, n, m, m), (0, 2, 1, 3))
-            rhs = kron_apply(p, p, flipped)
-        checks.append(eq("HMC1", dc * p, rhs, (hb, cb), (cb, cb)))
+        dc, tc = carrier.comult, carrier.twist
+
+        def hmc1(pick):  # Delta_C(h |> c) and (h1 |> c1) (x) (h2 |> c2), h in G or in H
+            acted, comult = p, hom.comult
+            if pick is not None:
+                acted, comult = kron_apply_right(p, pick, i_m), comult * pick
+            # (p (x) p) P (Delta (x) dc) with P the middle-leg flip, built from
+            # the thinner end: on a dual, Delta and dc are transposed products
+            if p.nnz() ** 2 < comult.nnz() * dc.nnz():
+                pp = permute_col_legs(kron(p, p), (n, n, m, m), (0, 2, 1, 3))
+                rhs = kron_apply_right(pp, comult, dc)
+            else:
+                flipped = permute_row_legs(kron(comult, dc), (n, n, m, m), (0, 2, 1, 3))
+                rhs = kron_apply(p, p, flipped)
+            return dc * acted, rhs
+
+        premises = premises and dc * tc == kron_apply(tc, tc, dc)  # the carrier's HC1.comult
+        checks.append(_reduced_eq(eq, "HMC1", hmc1, hom, premises, (hb, cb), (cb, cb)))
         checks.append(
             eq(
                 "HMC2",
@@ -209,6 +270,12 @@ def _action_checks(act, kind, carrier, eq):
             )
         )
     return tuple(checks)
+
+
+def _carrier_twist_inverts(act):
+    """Whether the carrier twist of a (co)action inverts; on a dual, as the
+    twist it transposes does, which keeps what it learns."""
+    return (act._of if isinstance(act, _Dual) else act).carrier_twist.inverts()
 
 
 def check_action_axioms(act, kind="module", carrier=None, title=None):
@@ -232,30 +299,49 @@ def check_coaction_axioms(coact, kind="comodule", carrier=None, title=None):
     return Report(title or f"{kind} axioms [{coact.name or 'coaction'}]", checks)
 
 
-def hyd_lhs_matrix(action, coaction):
-    """h1 beta(m_{-1}) (x) (beta^3(h2) |> m0) as a map on H (x) M."""
+def _acting_rows(dual, pick, right):
+    """(Delta_H o pick)^T (x) right, with Delta_H^T read from the dual of H
+    kept on it: one row per input pair, h in the columns of `pick` (all of
+    H when it is None) beside each row of `right`; the columns are
+    (h1, h2) followed by those of `right`."""
+    comult_t = dual.mult
+    if pick is not None:
+        comult_t = pick.transpose() * comult_t
+    return kron(comult_t, right)
+
+
+def hyd_lhs_matrix(action, coaction, pick=None):
+    """h1 beta(m_{-1}) (x) (beta^3(h2) |> m0) as a map on H (x) M, or on
+    the inputs h (x) m with h in the columns of `pick`.
+
+    Built transposed, one row per input pair, like constructions._r4_rhs:
+    the rows of (Delta_H (x) rho)^T with the middle legs flipped, times
+    (mu (id (x) beta))^T (x) (|> (beta^3 (x) id))^T, then one transpose.
+    """
     hom = action.hom
     field, n, m = hom.field, hom.dim, action.carrier_dim
-    i_m = Matrix.identity(field, m)
-    step = kron(hom.comult, coaction.matrix)  # legs (h1, h2, m-1, m0)
-    step = permute_row_legs(step, (n, n, n, m), (0, 2, 1, 3))  # -> (h1, m-1, h2, m0)
+    dual = _acting_dual(hom)
+    step = _acting_rows(dual, pick, coaction.matrix.transpose())  # (h1, h2, m-1, m0)
+    step = permute_col_legs(step, (n, n, n, m), (0, 2, 1, 3))  # -> (h1, m-1, h2, m0)
     left = kron_apply_right(hom.mult, Matrix.identity(field, n), hom.twist)
-    right = kron_apply_right(action.matrix, hom.twist_power(3), i_m)
-    return kron_apply(left, right, step)
+    right = kron_apply_right(action.matrix, hom.twist_power(3), Matrix.identity(field, m))
+    return kron_apply_right(step, left.transpose(), right.transpose()).transpose()
 
 
-def hyd_rhs_matrix(action, coaction):
-    """(beta^2(h1) |> m)_{-1} h2 (x) (beta^2(h1) |> m)_0 as a map on H (x) M."""
+def hyd_rhs_matrix(action, coaction, pick=None):
+    """(beta^2(h1) |> m)_{-1} h2 (x) (beta^2(h1) |> m)_0 as a map on H (x) M,
+    or on the inputs h (x) m with h in the columns of `pick`; built
+    transposed as hyd_lhs_matrix is."""
     hom = action.hom
     field, n, m = hom.field, hom.dim, action.carrier_dim
-    i_n = Matrix.identity(field, n)
+    dual = _acting_dual(hom)
     i_m = Matrix.identity(field, m)
-    step = permute_row_legs(kron(hom.comult, i_m), (n, n, m), (0, 2, 1))  # (h1, m, h2)
-    acted = kron_apply_right(action.matrix, hom.twist_power(2), i_m)
-    step = kron_apply(acted, i_n, step)  # (w, h2)
-    step = kron_apply(coaction.matrix, i_n, step)  # (w-1, w0, h2)
-    step = permute_row_legs(step, (n, m, n), (0, 2, 1))  # (w-1, h2, w0)
-    return kron_apply(hom.mult, i_m, step)
+    step = _acting_rows(dual, pick, i_m)  # (h1, h2, m)
+    step = permute_col_legs(step, (n, m, n), (0, 2, 1))  # -> (h1, m, h2)
+    coacted = coaction.matrix * kron_apply_right(action.matrix, hom.twist_power(2), i_m)
+    step = kron_apply_right(step, coacted.transpose(), Matrix.identity(field, n))  # (w-1, w0, h2)
+    step = permute_col_legs(step, (n, n, m), (0, 2, 1))  # -> (w-1, h2, w0)
+    return kron_apply_right(step, dual.comult, i_m).transpose()
 
 
 class YDModule(_Twisted):

@@ -248,7 +248,8 @@ def check_bialgebra_in_hyd(bundle, title=None):
 
 def _in_category_report(bundle, gate, title=None):
     """check_bialgebra_in_hyd from an already evaluated R1-R5 gate: R1-R3 are
-    its verdicts, HYD compares the matrices R5 built, and braided-comult-mult
+    its verdicts, HYD compares the matrices R5 compared last (equal picks
+    of a generating set on a pass), and braided-comult-mult
     is R4's verdict, since R4's right-hand side is the braided product
     (mu (x) mu)(id (x) c_{A,A} (x) id)(Delta (x) Delta)."""
     radford, hyd_lhs, hyd_rhs = gate

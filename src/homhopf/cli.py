@@ -71,8 +71,10 @@ def _load(path):
     return textfmt.realize(textfmt.parse_document(_read(path)))
 
 
-def _emit(path, text):
-    """Write `text` to `path`, created with the umask's mode when missing.
+def _emit(path, lines):
+    """Write `lines` to `path`, each followed by a newline, one at a time,
+    so that no copy of the whole text is made; `path` is created with the
+    umask's mode when missing.
 
     An existing regular file is overwritten in place and then cut to length.
     Truncating it first, as `open(path, "w")` does, frees its blocks before
@@ -88,7 +90,7 @@ def _emit(path, text):
             os.close(fd)
             raise
         with fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 fh.truncate()
     except OSError as exc:
@@ -224,7 +226,7 @@ def _cmd_construct(args):
     print(f"constructed {kind} {name} (dim {result.dim})")
     if args.emit:
         chunk = getattr(textfmt, f"{kind.lower()}_lines")(name, result)  # the kind's printer
-        _emit(args.emit, textfmt.render_document(real.field, [chunk]))
+        _emit(args.emit, textfmt.document_lines(real.field, [chunk]))
     return code
 
 
@@ -249,7 +251,7 @@ def _cmd_antipode(args):
         print(f"S({label}) = {_linear_combo(field, basis, col)}")
     if args.emit:
         chunk = textfmt.hopf_lines(args.name, HomHopf(made.bialgebra, anti.matrix, check=False))
-        _emit(args.emit, textfmt.render_document(field, [chunk]))
+        _emit(args.emit, textfmt.document_lines(field, [chunk]))
     return code
 
 
@@ -284,7 +286,7 @@ def _cmd_braiding_test(args):
     reports.append(Report("braiding invertibility", inverse_checks))
     code = _print_reports(reports, args.witness)
     if args.emit_matrix:
-        _emit(args.emit_matrix, textfmt.render_matrix_rows(c.matrix))
+        _emit(args.emit_matrix, textfmt.render_matrix_rows(c.matrix).splitlines())
     return code
 
 
@@ -302,7 +304,7 @@ def _cmd_ybe_test(args):
         report = check_yang_baxter(*mods, title=title)
     code = _print_reports([report], args.witness)
     if args.emit_matrix:
-        _emit(args.emit_matrix, textfmt.render_matrix_rows(tau))
+        _emit(args.emit_matrix, textfmt.render_matrix_rows(tau).splitlines())
     return code
 
 
@@ -343,11 +345,11 @@ def _cmd_catalog(args):
     if args.action == "show":
         sys.stdout.write(text)
         if args.emit:
-            _emit(args.emit, text)
+            _emit(args.emit, text.splitlines())
         return 0
     code = _check_text(text, args.witness)
     if args.emit:
-        _emit(args.emit, text)
+        _emit(args.emit, text.splitlines())
     return code
 
 

@@ -15,6 +15,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from math import gcd, lcm, prod
 
 from .fields import ExactError, FieldMismatchError, ShapeError, SingularMatrixError
@@ -255,7 +256,8 @@ class Matrix:
 
     def transpose(self):
         out = [_EMPTY_ROW] * self.cols  # a column is made at its first entry
-        for i, row in enumerate(self._rowdicts):
+        rows = self._rowdicts
+        for i, row in compress(enumerate(rows), rows):  # the stored rows alone
             for j, v in row.items():
                 if out[j]:
                     out[j][i] = v
@@ -288,6 +290,21 @@ class Matrix:
             power = kept[j]
         self._powers = kept
         return power
+
+    def inverts(self):
+        """Whether the matrix is invertible: at once for a square matrix
+        whose rows each hold one entry, no two in one column (its factor
+        probe, `_probed`); any other is inverted, and keeps its inverse."""
+        if self.rows != self.cols:
+            return False
+        table = _probed(self)
+        if table and all(table):
+            return True
+        try:
+            self.pow(-1)
+        except SingularMatrixError:
+            return False
+        return True
 
     def is_identity(self):
         if self.rows != self.cols:

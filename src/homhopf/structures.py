@@ -139,6 +139,7 @@ class HomBialgebra(_Twisted):
         self.name = name
         if check:
             check_hom_bialgebra(self).require("Hom-bialgebra axioms fail")
+            self._verified = _bialgebra_maps(self)
 
 
 class HomHopf(HomBialgebra):
@@ -153,14 +154,34 @@ class HomHopf(HomBialgebra):
         super().__init__(bialgebra.algebra, bialgebra.coalgebra, name=name, check=False)
         self.bialgebra = bialgebra
         self.antipode = antipode
+        self._verified = getattr(bialgebra, "_verified", None)  # read back only on its map objects
         if check:
             check_antipode(bialgebra, antipode).require("antipode axioms fail")
+
+
+def _bialgebra_maps(h):
+    return h.mult, h.unit, h.comult, h.counit, h.twist
+
+
+def _holds_bialgebra(hom):
+    """True when the checked constructor of `hom`, or of the structure a dual
+    of it transposes, verified the Hom-bialgebra axioms, twist.invertible
+    among them, on the very map objects (`is`) it holds now. The fact is
+    kept as `_gens` is (see _generators), so no structure is checked per
+    call, and one whose maps were replaced after construction, or that was
+    built unchecked, has none."""
+    of = hom._of if isinstance(hom, _Dual) else hom
+    kept = getattr(of, "_verified", None)
+    return kept is not None and all(a is b for a, b in zip(kept, _bialgebra_maps(of)))
 
 
 # The maps a dual transposes, under the names of the maps they become.
 _SWAPPED = {"mult": "comult", "comult": "mult", "unit": "counit", "counit": "unit"}
 _TRANSPOSED = (*_SWAPPED, "twist", "twist_inv", "antipode", "matrix", "carrier_twist")
 _SHARED = ("field", "dim", "basis", "name", "carrier_dim", "carrier_basis")
+
+# The maps of an acting structure that its kept dual transposes.
+_DUAL_KEYS = ("mult", "unit", "comult", "counit", "twist", "antipode")
 
 # The name of each co-side check and coaction kind beside its algebra-side twin's.
 _CO_NAMES = {
@@ -201,12 +222,17 @@ class _Dual:
 
 def _acting_dual(hom):
     """The dual of an acting structure, made once and kept on it, so every
-    (co)action over it reuses its transposes.
+    (co)action over it reuses its transposes. It is read back only while
+    the maps it transposes are the same objects (`is`) as when it was
+    made, as `_gens` is: a dual keeps its transposes, so a structure whose
+    maps were replaced gets a fresh one.
     Carriers and (co)actions get a fresh dual per call: kept on each of
     them, duals would cost more memory than their reuse saves."""
-    if "_dual" not in vars(hom):
-        hom._dual = _Dual(hom)
-    return hom._dual
+    maps = [getattr(hom, name, None) for name in _DUAL_KEYS]
+    kept = vars(hom).get("_dual")
+    if kept is None or any(a is not b for a, b in zip(kept[0], maps)):
+        kept = hom._dual = maps, _Dual(hom)
+    return kept[1]
 
 
 def _co_check(name, lhs_t, rhs_t, in_legs=None, out_legs=None):

@@ -58,6 +58,7 @@ __all__ = [
     "Block",
     "StructureDocument",
     "parse_document",
+    "document_lines",
     "render_document",
     "Realization",
     "realize",
@@ -671,11 +672,17 @@ def form_lines(name, form, on_name):
     )
 
 
-def render_document(field, block_lines):
-    lines = ["FORMAT 1", render_field(field)]
+def document_lines(field, block_lines):
+    """The lines of a FORMAT 1 document, each without its newline."""
+    yield "FORMAT 1"
+    yield render_field(field)
     for chunk in block_lines:
-        lines.extend(chunk)
-    return "\n".join([*lines, ""])  # the final newline joined in, not added to a copy
+        yield from chunk
+
+
+def render_document(field, block_lines):
+    # the final newline joined in, not added to a copy
+    return "\n".join([*document_lines(field, block_lines), ""])
 
 
 def render_matrix_rows(mat):
