@@ -220,7 +220,8 @@ def test_hyd_sides_on_a_pick_are_the_full_sides_restricted():
     bundle = yd_ladder_bundle(6, 7, lam=3)
     act, coact, n, m = bundle.action, bundle.coaction, 6, 6
     pick = Matrix(F7, n, 2, {(1, 0): 1, (4, 1): 1})
-    restrict = Matrix(F7, n * m, 2 * m, {(g * m + i, k * m + i): 1 for k, g in enumerate((1, 4)) for i in range(m)})
+    picked = {(g * m + i, k * m + i): 1 for k, g in enumerate((1, 4)) for i in range(m)}
+    restrict = Matrix(F7, n * m, 2 * m, picked)  # the columns g (x) m, g in {g1, g4}
     for side in (hyd_lhs_matrix, hyd_rhs_matrix):
         assert side(act, coact, pick) == side(act, coact) * restrict
 
