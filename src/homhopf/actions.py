@@ -22,6 +22,7 @@ from .structures import (
     _acting_dual,
     _co_check,
     _Dual,
+    _Fixed,
     _holds_bialgebra,
     _reduced_eq,
     _Twisted,
@@ -63,7 +64,7 @@ def same_bialgebra(h1, h2):
     )
 
 
-class _CarrierMap:
+class _CarrierMap(_Fixed):
     """A (co)action matrix of `hom` on a carrier with its own twist; the
     subclasses fix the matrix shape and the noun of the messages.  A
     YDModule holds its action's carrier twist, with the inverse it keeps."""

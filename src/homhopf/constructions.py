@@ -18,6 +18,7 @@ from .structures import (
     _acting_dual,
     _co_check,
     _Dual,
+    _Fixed,
     _holds_bialgebra,
     _reduced_eq,
     _tensor_structure,
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 
-class TwistMapT:
+class TwistMapT(_Fixed):
     """A linear map T: C (x) H -> H (x) C. Its commuting with the two twists
     is the first check of the T-smash gate."""
 

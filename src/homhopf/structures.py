@@ -66,7 +66,22 @@ def _coerce_row(field, counit, n):
     return counit
 
 
-class _Twisted:
+class _Fixed:
+    """A value fixed at construction: a public attribute, once set, is never
+    rebound, and no attribute is deleted. Private names stay writable: they
+    hold what a value learns about its own maps, which therefore holds for
+    its whole life."""
+
+    def __setattr__(self, attr, value):
+        if attr in self.__dict__ and attr[0] != "_":
+            raise AttributeError(f"{type(self).__name__}.{attr} is fixed at construction")
+        object.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{type(self).__name__}.{attr} is fixed at construction")
+
+
+class _Twisted(_Fixed):
     """Field, dimension, named basis and twist (the identity by default) of
     one structure; the twist keeps its own powers and inverse."""
 
@@ -139,7 +154,7 @@ class HomBialgebra(_Twisted):
         self.name = name
         if check:
             check_hom_bialgebra(self).require("Hom-bialgebra axioms fail")
-            self._verified = _bialgebra_maps(self)
+        self._verified = check
 
 
 class HomHopf(HomBialgebra):
@@ -154,34 +169,23 @@ class HomHopf(HomBialgebra):
         super().__init__(bialgebra.algebra, bialgebra.coalgebra, name=name, check=False)
         self.bialgebra = bialgebra
         self.antipode = antipode
-        self._verified = getattr(bialgebra, "_verified", None)  # read back only on its map objects
+        self._verified = bialgebra._verified
         if check:
             check_antipode(bialgebra, antipode).require("antipode axioms fail")
-
-
-def _bialgebra_maps(h):
-    return h.mult, h.unit, h.comult, h.counit, h.twist
 
 
 def _holds_bialgebra(hom):
     """True when the checked constructor of `hom`, or of the structure a dual
     of it transposes, verified the Hom-bialgebra axioms, twist.invertible
-    among them, on the very map objects (`is`) it holds now. The fact is
-    kept as `_gens` is (see _generators), so no structure is checked per
-    call, and one whose maps were replaced after construction, or that was
-    built unchecked, has none."""
-    of = hom._of if isinstance(hom, _Dual) else hom
-    kept = getattr(of, "_verified", None)
-    return kept is not None and all(a is b for a, b in zip(kept, _bialgebra_maps(of)))
+    among them. The fact is kept on the structure, whose maps are fixed, so
+    no structure is checked per call; one built unchecked has none."""
+    return getattr(hom._of if isinstance(hom, _Dual) else hom, "_verified", False)
 
 
 # The maps a dual transposes, under the names of the maps they become.
 _SWAPPED = {"mult": "comult", "comult": "mult", "unit": "counit", "counit": "unit"}
 _TRANSPOSED = (*_SWAPPED, "twist", "twist_inv", "antipode", "matrix", "carrier_twist")
 _SHARED = ("field", "dim", "basis", "name", "carrier_dim", "carrier_basis")
-
-# The maps of an acting structure that its kept dual transposes.
-_DUAL_KEYS = ("mult", "unit", "comult", "counit", "twist", "antipode")
 
 # The name of each co-side check and coaction kind beside its algebra-side twin's.
 _CO_NAMES = {
@@ -222,17 +226,12 @@ class _Dual:
 
 def _acting_dual(hom):
     """The dual of an acting structure, made once and kept on it, so every
-    (co)action over it reuses its transposes. It is read back only while
-    the maps it transposes are the same objects (`is`) as when it was
-    made, as `_gens` is: a dual keeps its transposes, so a structure whose
-    maps were replaced gets a fresh one.
+    (co)action over it reuses its transposes.
     Carriers and (co)actions get a fresh dual per call: kept on each of
     them, duals would cost more memory than their reuse saves."""
-    maps = [getattr(hom, name, None) for name in _DUAL_KEYS]
-    kept = vars(hom).get("_dual")
-    if kept is None or any(a is not b for a, b in zip(kept[0], maps)):
-        kept = hom._dual = maps, _Dual(hom)
-    return kept[1]
+    if "_dual" not in vars(hom):
+        hom._dual = _Dual(hom)
+    return hom._dual
 
 
 def _co_check(name, lhs_t, rhs_t, in_legs=None, out_legs=None):
@@ -284,28 +283,21 @@ def _generators(alg):
     on it. G must also halve the compared tuples, 2|G| < n, which no G
     does for n < 3.
 
-    Each structure is searched once: the result, a G or None, is kept beside
-    the map objects it was computed from, and read back only while those
-    same objects (`is`) are the maps, so a structure whose maps differ
-    searches afresh. A dual keeps it on the structure it transposes, keyed
-    on that structure's comult, counit and twist, so no transpose is
-    stored. A bialgebra keeps its algebra side's on its algebra, whose
-    maps are its own, so HA2 and compat share one search.
+    Each structure is searched once: its maps are fixed, so the result, a
+    G or None, is kept on it. A dual keeps it on the structure it
+    transposes, so no transpose is stored. A bialgebra keeps its algebra
+    side's on its algebra, whose maps are its own, so HA2 and compat share
+    one search.
     """
-    if isinstance(alg, _Dual):
-        keeper = alg._of
-        maps = (keeper.comult, keeper.counit, keeper.twist)
-    else:
-        keeper, maps = getattr(alg, "algebra", alg), (alg.mult, alg.unit, alg.twist)
-    kept = getattr(keeper, "_gens", None)
-    if kept is not None and all(a is b for a, b in zip(kept[0], maps)):
-        return kept[1]
+    keeper = alg._of if isinstance(alg, _Dual) else getattr(alg, "algebra", alg)
+    if "_gens" in vars(keeper):
+        return keeper._gens
     n = alg.dim
     most = (n - 1) // 2
     gens = None
     if most and alg.mult.nnz() >= 4 * n:
         gens = generating_indices(alg.mult, alg.unit, (alg.twist,), most)
-    keeper._gens = maps, gens
+    keeper._gens = gens
     return gens
 
 

@@ -563,24 +563,23 @@ def render_field(field):
 
 
 def _block_lines(field, block, rows=None):
-    """The canonical text of a block: stanzas in table order, rows in index
-    order, zero rows of sparse stanzas dropped.  `rows(stanza)`, if given,
-    yields (indices, words) in place of the parsed rows."""
-    lines = [f"{block.kind} {block.name}"]
+    """The canonical text of a block, yielded by line: stanzas in table
+    order, rows in index order, zero rows of sparse stanzas dropped.  A given
+    `rows(stanza)` yields (indices, words) in place of the parsed rows."""
+    yield f"{block.kind} {block.name}"
     for stanza in _KIND_STANZAS[block.kind]:
         if stanza.read is not None:
             value = getattr(block, stanza.keyword.lower())
             if value is not None:
                 words = value if isinstance(value, tuple) else (value,)
-                lines.append("  " + " ".join([stanza.keyword, *map(str, words)]))
+                yield "  " + " ".join([stanza.keyword, *map(str, words)])
             continue
         parsed = sorted(block.rows.get(stanza.keyword, {}).items())
         parsed = ((i, map(field.format, vals)) for i, vals in parsed if not stanza.sparse or any(vals))
         for idx, row in rows(stanza) if rows else parsed:
             at = f" {' '.join(map(str, idx))} :" if idx else ""
-            lines.append(f"  {stanza.keyword}{at} {' '.join(row)}")
-    lines.append("END")
-    return lines
+            yield f"  {stanza.keyword}{at} {' '.join(row)}"
+    yield "END"
 
 
 def _matrix_rows(stanza, matrices, word, n, h):

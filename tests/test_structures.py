@@ -15,12 +15,14 @@ from homhopf import (
     QQ,
     ShapeError,
     StructureError,
+    YDModule,
     check_antipode,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
     convolution,
     convolution_inverse,
+    flip_twist_map,
     kron,
     maps_equal,
     tensor_hom_algebra,
@@ -40,6 +42,7 @@ from homhopf.catalog import (
     dual_number_coalgebra,
     group_algebra_z2,
     taft_biproduct,
+    taft_bundle,
     taft_hopf,
     taft_twisted,
 )
@@ -358,3 +361,30 @@ def test_checks_materialize_no_wide_kronecker_product():
         assert check_hom_bialgebra(h.bialgebra).passed
         assert check_antipode(h).passed
     assert sizes and max(sizes) <= n * n
+
+
+_FIXED = {
+    "HomAlgebra": lambda b: b.algebra,
+    "HomCoalgebra": lambda b: b.coalgebra,
+    "HomBialgebra": lambda b: b.hom.bialgebra,
+    "HomHopf": lambda b: b.hom,
+    "ActionMap": lambda b: b.action,
+    "CoactionMap": lambda b: b.coaction,
+    "YDModule": lambda b: YDModule(b.action, b.coaction),
+    "TwistMapT": lambda b: flip_twist_map(b.coalgebra, b.hom),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FIXED))
+def test_public_attributes_are_fixed_at_construction(kind):
+    value = _FIXED[kind](taft_bundle(QQ, 2))
+    assert type(value).__name__ == kind
+    held = dict(vars(value))
+    public = [attr for attr in held if not attr.startswith("_")]
+    assert len(public) >= 4
+    for attr in public:
+        for refused in (lambda: setattr(value, attr, None), lambda: delattr(value, attr)):
+            with pytest.raises(AttributeError) as info:
+                refused()
+            assert str(info.value) == f"{kind}.{attr} is fixed at construction"
+    assert vars(value) == held
