@@ -36,7 +36,13 @@ The runs are
   * bilinear forms: `quasitriangular-check --witness` and `check --witness`
     on the kz2-rmatrix document over Q with its RMATRIX block replaced by a
     FORM block, once the Z2 cobraiding form and once a degenerate form that
-    fails HM2.assoc, so that the induced action is checked both ways.
+    fails HM2.assoc, so that the induced action is checked both ways;
+  * relabelled maps: `construct biproduct --witness` on the
+    dual-number-bundle document over Q whose ACTION and COACTION state
+    `DIM 2`, `BASIS p q` and the carrier's TWIST rows instead of
+    `CARRIER A`, with the action also sending a |> 1 to 1 + z, so that the
+    gate refuses it and every witness names the carrier by the carrier
+    structure's labels `1 z`, not by the maps' own.
 
 Usage:  python3 scripts/golden_corpus.py [--out DIR]
 
@@ -89,6 +95,8 @@ FORMS = (
     ("degenerate", ("0 0", "0 1")),
 )
 FORM_SUBCOMMANDS = ("quasitriangular-check", "check")
+RELABELLED_DOCUMENT, RELABELLED_BASIS = "dual-number-bundle", "p q"
+RELABELLED_ROW = ("  MAP 1 0 : 1 0", "  MAP 1 0 : 1 1")  # a |> 1 = 1 + z
 
 
 # the subcommand runs on each catalog document, as (case suffix, argv);
@@ -239,6 +247,28 @@ def _form_documents(text):
     return out
 
 
+def _relabelled_maps(text):
+    """The ACTION and COACTION blocks with `CARRIER A` replaced by the
+    carrier's DIM and TWIST rows under BASIS RELABELLED_BASIS, and
+    RELABELLED_ROW changed in the action, as (label, what, text)."""
+    lines = text.splitlines()
+    start = lines.index("ALGEBRA A")
+    carrier = lines[start + 1:lines.index("END", start)]
+    stated = [line for line in carrier if line.startswith(("  DIM ", "  TWIST "))]
+    stated.insert(1, f"  BASIS {RELABELLED_BASIS}")
+    mutated = []
+    for line in lines:
+        if line == "  CARRIER A":
+            mutated += stated
+        else:
+            mutated.append(RELABELLED_ROW[1] if line == RELABELLED_ROW[0] else line)
+    what = (
+        f"CARRIER A in ACTION and COACTION replaced by its DIM and TWIST rows under "
+        f"BASIS {RELABELLED_BASIS}; {RELABELLED_ROW[0].strip()!r} -> {RELABELLED_ROW[1].strip()!r}"
+    )
+    return "relabelled-maps", what, "\n".join(mutated) + "\n"
+
+
 def _slug(param):
     return param.replace("-", "m").replace("/", "_")
 
@@ -316,6 +346,10 @@ def cases():
         for suffix in FORM_SUBCOMMANDS:
             name = f"subcommands/{FORM_DOCUMENT}-Q-{label}-{suffix}"
             out.append((name, runs[suffix], document, f"catalog show {FORM_DOCUMENT} --field Q, {what}"))
+    ident = RELABELLED_DOCUMENT
+    label, what, document = _relabelled_maps(catalog_document(ident, cli._parse_field("Q")))
+    argv = ["construct", "biproduct", "doc.hh", "--witness"]
+    out.append((f"mutations/{ident}-Q-{label}-biproduct", argv, document, f"catalog show {ident} --field Q, {what}"))
     return out
 
 

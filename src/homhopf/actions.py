@@ -154,9 +154,10 @@ def _action_checks(act, kind, carrier, eq):
     """HM1/HM2, plus HMA for a module-algebra `kind` or HMC for a
     module-coalgebra one, compared by `eq`, on a carrier that
     _carrier_consistent has admitted, with the verdicts and witnesses of
-    the exhaustive comparison. HM2.assoc may compare only the triples
-    h (x) g (x) m, and HMA1 and HMC1 only the inputs g (x) ..., with g in
-    a generating set G of H (`_generators`, through
+    the exhaustive comparison; a witness names the carrier by the basis of
+    `carrier` when one is given, else by the (co)action's. HM2.assoc may
+    compare only the triples h (x) g (x) m, and HMA1 and HMC1 only the
+    inputs g (x) ..., with g in a generating set G of H (`_generators`, through
     structures._reduced_eq), once their premises hold: HM1 and HM2.unit
     (for HMA1 and HMC1 also HM2.assoc) in this report, H's Hom-bialgebra
     axioms with an invertible beta (`_holds_bialgebra`) and an invertible
@@ -204,7 +205,7 @@ def _action_checks(act, kind, carrier, eq):
     beta = hom.twist
     i_n = Matrix.identity(field, n)
     i_m = Matrix.identity(field, m)
-    hb, cb = hom.basis, act.carrier_basis
+    hb, cb = hom.basis, act.carrier_basis if carrier is None else carrier.basis
     hm1 = eq("HM1", t * p, kron_apply_right(p, beta, t), (hb, cb), (cb,))
     unit = eq("HM2.unit", kron_apply_right(p, hom.unit, i_m), t, (cb,), (cb,))
 

@@ -26,7 +26,7 @@ from .actions import (
     braiding_matrix,
     same_bialgebra,
 )
-from .constructions import _radford_gate, _twist_naturality
+from .constructions import _twist_naturality, check_radford_conditions
 
 __all__ = [
     "CategoryMorphism",
@@ -243,43 +243,36 @@ def check_bialgebra_in_hyd(bundle, title=None):
     """The carrier is a bialgebra inside the category: Yetter-Drinfeld
     compatibility, the R1-R3 gates, and multiplicativity of its coproduct
     through the braiding c_{A,A}."""
-    return _in_category_report(bundle, _radford_gate(bundle), title)
+    return _in_category_report(check_radford_conditions(bundle), title)
 
 
-def _in_category_report(bundle, gate, title=None):
-    """check_bialgebra_in_hyd from an already evaluated R1-R5 gate: R1-R3 are
-    its verdicts, HYD compares the matrices R5 compared last (equal picks
-    of a generating set on a pass), and braided-comult-mult
-    is R4's verdict, since R4's right-hand side is the braided product
-    (mu (x) mu)(id (x) c_{A,A} (x) id)(Delta (x) Delta)."""
-    radford, hyd_lhs, hyd_rhs = gate
-    action = bundle.action
-    legs = (action.hom.basis, action.carrier_basis)  # may differ from R5's labels
-    checks = [eq_check("HYD", hyd_lhs, hyd_rhs, legs, legs)]
-    checks += [radford.check(name) for name in ("R1", "R2", "R3")]
-    r4 = radford.check("R4")
-    checks.append(CheckResult("braided-comult-mult", r4.passed, r4.witness))
+# each in-category check beside the R1-R5 check that decides it: HYD is R5's
+# identity, and R4's right-hand side is the braided product
+# (mu (x) mu)(id (x) c_{A,A} (x) id)(Delta (x) Delta)
+_DECIDED_BY = (("HYD", "R5"), ("R1", "R1"), ("R2", "R2"), ("R3", "R3"), ("braided-comult-mult", "R4"))
+
+
+def _in_category_report(radford, title=None):
+    """check_bialgebra_in_hyd from an evaluated R1-R5 gate: each check is the
+    gate check that decides it, renamed, with its verdict and witness."""
+    checks = []
+    for name, gate_name in _DECIDED_BY:
+        c = radford.check(gate_name)
+        checks.append(CheckResult(name, c.passed, c.witness))
     return Report(title or "bialgebra in the Yetter-Drinfeld category", tuple(checks))
 
 
 def check_bosonization_equivalence(bundle, title=None):
     """The biproduct gate and the in-category bialgebra verdicts must agree;
-    requires the acting twist to square to the identity."""
-    hom = bundle.hom
-    if not hom.twist_power(2).is_identity():
+    requires the acting twist to square to the identity. Both are read off
+    one R1-R5 report."""
+    if not bundle.hom.twist_power(2).is_identity():
         raise ExactError("equivalence check requires beta^2 = id on the acting structure")
-    gate = _radford_gate(bundle)
-    radford = gate[0]
-    category = _in_category_report(bundle, gate)
-
-    agree = radford.passed == category.passed
-    witness = None if agree else (
-        f"gate={'PASS' if radford.passed else 'FAIL'} "
-        f"category={'PASS' if category.passed else 'FAIL'}"
-    )
+    radford = check_radford_conditions(bundle)
+    category = _in_category_report(radford)
     checks = (
         radford.summarize("radford-conditions"),
         category.summarize("bialgebra-in-category"),
-        CheckResult("agreement", agree, witness),
+        CheckResult("agreement", radford.passed == category.passed),
     )
     return Report(title or "biproduct/category equivalence", checks)

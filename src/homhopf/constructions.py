@@ -281,15 +281,9 @@ def _r4_rhs(bundle):
 
 
 def check_radford_conditions(bundle, title=None):
-    """The five biproduct gate conditions R1-R5, each an exact map identity."""
-    return _radford_gate(bundle, title)[0]
-
-
-def _radford_gate(bundle, title=None):
-    """R1-R5 as (report, HYD left and right sides as R5 last compared them),
-    so the in-category verdict compares the very matrices R5 did: a pass on
-    a generating set compares equal picks, and a failure the exhaustive
-    sides, whose first mismatch is its witness.
+    """The five biproduct gate conditions R1-R5, each an exact map identity,
+    with witnesses naming the carrier by the carrier algebra's basis; the
+    in-category verdict reads its own off this one report.
 
     R5 may compare only the inputs g (x) m with g in a generating set G of
     H (`_generators`, through structures._reduced_eq), once R1 and R2 pass,
@@ -337,18 +331,15 @@ def _radford_gate(bundle, title=None):
         r4 = CheckResult("R4", False, "carrier twist is singular")
     checks.append(r4)
     action, coaction = bundle.action, bundle.coaction
-    compared = []
 
     def hyd(pick):
-        compared[:] = hyd_lhs_matrix(action, coaction, pick), hyd_rhs_matrix(action, coaction, pick)
-        return compared
+        return hyd_lhs_matrix(action, coaction, pick), hyd_rhs_matrix(action, coaction, pick)
 
     # the carrier twist is a's (Bundle), and R4 has inverted it
     premises = checks[0].passed and checks[1].passed and inverts and _holds_bialgebra(action.hom)
     legs = (hom.basis, ab)
     checks.append(_reduced_eq(eq_check, "R5", hyd, action.hom, premises, legs, legs))
-    report = Report(title or "biproduct gate R1-R5", tuple(checks))
-    return report, *compared
+    return Report(title or "biproduct gate R1-R5", tuple(checks))
 
 
 def radford_biproduct(bundle, name=None, check=True):

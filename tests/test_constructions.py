@@ -58,7 +58,7 @@ from homhopf.catalog import (
     taft_twisted,
 )
 from homhopf.cli import main
-from homhopf.report import eq_check
+from homhopf.report import CheckResult, eq_check
 from homhopf.textfmt import catalog_document
 
 F7 = GF(7)
@@ -479,14 +479,17 @@ def test_r4_rhs_matches_the_element_wise_oracle():
 
 
 def test_relabelled_action_witnesses(field):
-    # the gate's R5 names the carrier algebra's basis, HYD the action's own
+    # every witness names the carrier by the carrier structure's basis (1, z),
+    # not by the (p, q) of the action and coaction; HYD is R5's witness
     bundle = _relabelled_bundle(field)
-    r5 = check_radford_conditions(bundle).check("R5")
-    hyd = check_bialgebra_in_hyd(bundle).check("HYD")
-    assert r5.witness == "at a⊗1 -> 1⊗z: 0 != 2"
-    assert hyd.witness == "at a⊗p -> 1⊗q: 0 != 2"
+    gate = check_radford_conditions(bundle)
+    assert gate.check("R2").witness == "HM1: at a⊗1 -> z: 2 != 1"
+    assert gate.check("R5").witness == "at a⊗1 -> 1⊗z: 0 != 2"
+    assert check_bialgebra_in_hyd(bundle).check("HYD") == CheckResult(
+        "HYD", False, "at a⊗1 -> 1⊗z: 0 != 2"
+    )
     verdicts = check_bosonization_equivalence(bundle)
-    assert verdicts.check("bialgebra-in-category").witness == "HYD: at a⊗p -> 1⊗q: 0 != 2"
+    assert verdicts.check("bialgebra-in-category").witness == "HYD: at a⊗1 -> 1⊗z: 0 != 2"
     assert verdicts.check("agreement").passed
 
 

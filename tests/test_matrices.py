@@ -313,6 +313,22 @@ def test_a_singular_matrix_raises_on_every_request_and_keeps_nothing(field):
     assert not hasattr(fresh, "_powers")
 
 
+def test_inverts_beyond_the_monomial_shortcut():
+    # a matrix the factor probe cannot settle is inverted and keeps its
+    # inverse; a singular or non-square one keeps nothing
+    m = Matrix.from_rows(F7, [[1, 1], [0, 1]])
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        assert m.inverts()
+        inverse = m.inverse()
+    assert solve.call_count == 1
+    assert inverse == Matrix.from_rows(F7, [[1, 6], [0, 1]])
+    for rows in ([[1, 1], [1, 1]], [[1, 0], [1, 0]]):
+        singular = Matrix.from_rows(F7, rows)
+        assert not singular.inverts()
+        assert not hasattr(singular, "_powers")
+    assert not Matrix.from_rows(F7, [[1, 0, 0], [0, 1, 0]]).inverts()
+
+
 def test_kept_powers_hold_no_reference_to_their_matrix():
     # a twist is still freed by reference counting once its holders are gone
     m = Matrix.from_rows(QQ, [[1, 1], [0, 2]])

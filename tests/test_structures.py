@@ -236,6 +236,17 @@ def test_yau_twist_inverts_gamma_once():
     assert solve.call_count == 1
 
 
+def test_yau_twist_of_a_bialgebra_without_an_antipode_is_a_bialgebra():
+    h = taft_hopf(QQ).bialgebra
+    gamma = Matrix.diagonal(QQ, [1, 1, 2, 2])
+    t = yau_twist(h, gamma)
+    assert type(t) is HomBialgebra
+    assert t.mult == gamma * h.mult
+    assert t.comult == h.comult * gamma
+    assert t.twist == gamma
+    assert check_hom_bialgebra(t).passed
+
+
 def test_bialgebra_check_inverts_the_twist_once():
     # the coalgebra axioms run on the bialgebra, which holds its algebra's twist object
     text = catalog_document("taft-twisted", QQ, QQ.coerce(2))
