@@ -22,30 +22,12 @@ sys.path.insert(0, str(root / "tests"))
 
 from collections import Counter  # noqa: E402
 
-from fuzz_grid import grid  # noqa: E402
-from homhopf import (  # noqa: E402
-    HomBialgebra,
-    check_bosonization_equivalence,
-    check_hom_bialgebra,
-    kron,
-)
-from homhopf.constructions import smash_comult_matrix, smash_mult_matrix  # noqa: E402
-from homhopf.structures import HomAlgebra, HomCoalgebra, tensor_basis  # noqa: E402
+from fuzz_grid import assembled_biproduct, grid  # noqa: E402
+from homhopf import check_bosonization_equivalence, check_hom_bialgebra  # noqa: E402
 
 
 def assembled_verdict(b):
-    labels = tensor_basis(b.algebra.basis, b.hom.basis)
-    alg = HomAlgebra(
-        b.hom.field, smash_mult_matrix(b.algebra, b.hom, b.action),
-        kron(b.algebra.unit, b.hom.unit), kron(b.algebra.twist, b.hom.twist),
-        basis=labels, check=False,
-    )
-    coalg = HomCoalgebra(
-        b.hom.field, smash_comult_matrix(b.coalgebra, b.hom, b.coaction),
-        kron(b.coalgebra.counit, b.hom.counit), kron(b.algebra.twist, b.hom.twist),
-        basis=labels, check=False,
-    )
-    return check_hom_bialgebra(HomBialgebra(alg, coalg, check=False)).passed
+    return check_hom_bialgebra(assembled_biproduct(b)).passed
 
 
 def main():

@@ -26,6 +26,7 @@ from .structures import (
     _holds_bialgebra,
     _reduced_eq,
     _Twisted,
+    _undual,
     default_basis,
     twist_invertible_check,
 )
@@ -215,7 +216,8 @@ def _action_checks(act, kind, carrier, eq):
             acted, mult = kron_apply_right(p, pick, i_m), kron_apply_right(mult, i_n, pick)
         return kron_apply_right(p, beta, acted), kron_apply_right(p, mult, t)
 
-    premises = hm1.passed and unit.passed and _holds_bialgebra(hom) and _carrier_twist_inverts(act)
+    premises = hm1.passed and unit.passed and _holds_bialgebra(hom)
+    premises = premises and _undual(act).carrier_twist.inverts()
     hm2 = _reduced_eq(eq, "HM2.assoc", assoc, hom, premises, (hb, hb, cb), (cb,))
     checks = [hm1, hm2, unit]
     premises = premises and hm2.passed
@@ -272,12 +274,6 @@ def _action_checks(act, kind, carrier, eq):
             )
         )
     return tuple(checks)
-
-
-def _carrier_twist_inverts(act):
-    """Whether the carrier twist of a (co)action inverts; on a dual, as the
-    twist it transposes does, which keeps what it learns."""
-    return (act._of if isinstance(act, _Dual) else act).carrier_twist.inverts()
 
 
 def check_action_axioms(act, kind="module", carrier=None, title=None):

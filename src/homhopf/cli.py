@@ -11,7 +11,7 @@ import os
 import stat
 import sys
 
-from .fields import ExactError, GF, QQ, SingularMatrixError, _integer
+from .fields import ExactError, GF, QQ, _integer
 from .report import CheckResult, Report, StructureError
 from .actions import YDModule
 from .braided import (
@@ -32,7 +32,7 @@ from .constructions import (
     t_smash_coproduct,
 )
 from .quasitriangular import check_cobraiding_equivalence, check_rmatrix_equivalence
-from .structures import HomHopf, check_antipode, twist_invertible_check
+from .structures import HomHopf, check_antipode, invertible_check, twist_invertible_check
 from . import catalog as cat
 from . import textfmt
 
@@ -269,15 +269,11 @@ def _cmd_braiding_test(args):
         check = twist_invertible_check(module)
         twists.append(CheckResult(f"{name}.{check.name}", check.passed, check.witness))
     if all(check.passed for check in twists):  # the braiding inverse by S^-1
-        try:
-            ci = braiding_inverse_matrix(m1, m2)
-        except SingularMatrixError:
-            twists.append(CheckResult("antipode.invertible", False, "antipode matrix is singular"))
-        else:
-            twists.append(CheckResult("antipode.invertible", True))
+        singular = "antipode matrix is singular"
+        twists.append(invertible_check("antipode.invertible", m1.hom.antipode, singular))
     if not all(check.passed for check in twists):
         return _print_reports([Report(title, tuple(twists))], args.witness)
-    c = braiding(m1, m2)
+    c, ci = braiding(m1, m2), braiding_inverse_matrix(m1, m2)
     reports = [check_yd_morphism(c, title=title)]
     inverse_checks = (
         CheckResult("inverse.left", (ci * c.matrix).is_identity()),

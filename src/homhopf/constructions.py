@@ -335,7 +335,7 @@ def check_radford_conditions(bundle, title=None):
     def hyd(pick):
         return hyd_lhs_matrix(action, coaction, pick), hyd_rhs_matrix(action, coaction, pick)
 
-    # the carrier twist is a's (Bundle), and R4 has inverted it
+    # the carrier twist is a's (Bundle), which R4 asked whether it inverts
     premises = checks[0].passed and checks[1].passed and inverts and _holds_bialgebra(action.hom)
     legs = (hom.basis, ab)
     checks.append(_reduced_eq(eq_check, "R5", hyd, action.hom, premises, legs, legs))

@@ -293,13 +293,14 @@ class Matrix:
 
     def inverts(self):
         """Whether the matrix is invertible: at once for a square matrix
-        whose rows each hold one entry, no two in one column (its factor
-        probe, `_probed`); any other is inverted, and keeps its inverse."""
+        whose rows each hold at most one entry, no two in one column (its
+        factor probe, `_probed`), which inverts iff no row is empty; any
+        other is inverted, and keeps its inverse."""
         if self.rows != self.cols:
             return False
         table = _probed(self)
-        if table and all(table):
-            return True
+        if table is not None:
+            return all(table)
         try:
             self.pow(-1)
         except SingularMatrixError:

@@ -174,12 +174,17 @@ class HomHopf(HomBialgebra):
             check_antipode(bialgebra, antipode).require("antipode axioms fail")
 
 
+def _undual(x):
+    """`x`, or what `x` transposes when it is a dual, which keeps what is learned."""
+    return x._of if isinstance(x, _Dual) else x
+
+
 def _holds_bialgebra(hom):
     """True when the checked constructor of `hom`, or of the structure a dual
     of it transposes, verified the Hom-bialgebra axioms, twist.invertible
     among them. The fact is kept on the structure, whose maps are fixed, so
     no structure is checked per call; one built unchecked has none."""
-    return getattr(hom._of if isinstance(hom, _Dual) else hom, "_verified", False)
+    return getattr(_undual(hom), "_verified", False)
 
 
 # The maps a dual transposes, under the names of the maps they become.
@@ -245,19 +250,14 @@ def _co_check(name, lhs_t, rhs_t, in_legs=None, out_legs=None):
     return eq_check(name, lhs_t.transpose(), rhs_t.transpose(), out_legs, in_legs)
 
 
-def invertible_check(name, invert, witness):
-    """A check that passes when `invert()` returns and fails with `witness`
-    when it meets a singular matrix."""
-    try:
-        invert()
-        return CheckResult(name, True)
-    except SingularMatrixError:
-        return CheckResult(name, False, witness)
+def invertible_check(name, matrix, witness):
+    """A check that passes when `matrix` inverts (`Matrix.inverts`) and
+    fails with `witness` otherwise."""
+    return CheckResult(name, True) if matrix.inverts() else CheckResult(name, False, witness)
 
 
 def twist_invertible_check(structure):
-    singular = "twist matrix is singular"
-    return invertible_check("twist.invertible", lambda: structure.twist_inv, singular)
+    return invertible_check("twist.invertible", _undual(structure).twist, "twist matrix is singular")
 
 
 def _generators(alg):
@@ -410,7 +410,7 @@ def check_hom_bialgebra(h, title=None):
     b, m, u, d, e = h.basis, h.mult, h.unit, h.comult, h.counit
     i_n = Matrix.identity(h.field, h.dim)
     algebra = check_hom_algebra(h.algebra)
-    # on h itself, whose twist is its algebra's, so both sides invert it once
+    # on h itself, whose twist is its algebra's, so both sides ask one object
     coalgebra = check_hom_coalgebra(h)
     unit = eq_check("compat.comult-unit", d * u, kron(u, u), None, (b, b))
 
@@ -531,11 +531,11 @@ def yau_twist(h, gamma, name=None):
     antipode = getattr(h, "antipode", None)
     one = (b,)
     two = (b, b)
-    # built unchecked on the one gamma, so the checks below invert it once
+    # built unchecked on the one gamma, so the checks below solve for it at most once
     alg = HomAlgebra(field, gamma * m, u, gamma, basis=b, check=False)
     coalg = HomCoalgebra(field, d * gamma, e, gamma, basis=b, check=False)
     checks = [
-        invertible_check("automorphism.invertible", lambda: alg.twist_inv, "candidate is singular"),
+        invertible_check("automorphism.invertible", gamma, "candidate is singular"),
         eq_check("automorphism.mult", alg.mult, kron_apply_right(m, gamma, gamma), two, one),
         eq_check("automorphism.unit", gamma * u, u, None, one),
         eq_check("automorphism.comult", coalg.comult, kron_apply(gamma, gamma, d), one, two),

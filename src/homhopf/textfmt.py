@@ -426,7 +426,7 @@ def _realize_structure(real, block):
     field, n, name = real.field, block.dim, block.name
     maps = _matrices(field, block, n)
     # a twist or antipode equal to the identity, or to the twist or antipode
-    # of an earlier block, is that object, inverted once
+    # of an earlier block, is that object, solved for at most once
     known = (Matrix.identity(field, n), *(s.twist for s in real.structures.values()),
              *real.antipodes.values())
     for key in ("TWIST", "ANTIPODE"):

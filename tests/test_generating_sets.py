@@ -33,6 +33,7 @@ from homhopf import (
     check_hom_coalgebra,
     check_radford_conditions,
     kron,
+    matrices,
     radford_biproduct,
     structures,
     tensor_hom_algebra,
@@ -268,17 +269,22 @@ def _unsearched(h):
     return HomBialgebra(alg, coalg, name=h.name, check=False)
 
 
-def _transported(hopf, seed):
-    """The same Hom-bialgebra in the basis P e_i, P upper unitriangular with
-    entries above the diagonal drawn from `seed` (halves over Q), so every
-    structure map is dense."""
-    field, n = hopf.field, hopf.dim
+def _unitriangular(field, n, seed):
+    """An upper unitriangular n x n matrix with entries above the diagonal
+    drawn from `seed` (halves over Q)."""
     rng = random.Random(seed)
     scale = Fraction(1, 2) if field.characteristic == 0 else 1
-    p = Matrix(field, n, n, {
+    return Matrix(field, n, n, {
         (r, c): 1 if r == c else field.coerce(rng.randrange(7) * scale)
         for r in range(n) for c in range(r, n)
     })
+
+
+def _transported(hopf, seed):
+    """The same Hom-bialgebra in the basis P e_i, P = _unitriangular(seed),
+    so every structure map is dense."""
+    field, n = hopf.field, hopf.dim
+    p = _unitriangular(field, n, seed)
     p_inv = p.inverse()
     twist = p_inv * hopf.twist * p
     alg = HomAlgebra(field, kron_apply_right(p_inv * hopf.mult, p, p), p_inv * hopf.unit, twist,
@@ -311,6 +317,33 @@ def test_dense_transports_search_on_both_sides(field, n, s):
     # (alpha = id), and its dual always
     assert [mult is broken.mult for mult, _ in searches] == [True] * (s == 1) + [False]
     assert_reports_match(broken)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7)), ids=str)
+def test_a_bialgebra_check_inverts_a_dense_twist_once(field):
+    # the transported twist of a Yau-twisted KZ_5 is no monomial matrix, so
+    # asking it whether it inverts solves; the coalgebra side runs on the
+    # dual, which asks the one twist it transposes and reuses that inverse
+    h = _transported(_kz(field, 5, 4).bialgebra, seed=5)
+    assert matrices._monomial(h.twist) is None
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        assert check_hom_bialgebra(h).passed
+    assert solve.call_count == 1
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7)), ids=str)
+def test_yau_twist_inverts_a_dense_gamma_once(field):
+    # gamma = P^-1 sigma P, sigma the automorphism x -> 2x of Z_5, is the
+    # transported automorphism; the automorphism check solves for its
+    # inverse, which the checked constructors reuse
+    p = _unitriangular(field, 5, seed=5)
+    sigma = Matrix(field, 5, 5, {(2 * i % 5, i): 1 for i in range(5)})
+    gamma = p.inverse() * sigma * p
+    assert matrices._monomial(gamma) is None
+    h = _transported(cyclic_group_hopf(field, 5).bialgebra, seed=5)
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        assert yau_twist(h, gamma).twist is gamma
+    assert solve.call_count == 1
 
 
 def test_no_generator_search_on_the_coalgebra_side_of_kz24():

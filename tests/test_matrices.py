@@ -329,6 +329,26 @@ def test_inverts_beyond_the_monomial_shortcut():
     assert not Matrix.from_rows(F7, [[1, 0, 0], [0, 1, 0]]).inverts()
 
 
+def test_inverts_a_monomial_matrix_from_its_probe():
+    # at most one entry per row, no two in one column: an empty row is the
+    # only way to be singular, and neither verdict needs a solve
+    invertible = Matrix.from_rows(F7, [[0, 3, 0], [0, 0, 2], [5, 0, 0]])
+    singular = Matrix.from_rows(F7, [[0, 3, 0], [0, 0, 0], [5, 0, 0]])
+    with mock.patch.object(matrices, "solve", wraps=matrices.solve) as solve:
+        assert invertible.inverts()
+        assert not singular.inverts()
+    assert solve.call_count == 0
+    assert not hasattr(invertible, "_powers") and not hasattr(singular, "_powers")
+
+
+def test_a_matrix_meets_other_operands_as_python_expects():
+    m = Matrix.identity(F7, 2)
+    assert m != 3 and not m == 3
+    with pytest.raises(TypeError):
+        m * 2
+    assert repr(m) == "<Matrix 2x2 over GF(7)>"
+
+
 def test_kept_powers_hold_no_reference_to_their_matrix():
     # a twist is still freed by reference counting once its holders are gone
     m = Matrix.from_rows(QQ, [[1, 1], [0, 2]])

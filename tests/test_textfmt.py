@@ -71,7 +71,7 @@ def test_minimal_document_realizes_to_catalog_structure():
 
 
 def test_same_named_blocks_with_equal_twists_share_one_twist_object():
-    # so the twist inverts once for both blocks; unequal twists stay apart
+    # so both blocks share its probe and any solve; unequal twists stay apart
     text = catalog_document("dual-number-bundle", QQ, QQ.coerce(2))
     real = realize(parse_document(text))
     alg, coalg = real.structures[("ALGEBRA", "A")], real.structures[("COALGEBRA", "A")]
